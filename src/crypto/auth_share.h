@@ -33,6 +33,16 @@ struct AuthShare2 {
 
   [[nodiscard]] Bytes to_bytes() const;
   static std::optional<AuthShare2> from_bytes(ByteView data);
+
+  /// Append blob(to_bytes()) to `w` without building the intermediate.
+  void write_blob(Writer& w) const;
+  /// True iff from_bytes(data) would succeed; allocation-free.
+  static bool well_formed(ByteView data);
+  /// Bytes write_blob emits for a sharing (auth_share2) of an n-byte secret:
+  /// the payload is n + 28 bytes (three framed fields, two 8-byte tags), and
+  /// the share frames payload, an 8-byte tag and a 16-byte key (+36), plus
+  /// its own 4-byte length.
+  static constexpr std::size_t blob_size(std::size_t secret_size) { return secret_size + 68; }
 };
 
 // TAINT-SOURCE(share): both halves of an authenticated sharing — strictly more secret than either share

@@ -124,6 +124,14 @@ std::optional<Bytes> Reader::blob() {
   return raw(*len);
 }
 
+std::optional<ByteView> Reader::blob_view() {
+  const auto len = u32();
+  if (!len || remaining() < *len) return std::nullopt;
+  const ByteView out = data_.subspan(pos_, *len);
+  pos_ += *len;
+  return out;
+}
+
 std::optional<Bytes> Reader::raw(std::size_t n) {
   if (remaining() < n) return std::nullopt;
   Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),

@@ -45,6 +45,12 @@ class Writer {
   /// allocation replaces the doubling crawl from an empty buffer.
   Writer() { buf_.reserve(24); }
 
+  /// Pre-size the buffer for a frame whose length the caller can bound.
+  Writer& reserve(std::size_t n) {
+    buf_.reserve(n);
+    return *this;
+  }
+
   Writer& u8(std::uint8_t v);
   Writer& u32(std::uint32_t v);
   Writer& u64(std::uint64_t v);
@@ -72,6 +78,8 @@ class Reader {
   std::optional<std::uint32_t> u32();
   std::optional<std::uint64_t> u64();
   std::optional<Bytes> blob();
+  /// Like blob(), but a view into the underlying data (no copy).
+  std::optional<ByteView> blob_view();
   std::optional<Bytes> raw(std::size_t n);
   std::optional<std::string> str();
 

@@ -22,19 +22,32 @@ std::optional<MacKey> MacKey::from_bytes(ByteView data) {
   return MacKey{Fp(*av), Fp(*bv)};
 }
 
-Bytes mac_tag(const MacKey& key, ByteView msg) {
-  const std::vector<Fp> elems = bytes_to_field(msg);
-  Fp acc = key.b;
-  Fp apow(1);
-  for (const Fp m : elems) {
+namespace {
+// b + Σ a^i·m_i over the bytes_to_field sequence (the length element, then
+// 7-byte little-endian chunks), folded as the elements are formed.
+Fp mac_fold(const MacKey& key, ByteView msg) {
+  Fp apow = key.a;
+  Fp acc = key.b + apow * Fp(static_cast<std::uint64_t>(msg.size()));
+  for (std::size_t off = 0; off < msg.size(); off += 7) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 7 && off + i < msg.size(); ++i) {
+      v |= static_cast<std::uint64_t>(msg[off + i]) << (8 * i);
+    }
     apow *= key.a;
-    acc += apow * m;
+    acc += apow * Fp(v);
   }
-  return fp_to_bytes(acc);
+  return acc;
+}
+}  // namespace
+
+Bytes mac_tag(const MacKey& key, ByteView msg) {
+  return fp_to_bytes(mac_fold(key, msg));
 }
 
 bool mac_verify(const MacKey& key, ByteView msg, ByteView tag) {
-  const Bytes expect = mac_tag(key, msg);
+  const std::uint64_t v = mac_fold(key, msg).value();
+  std::uint8_t expect[8];
+  for (int i = 0; i < 8; ++i) expect[i] = static_cast<std::uint8_t>(v >> (8 * i));
   return ct_equal(expect, tag);
 }
 

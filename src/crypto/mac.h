@@ -26,9 +26,11 @@ struct MacKey {
   Fp a;
   Fp b;
 
+  static constexpr std::size_t kSize = 16;
+
   static MacKey random(Rng& rng);
 
-  /// Serialize (16 bytes).
+  /// Serialize (kSize bytes).
   [[nodiscard]] Bytes to_bytes() const;
   static std::optional<MacKey> from_bytes(ByteView data);
 };

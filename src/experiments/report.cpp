@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "experiments/registry.h"
+#include "util/bitmat.h"
 
 namespace fairsfe::bench {
 
@@ -28,8 +29,14 @@ Args parse_args(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
       a.baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      const long v = std::strtol(argv[++i], nullptr, 10);
-      if (v > 0) a.lanes = static_cast<std::size_t>(v);
+      char* end = nullptr;
+      const long v = std::strtol(argv[++i], &end, 10);
+      if (*end != '\0' || v <= 0 || !rpd::valid_lanes(static_cast<std::size_t>(v))) {
+        std::fprintf(stderr, "%s: --lanes must be 1 or %zu, got '%s'\n", argv[0],
+                     util::kLaneWidth, argv[i]);
+        std::exit(2);
+      }
+      a.lanes = static_cast<std::size_t>(v);
     } else if (std::strcmp(argv[i], "--target-ci") == 0 && i + 1 < argc) {
       const double v = std::strtod(argv[++i], nullptr);
       if (v > 0.0) a.target_ci = v;

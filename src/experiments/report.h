@@ -113,8 +113,10 @@ struct Args {
   }
 };
 
-/// Parses the shared harness CLI out of argv. Never fails: unknown flags are
-/// collected, a non-numeric positional is passed through.
+/// Parses the shared harness CLI out of argv. Unknown flags are collected and
+/// a non-numeric positional is passed through; the one hard error is a
+/// --lanes value other than 1 or util::kLaneWidth, which prints a message and
+/// exits with status 2.
 Args parse_args(int argc, char** argv);
 
 /// Paper-vs-measured table writer; one instance per scenario run.

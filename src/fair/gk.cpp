@@ -1,15 +1,9 @@
 #include "fair/gk.h"
 
-#include "util/check.h"
-
 namespace fairsfe::fair {
 
 using sim::Message;
 using sim::MsgView;
-
-namespace {
-constexpr std::uint8_t kTagGkOpening = 60;
-}  // namespace
 
 double GkParams::alpha() const {
   const double base = static_cast<double>(p) * static_cast<double>(domain_size);
@@ -36,22 +30,6 @@ GkParams make_gk_and_params(std::size_t p) {
   return params;
 }
 
-Bytes encode_gk_opening(std::size_t j, ByteView opening) {
-  Writer w;
-  w.u8(kTagGkOpening).u32(static_cast<std::uint32_t>(j)).blob(opening);
-  return w.take();
-}
-
-std::optional<std::pair<std::size_t, Bytes>> decode_gk_opening(ByteView payload) {
-  Reader r(payload);
-  const auto tag = r.u8();
-  if (!tag || *tag != kTagGkOpening) return std::nullopt;
-  const auto j = r.u32();
-  const auto body = r.blob();
-  if (!j || !body || !r.at_end()) return std::nullopt;
-  return std::make_pair(static_cast<std::size_t>(*j), *body);
-}
-
 ShareGenFunc::ShareGenFunc(GkParams params, mpc::NotesPtr notes)
     : params_(std::move(params)), notes_(std::move(notes)) {}
 
@@ -59,212 +37,93 @@ std::vector<Message> ShareGenFunc::on_round(sim::FuncContext& ctx, int /*round*/
                                             MsgView in) {
   if (fired_ || in.empty()) return {};
   fired_ = true;
+  return mpc::deal_through_gate(ctx, in, 2, notes_, [&](const std::vector<Bytes>& xs) {
+    Rng& rng = ctx.rng();
+    const Bytes y = params_.spec.eval(xs);
 
-  std::array<std::optional<Bytes>, 2> inputs;
-  for (const Message& m : in) {
-    if (m.from != 0 && m.from != 1) continue;
-    const auto x = sim::decode_func_input(m.payload);
-    if (x && !inputs[static_cast<std::size_t>(m.from)]) {
-      inputs[static_cast<std::size_t>(m.from)] = *x;
+    // i* ~ Geometric(alpha), truncated at the cap.
+    const std::size_t cap = params_.cap();
+    const double alpha = params_.alpha();
+    std::size_t i_star = 1;
+    while (i_star < cap && rng.uniform() >= alpha) ++i_star;
+    if (notes_) {
+      notes_->blobs["y"] = y;
+      notes_->vals["i_star"] = i_star;
     }
-  }
 
-  std::vector<Message> out;
-  if (!inputs[0] || !inputs[1]) {
-    if (notes_) notes_->vals["phase1_aborted"] = 1;
-    out.push_back(Message{sim::kFunc, 0, sim::encode_func_abort()});
-    out.push_back(Message{sim::kFunc, 1, sim::encode_func_abort()});
-    return out;
-  }
-
-  Rng& rng = ctx.rng();
-  const Bytes y = params_.spec.eval({*inputs[0], *inputs[1]});
-
-  // i* ~ Geometric(alpha), truncated at the cap.
-  const std::size_t cap = params_.cap();
-  const double alpha = params_.alpha();
-  std::size_t i_star = 1;
-  while (i_star < cap && rng.uniform() >= alpha) ++i_star;
-  if (notes_) {
-    notes_->blobs["y"] = y;
-    notes_->vals["i_star"] = i_star;
-  }
-
-  auto fake_a = [&]() {
-    if (params_.variant == GkParams::Variant::kPolyRange) return params_.sample_range(rng);
-    return params_.spec.eval({*inputs[0], params_.sample_x2(rng)});
-  };
-  auto fake_b = [&]() {
-    if (params_.variant == GkParams::Variant::kPolyRange) return params_.sample_range(rng);
-    return params_.spec.eval({params_.sample_x1(rng), *inputs[1]});
-  };
-
-  Writer w1, w2;
-  w1.u32(static_cast<std::uint32_t>(cap)).blob(fake_a());  // a_0 fallback for p1
-  w2.u32(static_cast<std::uint32_t>(cap)).blob(fake_b());  // b_0 fallback for p2
-  for (std::size_t j = 1; j <= cap; ++j) {
-    const Bytes a_j = (j < i_star) ? fake_a() : y;
-    const Bytes b_j = (j < i_star) ? fake_b() : y;
-    const AuthSharing2 sa = auth_share2(a_j, rng);
-    const AuthSharing2 sb = auth_share2(b_j, rng);
-    w1.blob(sa.share1.to_bytes()).blob(sb.share1.to_bytes());
-    w2.blob(sa.share2.to_bytes()).blob(sb.share2.to_bytes());
-  }
-
-  std::vector<Message> deliveries = {
-      Message{sim::kFunc, 0, sim::encode_func_output(w1.bytes())},
-      Message{sim::kFunc, 1, sim::encode_func_output(w2.bytes())},
-  };
-  std::vector<Message> corrupted_outputs;
-  for (const Message& m : deliveries) {
-    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
-  }
-  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
-  if (notes_) notes_->vals["phase1_aborted"] = abort ? 1 : 0;
-  for (Message& m : deliveries) {
-    if (abort && !ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
-    out.push_back(std::move(m));
-  }
-  return out;
+    const bool range = params_.variant == GkParams::Variant::kPolyRange;
+    auto fake_a = [&] {
+      if (range) return params_.sample_range(rng);
+      return params_.spec.eval({xs[0], params_.sample_x2(rng)});
+    };
+    auto fake_b = [&] {
+      if (range) return params_.sample_range(rng);
+      return params_.spec.eval({params_.sample_x1(rng), xs[1]});
+    };
+    return deal_auth_streams(cap, i_star, y, fake_a, fake_b, rng);
+  });
 }
 
-GkParty::GkParty(sim::PartyId id, GkParams params, Bytes input, Rng rng)
-    : PartyBase(id), params_(std::move(params)), input_(std::move(input)),
-      rng_(std::move(rng)) {
-  FAIRSFE_CHECK(id == 0 || id == 1, "GkParty: protocol is 2-party");
-}
-
-void GkParty::finish_with_default() {
-  std::vector<Bytes> xs = params_.spec.default_inputs;
-  xs[static_cast<std::size_t>(id_)] = input_;
-  finish(params_.spec.eval(xs));
-}
-
-std::vector<Message> GkParty::make_opening(std::size_t j) const {
-  if (j == 0 || j > outgoing_shares_.size()) return {};
-  const AuthShare2& share = outgoing_shares_[j - 1];
-  return {Message{id_, static_cast<sim::PartyId>(1 - id_),
-                  encode_gk_opening(j, share.opening_to_bytes())}};
-}
-
-std::vector<Message> GkParty::on_round(int /*round*/, MsgView in) {
-  switch (step_) {
-    case Step::kSendInput: {
-      step_ = Step::kAwaitShares;
-      return {Message{id_, sim::kFunc, sim::encode_func_input(input_)}};
-    }
-    case Step::kAwaitShares: {
-      const Message* fm = first_from(in, sim::kFunc);
-      if (fm == nullptr) return {};
-      const auto body = sim::decode_func_output(fm->payload);
-      if (!body) {
-        finish_with_default();
-        return {};
-      }
-      Reader r(*body);
-      const auto cap = r.u32();
-      const auto fallback = r.blob();
-      if (!cap || !fallback) {
-        finish_with_default();
-        return {};
-      }
-      rounds_ = *cap;
-      last_value_ = *fallback;
-      for (std::size_t j = 1; j <= rounds_; ++j) {
-        const auto sa = r.blob();
-        const auto sb = r.blob();
-        const auto share_a = sa ? AuthShare2::from_bytes(*sa) : std::nullopt;
-        const auto share_b = sb ? AuthShare2::from_bytes(*sb) : std::nullopt;
-        if (!share_a || !share_b) {
-          finish_with_default();
-          return {};
-        }
-        // p1 reads the a-stream and opens the b-stream; p2 vice versa.
-        if (id_ == 0) {
-          incoming_shares_.push_back(*share_a);
-          outgoing_shares_.push_back(*share_b);
-        } else {
-          incoming_shares_.push_back(*share_b);
-          outgoing_shares_.push_back(*share_a);
-        }
-      }
-      step_ = Step::kIterate;
-      j_ = 1;
-      if (id_ == 1) {
-        // p2 opens a_1 immediately; p1 waits for it.
-        expecting_ = false;
-        return make_opening(1);
-      }
-      expecting_ = true;
-      return {};
-    }
-    case Step::kIterate: {
-      // Find the opening for the current iteration of my incoming stream.
-      std::optional<Bytes> body;
-      for (const Message& m : in) {
-        if (m.from != 1 - id_) continue;
-        const auto dec = decode_gk_opening(m.payload);
-        if (dec && dec->first == j_) {
-          body = dec->second;
-          break;
-        }
-      }
-      if (!expecting_) {
-        // My own opening went out last round; now it is my turn to receive
-        // (p2 after opening a_j waits a round for b_j).
-        expecting_ = true;
-        return {};
-      }
-      const auto value = body ? auth_reconstruct2(incoming_shares_[j_ - 1], *body)
-                              : std::nullopt;
-      if (!value) {
-        // Peer aborted (or cheated): output the last reconstructed value —
-        // the randomized-abort guarantee.
-        finish(last_value_);
-        return {};
-      }
-      last_value_ = *value;
-      if (id_ == 0) {
-        // p1 reconstructs a_j, then opens b_j. After the final iteration its
-        // value is a_r = y. The round after sending is a gap round (the peer
-        // is processing), so expecting_ flips off.
-        std::vector<Message> out = make_opening(j_);
-        if (j_ == rounds_) {
-          finish(last_value_);
-        } else {
-          ++j_;
-          expecting_ = false;
-        }
-        return out;
-      }
-      // p2 reconstructed b_j; move to iteration j+1 and open a_{j+1}.
-      if (j_ == rounds_) {
-        finish(last_value_);
-        return {};
-      }
-      ++j_;
-      expecting_ = false;
-      return make_opening(j_);
-    }
+std::vector<Message> GkParty::start() {
+  if (id_ == 1) {
+    // p2 opens a_1 immediately; p1 waits for it.
+    expecting_ = false;
+    return make_opening(1);
   }
+  expecting_ = true;
   return {};
 }
 
-void GkParty::on_abort() {
-  if (done()) return;
-  if (step_ == Step::kIterate) {
-    finish(last_value_);
-  } else {
-    finish_with_default();
+std::vector<Message> GkParty::exchange(MsgView in) {
+  if (!expecting_) {
+    // My own opening went out last round; now it is my turn to receive
+    // (p2 after opening a_j waits a round for b_j).
+    expecting_ = true;
+    return {};
   }
+  // The opening of the current iteration of my incoming stream.
+  const auto value = streams_.reconstruct(j_, in);
+  if (!value) {
+    // Peer aborted (or cheated): output the last reconstructed value —
+    // the randomized-abort guarantee.
+    finish(last_value_);
+    return {};
+  }
+  last_value_ = *value;
+  if (id_ == 0) {
+    // p1 reconstructs a_j, then opens b_j. After the final iteration its
+    // value is a_r = y. The round after sending is a gap round (the peer
+    // is processing), so expecting_ flips off.
+    std::vector<Message> out = make_opening(j_);
+    if (j_ == streams_.rounds()) {
+      finish(last_value_);
+    } else {
+      ++j_;
+      expecting_ = false;
+    }
+    return out;
+  }
+  // p2 reconstructed b_j; move to iteration j+1 and open a_{j+1}.
+  if (j_ == streams_.rounds()) {
+    finish(last_value_);
+    return {};
+  }
+  ++j_;
+  expecting_ = false;
+  return make_opening(j_);
 }
 
 std::vector<std::unique_ptr<sim::IParty>> make_gk_parties(const GkParams& params,
                                                           const Bytes& x0, const Bytes& x1,
                                                           Rng& rng) {
+  // The parties draw no randomness of their own, but the per-party forks
+  // still advance `rng`'s fork counter exactly as callers expect.
+  rng.fork("gk-p0");
+  rng.fork("gk-p1");
+  const auto shared = std::make_shared<const GkParams>(params);
   std::vector<std::unique_ptr<sim::IParty>> parties;
-  parties.push_back(std::make_unique<GkParty>(0, params, x0, rng.fork("gk-p0")));
-  parties.push_back(std::make_unique<GkParty>(1, params, x1, rng.fork("gk-p1")));
+  parties.push_back(std::make_unique<GkParty>(0, shared, x0));
+  parties.push_back(std::make_unique<GkParty>(1, shared, x1));
   return parties;
 }
 

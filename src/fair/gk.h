@@ -24,9 +24,7 @@
 #include <memory>
 #include <vector>
 
-#include "crypto/auth_share.h"
-#include "crypto/rng.h"
-#include "mpc/sfe_functionalities.h"
+#include "fair/auth_stream.h"
 #include "sim/party.h"
 
 namespace fairsfe::fair {
@@ -65,49 +63,23 @@ class ShareGenFunc final : public sim::IFunctionality {
   bool fired_ = false;
 };
 
-class GkParty final : public sim::PartyBase<GkParty> {
+/// Alternating schedule: in iteration j, p2 opens a_j, then p1 reconstructs
+/// it and opens b_j.
+class GkParty final : public AuthStreamParty<GkParty, GkParams> {
  public:
-  GkParty(sim::PartyId id, GkParams params, Bytes input, Rng rng);
-
-  std::vector<sim::Message> on_round(int round, sim::MsgView in) override;
-  void on_abort() override;
-
-  /// Adversary-visible state (the adversary owns corrupted parties): the last
-  /// reconstructed value and the current iteration. Used by the GK attack
-  /// strategies in src/adversary/gk_adversary.h.
-  [[nodiscard]] const Bytes& last_value() const { return last_value_; }
-  [[nodiscard]] std::size_t iteration() const { return j_; }
-  [[nodiscard]] bool stream_started() const { return step_ == Step::kIterate; }
-
-  /// The opening message this party would send for iteration j of its
-  /// outgoing stream (used by attack strategies that deviate selectively).
-  [[nodiscard]] std::vector<sim::Message> make_opening(std::size_t j) const;
+  using AuthStreamParty::AuthStreamParty;
 
  private:
-  enum class Step { kSendInput, kAwaitShares, kIterate };
+  friend AuthStreamParty;
+  std::vector<sim::Message> start();
+  std::vector<sim::Message> exchange(sim::MsgView in);
 
-  void finish_with_default();
-
-  GkParams params_;
-  Bytes input_;
-  Rng rng_;
-
-  Step step_ = Step::kSendInput;
-  std::size_t rounds_ = 0;
-  std::size_t j_ = 1;           // current iteration
-  bool expecting_ = false;       // p1: waiting for a_j; p2: waiting for b_j
-  Bytes last_value_;             // a_{j-1} / b_{j-1} fallback
-  std::vector<AuthShare2> incoming_shares_;  // my halves of the stream I read
-  std::vector<AuthShare2> outgoing_shares_;  // my halves of the stream I open
+  bool expecting_ = false;  // p1: waiting for a_j; p2: waiting for b_j
 };
 
 /// Build the two GK parties for inputs (x1, x2); pair with ShareGenFunc.
 std::vector<std::unique_ptr<sim::IParty>> make_gk_parties(const GkParams& params,
                                                           const Bytes& x0, const Bytes& x1,
                                                           Rng& rng);
-
-/// Wire helpers (shared with the Π̃ wrapper in fair/leaky_and.h).
-Bytes encode_gk_opening(std::size_t j, ByteView opening);
-std::optional<std::pair<std::size_t, Bytes>> decode_gk_opening(ByteView payload);
 
 }  // namespace fairsfe::fair

@@ -1,5 +1,8 @@
 #include "fair/gk_multi.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "crypto/secret_sharing.h"
 #include "crypto/sha256.h"
 
@@ -10,6 +13,27 @@ using sim::MsgView;
 
 namespace {
 constexpr std::uint8_t kTagMultiShare = 65;
+constexpr std::size_t kNonceSize = 16;
+constexpr std::size_t kHashSize = 32;
+
+// Validate a ShareGen payload for an n-party run. Record 0 is the fallback
+// blob; record j (1..r, r >= 1) is the summand, nonce and n commitment blobs.
+std::optional<DealtBody> receive_multi_body(ByteView payload, std::size_t n) {
+  auto body = sim::decode_func_output(payload);
+  if (!body || body->size() > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
+  Reader r(*body);
+  const auto rounds = r.u32();
+  if (!rounds || *rounds == 0) return std::nullopt;
+  std::vector<std::uint32_t> offsets;
+  offsets.reserve(std::min(std::size_t{*rounds} + 1, r.remaining() / 4));
+  for (std::size_t j = 0; j <= *rounds; ++j) {
+    offsets.push_back(static_cast<std::uint32_t>(body->size() - r.remaining()));
+    for (std::size_t k = 0; k < (j == 0 ? 1 : n + 2); ++k) {
+      if (!r.blob_view()) return std::nullopt;
+    }
+  }
+  return DealtBody(std::move(*body), std::move(offsets));
+}
 }  // namespace
 
 GkMultiParams make_gk_multi_and_params(std::size_t n, std::size_t p) {
@@ -66,96 +90,72 @@ std::vector<Message> MultiShareGenFunc::on_round(sim::FuncContext& ctx, int /*ro
   fired_ = true;
 
   const std::size_t n = params_.spec.n;
-  std::vector<std::optional<Bytes>> inputs(n);
-  for (const Message& m : in) {
-    if (m.from < 0 || m.from >= static_cast<sim::PartyId>(n)) continue;
-    const auto x = sim::decode_func_input(m.payload);
-    if (x && !inputs[static_cast<std::size_t>(m.from)]) {
-      inputs[static_cast<std::size_t>(m.from)] = *x;
-    }
-  }
+  return mpc::deal_through_gate(ctx, in, n, notes_, [&](const std::vector<Bytes>& xs) {
+    Rng& rng = ctx.rng();
+    const Bytes y = params_.spec.eval(xs);
 
-  std::vector<Message> out;
-  bool complete = true;
-  for (const auto& x : inputs) {
-    if (!x) complete = false;
-  }
-  if (!complete) {
-    if (notes_) notes_->vals["phase1_aborted"] = 1;
+    const std::size_t cap = params_.cap();
+    const double alpha = params_.alpha();
+    std::size_t i_star = 1;
+    while (i_star < cap && rng.uniform() >= alpha) ++i_star;
+    if (notes_) {
+      notes_->blobs["y"] = y;
+      notes_->vals["i_star"] = i_star;
+    }
+
+    auto fake = [&]() { return params_.spec.eval(params_.sample_inputs(rng)); };
+
+    // Per-party bodies, sized for values as long as y.
+    const std::size_t round_size = 4 + y.size() + 4 + kNonceSize + n * (4 + kHashSize);
+    std::vector<Writer> blobs(n);
     for (std::size_t p = 0; p < n; ++p) {
-      out.push_back(Message{sim::kFunc, static_cast<sim::PartyId>(p),
-                            sim::encode_func_abort()});
+      blobs[p].reserve(8 + y.size() + cap * round_size);
+      blobs[p].u32(static_cast<std::uint32_t>(cap));
+      blobs[p].blob(fake());  // independent v_0 fallback per party
     }
-    return out;
-  }
-
-  Rng& rng = ctx.rng();
-  std::vector<Bytes> xs(n);
-  for (std::size_t i = 0; i < n; ++i) xs[i] = *inputs[i];
-  const Bytes y = params_.spec.eval(xs);
-
-  const std::size_t cap = params_.cap();
-  const double alpha = params_.alpha();
-  std::size_t i_star = 1;
-  while (i_star < cap && rng.uniform() >= alpha) ++i_star;
-  if (notes_) {
-    notes_->blobs["y"] = y;
-    notes_->vals["i_star"] = i_star;
-  }
-
-  auto fake = [&]() { return params_.spec.eval(params_.sample_inputs(rng)); };
-
-  // Per-party output blobs.
-  std::vector<Writer> blobs(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    blobs[p].u32(static_cast<std::uint32_t>(cap));
-    blobs[p].blob(fake());  // independent v_0 fallback per party
-  }
-  for (std::size_t j = 1; j <= cap; ++j) {
-    const Bytes v = (j < i_star) ? fake() : y;
-    const auto summands = xor_share(v, n, rng);
-    std::vector<Bytes> nonces(n);
-    std::vector<Bytes> hashes(n);
-    for (std::size_t p = 0; p < n; ++p) {
-      nonces[p] = rng.bytes(16);
-      hashes[p] = gk_multi_share_hash(j, nonces[p], summands[p]);
+    for (std::size_t j = 1; j <= cap; ++j) {
+      const Bytes v = (j < i_star) ? fake() : y;
+      const auto summands = xor_share(v, n, rng);
+      std::vector<Bytes> nonces(n);
+      std::vector<Bytes> hashes(n);
+      for (std::size_t p = 0; p < n; ++p) {
+        nonces[p] = rng.bytes(kNonceSize);
+        hashes[p] = gk_multi_share_hash(j, nonces[p], summands[p]);
+      }
+      for (std::size_t p = 0; p < n; ++p) {
+        blobs[p].blob(summands[p]).blob(nonces[p]);
+        for (const Bytes& h : hashes) blobs[p].blob(h);
+      }
     }
-    for (std::size_t p = 0; p < n; ++p) {
-      blobs[p].blob(summands[p]).blob(nonces[p]);
-      for (const Bytes& h : hashes) blobs[p].blob(h);
-    }
-  }
-
-  std::vector<Message> deliveries;
-  for (std::size_t p = 0; p < n; ++p) {
-    deliveries.push_back(Message{sim::kFunc, static_cast<sim::PartyId>(p),
-                                 sim::encode_func_output(blobs[p].bytes())});
-  }
-  std::vector<Message> corrupted_outputs;
-  for (const Message& m : deliveries) {
-    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
-  }
-  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
-  if (notes_) notes_->vals["phase1_aborted"] = abort ? 1 : 0;
-  for (Message& m : deliveries) {
-    if (abort && !ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
-    out.push_back(std::move(m));
-  }
-  return out;
+    std::vector<Bytes> bodies;
+    bodies.reserve(n);
+    for (Writer& w : blobs) bodies.push_back(w.take());
+    return bodies;
+  });
 }
 
-GkMultiParty::GkMultiParty(sim::PartyId id, GkMultiParams params, Bytes input, Rng rng)
-    : PartyBase(id), params_(std::move(params)), input_(std::move(input)),
-      rng_(std::move(rng)) {}
+GkMultiParty::GkMultiParty(sim::PartyId id, std::shared_ptr<const GkMultiParams> params,
+                           Bytes input)
+    : PartyBase(id), params_(std::move(params)), input_(std::move(input)) {}
 
 void GkMultiParty::finish_with_default() {
-  std::vector<Bytes> xs = params_.spec.default_inputs;
+  std::vector<Bytes> xs = params_->spec.default_inputs;
   xs[static_cast<std::size_t>(id_)] = input_;
-  finish(params_.spec.eval(xs));
+  finish(params_->spec.eval(xs));
+}
+
+ByteView GkMultiParty::field(std::size_t j, std::size_t k) const {
+  Reader r = body_.at(j);
+  for (std::size_t i = 0; i < k; ++i) (void)r.blob_view();
+  return *r.blob_view();  // validated at receipt
+}
+
+Message GkMultiParty::broadcast_share(std::size_t j) const {
+  return Message{id_, sim::kBroadcast, encode_gk_multi_share(j, field(j, 0), field(j, 1))};
 }
 
 std::vector<Message> GkMultiParty::on_round(int /*round*/, MsgView in) {
-  const std::size_t n = params_.spec.n;
+  const std::size_t n = params_->spec.n;
   switch (step_) {
     case Step::kSendInput: {
       step_ = Step::kAwaitShares;
@@ -164,44 +164,17 @@ std::vector<Message> GkMultiParty::on_round(int /*round*/, MsgView in) {
     case Step::kAwaitShares: {
       const Message* fm = first_from(in, sim::kFunc);
       if (fm == nullptr) return {};
-      const auto body = sim::decode_func_output(fm->payload);
+      auto body = receive_multi_body(fm->payload, n);
       if (!body) {
         finish_with_default();
         return {};
       }
-      Reader r(*body);
-      const auto cap = r.u32();
-      const auto fallback = r.blob();
-      if (!cap || !fallback) {
-        finish_with_default();
-        return {};
-      }
-      rounds_ = *cap;
-      last_value_ = *fallback;
-      for (std::size_t j = 1; j <= rounds_; ++j) {
-        const auto summand = r.blob();
-        const auto nonce = r.blob();
-        if (!summand || !nonce) {
-          finish_with_default();
-          return {};
-        }
-        my_summands_.push_back(*summand);
-        my_nonces_.push_back(*nonce);
-        std::vector<Bytes> hs(n);
-        for (std::size_t p = 0; p < n; ++p) {
-          const auto h = r.blob();
-          if (!h) {
-            finish_with_default();
-            return {};
-          }
-          hs[p] = *h;
-        }
-        hashes_.push_back(std::move(hs));
-      }
+      body_ = std::move(*body);
+      const ByteView fallback = field(0, 0);
+      last_value_.assign(fallback.begin(), fallback.end());
       step_ = Step::kIterate;
       j_ = 1;
-      return {Message{id_, sim::kBroadcast,
-                      encode_gk_multi_share(1, my_summands_[0], my_nonces_[0])}};
+      return {broadcast_share(1)};
     }
     case Step::kIterate: {
       // Collect everyone's round-j_ summands (my own broadcast loops back).
@@ -211,7 +184,8 @@ std::vector<Message> GkMultiParty::on_round(int /*round*/, MsgView in) {
         const auto sh = decode_gk_multi_share(m.payload);
         if (!sh || sh->j != j_) continue;
         const std::size_t p = static_cast<std::size_t>(m.from);
-        if (gk_multi_share_hash(j_, sh->nonce, sh->summand) != hashes_[j_ - 1][p]) continue;
+        const Bytes h = gk_multi_share_hash(j_, sh->nonce, sh->summand);
+        if (!std::ranges::equal(h, field(j_, 2 + p))) continue;
         if (!summands[p]) summands[p] = sh->summand;
       }
       std::vector<Bytes> pool;
@@ -224,13 +198,12 @@ std::vector<Message> GkMultiParty::on_round(int /*round*/, MsgView in) {
         return {};
       }
       last_value_ = xor_reconstruct(pool);
-      if (j_ == rounds_) {
+      if (j_ + 1 == body_.records()) {
         finish(last_value_);
         return {};
       }
       ++j_;
-      return {Message{id_, sim::kBroadcast,
-                      encode_gk_multi_share(j_, my_summands_[j_ - 1], my_nonces_[j_ - 1])}};
+      return {broadcast_share(j_)};
     }
   }
   return {};
@@ -247,11 +220,14 @@ void GkMultiParty::on_abort() {
 
 std::vector<std::unique_ptr<sim::IParty>> make_gk_multi_parties(
     const GkMultiParams& params, const std::vector<Bytes>& inputs, Rng& rng) {
+  const auto shared = std::make_shared<const GkMultiParams>(params);
   std::vector<std::unique_ptr<sim::IParty>> parties;
   parties.reserve(inputs.size());
   for (std::size_t p = 0; p < inputs.size(); ++p) {
-    parties.push_back(std::make_unique<GkMultiParty>(static_cast<sim::PartyId>(p), params,
-                                                     inputs[p], rng.fork("gk-multi")));  // LINT-ALLOW(rng-fork-in-loop): fork counter is the party index (parent enters at 0); callers fork this parent afterwards, so re-indexing would re-seed pinned goldens
+    // No party randomness; the fork keeps `rng`'s fork counter where callers expect it.
+    rng.fork("gk-multi");  // LINT-ALLOW(rng-fork-in-loop): fork counter is the party index (parent enters at 0); callers fork this parent afterwards, so re-indexing would re-seed pinned goldens
+    parties.push_back(std::make_unique<GkMultiParty>(static_cast<sim::PartyId>(p), shared,
+                                                     inputs[p]));
   }
   return parties;
 }

@@ -59,7 +59,7 @@ class MultiShareGenFunc final : public sim::IFunctionality {
 
 class GkMultiParty final : public sim::PartyBase<GkMultiParty> {
  public:
-  GkMultiParty(sim::PartyId id, GkMultiParams params, Bytes input, Rng rng);
+  GkMultiParty(sim::PartyId id, std::shared_ptr<const GkMultiParams> params, Bytes input);
 
   std::vector<sim::Message> on_round(int round, sim::MsgView in) override;
   void on_abort() override;
@@ -68,20 +68,20 @@ class GkMultiParty final : public sim::PartyBase<GkMultiParty> {
   enum class Step { kSendInput, kAwaitShares, kIterate };
 
   void finish_with_default();
+  /// Field k of my round-j record: 0 = my XOR summand of v_j, 1 = its nonce,
+  /// 2 + p = the commitment of party p's round-j summand.
+  [[nodiscard]] ByteView field(std::size_t j, std::size_t k) const;
+  [[nodiscard]] sim::Message broadcast_share(std::size_t j) const;
 
-  GkMultiParams params_;
+  std::shared_ptr<const GkMultiParams> params_;
   Bytes input_;
-  Rng rng_;
 
   Step step_ = Step::kSendInput;
-  std::size_t rounds_ = 0;
   std::size_t j_ = 1;
   Bytes last_value_;
-  /// my_summands_[j-1], my_nonces_[j-1]: my XOR summand of v_j + its nonce.
-  std::vector<Bytes> my_summands_;
-  std::vector<Bytes> my_nonces_;
-  /// hashes_[j-1][party]: commitment of each party's round-j summand.
-  std::vector<std::vector<Bytes>> hashes_;
+  /// My ShareGen body, shared read-only with my clones. Record 0 is the
+  /// fallback v_0; record j holds field(j, ·) for j = 1..r.
+  DealtBody body_;
 };
 
 std::vector<std::unique_ptr<sim::IParty>> make_gk_multi_parties(

@@ -42,65 +42,29 @@ std::vector<Message> ShamirDealFunc::on_round(sim::FuncContext& ctx, int /*round
                                               MsgView in) {
   if (fired_ || in.empty()) return {};
   fired_ = true;
+  return mpc::deal_through_gate(ctx, in, spec_.n, notes_, [&](const std::vector<Bytes>& xs) {
+    const Bytes y = spec_.eval(xs);
+    if (notes_) notes_->blobs["y"] = y;
 
-  std::vector<std::optional<Bytes>> inputs(spec_.n);
-  for (const Message& m : in) {
-    if (m.from < 0 || m.from >= static_cast<sim::PartyId>(spec_.n)) continue;
-    const auto x = sim::decode_func_input(m.payload);
-    if (x && !inputs[static_cast<std::size_t>(m.from)]) {
-      inputs[static_cast<std::size_t>(m.from)] = *x;
-    }
-  }
-
-  std::vector<Message> out;
-  bool complete = true;
-  for (const auto& x : inputs) {
-    if (!x) complete = false;
-  }
-  if (!complete) {
-    if (notes_) notes_->vals["phase1_aborted"] = 1;
+    const std::size_t threshold = half_gmw_threshold(spec_.n);
+    const auto shares = shamir_share_bytes(y, threshold, spec_.n, ctx.rng());
+    std::vector<Bytes> nonces(spec_.n);
+    std::vector<Bytes> hashes(spec_.n);
     for (std::size_t p = 0; p < spec_.n; ++p) {
-      out.push_back(Message{sim::kFunc, static_cast<sim::PartyId>(p),
-                            sim::encode_func_abort()});
+      nonces[p] = ctx.rng().bytes(16);
+      hashes[p] = half_gmw_share_hash(nonces[p], shares[p]);
     }
-    return out;
-  }
 
-  std::vector<Bytes> xs(spec_.n);
-  for (std::size_t i = 0; i < spec_.n; ++i) xs[i] = *inputs[i];
-  const Bytes y = spec_.eval(xs);
-  if (notes_) notes_->blobs["y"] = y;
-
-  const std::size_t threshold = half_gmw_threshold(spec_.n);
-  const auto shares = shamir_share_bytes(y, threshold, spec_.n, ctx.rng());
-  std::vector<Bytes> nonces(spec_.n);
-  std::vector<Bytes> hashes(spec_.n);
-  for (std::size_t p = 0; p < spec_.n; ++p) {
-    nonces[p] = ctx.rng().bytes(16);
-    hashes[p] = half_gmw_share_hash(nonces[p], shares[p]);
-  }
-
-  std::vector<Message> deliveries;
-  for (std::size_t p = 0; p < spec_.n; ++p) {
-    Writer w;
-    w.blob(shares[p].to_bytes()).blob(nonces[p]);
-    w.u32(static_cast<std::uint32_t>(spec_.n));
-    for (const Bytes& h : hashes) w.blob(h);
-    deliveries.push_back(Message{sim::kFunc, static_cast<sim::PartyId>(p),
-                                 sim::encode_func_output(w.bytes())});
-  }
-
-  std::vector<Message> corrupted_outputs;
-  for (const Message& m : deliveries) {
-    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
-  }
-  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
-  if (notes_) notes_->vals["phase1_aborted"] = abort ? 1 : 0;
-  for (Message& m : deliveries) {
-    if (abort && !ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
-    out.push_back(std::move(m));
-  }
-  return out;
+    std::vector<Bytes> bodies;
+    for (std::size_t p = 0; p < spec_.n; ++p) {
+      Writer w;
+      w.blob(shares[p].to_bytes()).blob(nonces[p]);
+      w.u32(static_cast<std::uint32_t>(spec_.n));
+      for (const Bytes& h : hashes) w.blob(h);
+      bodies.push_back(w.take());
+    }
+    return bodies;
+  });
 }
 
 HalfGmwParty::HalfGmwParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng)

@@ -56,11 +56,17 @@ std::optional<std::optional<Bytes>> decode_leak(ByteView payload) {
   return std::optional<Bytes>{*body};
 }
 
+namespace {
+// The embedded standard 1/4-secure protocol; its parameters are immutable and
+// shared by every Π̃ party.
+const std::shared_ptr<const GkParams>& inner_gk_params() {
+  static const auto params = std::make_shared<const GkParams>(make_gk_and_params(4));
+  return params;
+}
+}  // namespace
+
 LeakyAndParty::LeakyAndParty(sim::PartyId id, Bytes input, Rng rng)
-    : PartyBase(id),
-      input_(input),
-      rng_(std::move(rng)),
-      inner_(id, make_gk_and_params(4), input, rng_.fork("inner-gk")) {}
+    : PartyBase(id), input_(input), rng_(std::move(rng)), inner_(id, inner_gk_params(), input) {}
 
 std::vector<Message> LeakyAndParty::on_round(int round, MsgView in) {
   std::vector<Message> inner_in;
@@ -124,7 +130,7 @@ std::vector<std::unique_ptr<sim::IParty>> make_leaky_and_parties(const Bytes& x0
 }
 
 std::unique_ptr<sim::IFunctionality> make_leaky_and_functionality(mpc::NotesPtr notes) {
-  return std::make_unique<ShareGenFunc>(make_gk_and_params(4), std::move(notes));
+  return std::make_unique<ShareGenFunc>(*inner_gk_params(), std::move(notes));
 }
 
 }  // namespace fairsfe::fair

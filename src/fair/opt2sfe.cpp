@@ -70,7 +70,8 @@ std::vector<Message> Opt2ShareFunc::on_round(sim::FuncContext& ctx, int /*round*
 
   auto encode_out = [i_hat](const AuthShare2& share) {
     Writer w;
-    w.blob(share.to_bytes()).u8(static_cast<std::uint8_t>(i_hat));
+    share.write_blob(w);
+    w.u8(static_cast<std::uint8_t>(i_hat));
     return sim::encode_func_output(w.bytes());
   };
   std::vector<Message> deliveries = {

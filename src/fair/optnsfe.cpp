@@ -58,67 +58,31 @@ std::vector<Message> PrivOutputFunc::on_round(sim::FuncContext& ctx, int /*round
                                               MsgView in) {
   if (fired_ || in.empty()) return {};
   fired_ = true;
-
-  std::vector<std::optional<Bytes>> inputs(spec_.n);
-  for (const Message& m : in) {
-    if (m.from < 0 || m.from >= static_cast<sim::PartyId>(spec_.n)) continue;
-    const auto x = sim::decode_func_input(m.payload);
-    if (x && !inputs[static_cast<std::size_t>(m.from)]) {
-      inputs[static_cast<std::size_t>(m.from)] = *x;
+  return mpc::deal_through_gate(ctx, in, spec_.n, notes_, [&](const std::vector<Bytes>& xs) {
+    const Bytes y = spec_.eval(xs);
+    const LamportKeyPair kp = lamport_gen(ctx.rng());
+    const Bytes sig = lamport_sign(kp.signing_key, y);
+    const std::size_t i_star = ctx.rng().below(spec_.n);
+    if (notes_) {
+      notes_->blobs["y"] = y;
+      notes_->vals["i_star"] = i_star;
     }
-  }
 
-  std::vector<Message> out;
-  bool complete = true;
-  for (const auto& x : inputs) {
-    if (!x) complete = false;
-  }
-  if (!complete) {
-    if (notes_) notes_->vals["phase1_aborted"] = 1;
+    std::vector<Bytes> bodies;
     for (std::size_t p = 0; p < spec_.n; ++p) {
-      out.push_back(Message{sim::kFunc, static_cast<sim::PartyId>(p),
-                            sim::encode_func_abort()});
+      // Hand-rolled writer for the body decode_priv_output() parses.
+      // ANALYZE-EMITS(priv_output)
+      Writer w;
+      if (p == i_star) {
+        w.u8(1).blob(y).blob(sig);
+      } else {
+        w.u8(0);
+      }
+      w.blob(kp.verification_key);
+      bodies.push_back(w.take());
     }
-    return out;
-  }
-
-  std::vector<Bytes> xs(spec_.n);
-  for (std::size_t i = 0; i < spec_.n; ++i) xs[i] = *inputs[i];
-  const Bytes y = spec_.eval(xs);
-  const LamportKeyPair kp = lamport_gen(ctx.rng());
-  const Bytes sig = lamport_sign(kp.signing_key, y);
-  const std::size_t i_star = ctx.rng().below(spec_.n);
-  if (notes_) {
-    notes_->blobs["y"] = y;
-    notes_->vals["i_star"] = i_star;
-  }
-
-  std::vector<Message> deliveries;
-  for (std::size_t p = 0; p < spec_.n; ++p) {
-    // Hand-rolled writer for the body decode_priv_output() parses.
-    // ANALYZE-EMITS(priv_output)
-    Writer w;
-    if (p == i_star) {
-      w.u8(1).blob(y).blob(sig);
-    } else {
-      w.u8(0);
-    }
-    w.blob(kp.verification_key);
-    deliveries.push_back(Message{sim::kFunc, static_cast<sim::PartyId>(p),
-                                 sim::encode_func_output(w.bytes())});
-  }
-
-  std::vector<Message> corrupted_outputs;
-  for (const Message& m : deliveries) {
-    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
-  }
-  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
-  if (notes_) notes_->vals["phase1_aborted"] = abort ? 1 : 0;
-  for (Message& m : deliveries) {
-    if (abort && !ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
-    out.push_back(std::move(m));
-  }
-  return out;
+    return bodies;
+  });
 }
 
 OptNParty::OptNParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng)

@@ -1,6 +1,5 @@
 #include "fair/partial_1p.h"
 
-#include "fair/gk.h"
 #include "util/check.h"
 
 namespace fairsfe::fair {
@@ -26,184 +25,57 @@ std::vector<Message> Partial1pShareGenFunc::on_round(sim::FuncContext& ctx, int 
                                                      MsgView in) {
   if (fired_ || in.empty()) return {};
   fired_ = true;
+  return mpc::deal_through_gate(ctx, in, 2, notes_, [&](const std::vector<Bytes>& xs) {
+    Rng& rng = ctx.rng();
+    const Bytes y = params_.spec.eval(xs);
 
-  std::array<std::optional<Bytes>, 2> inputs;
-  for (const Message& m : in) {
-    if (m.from != 0 && m.from != 1) continue;
-    const auto x = sim::decode_func_input(m.payload);
-    if (x && !inputs[static_cast<std::size_t>(m.from)]) {
-      inputs[static_cast<std::size_t>(m.from)] = *x;
+    // The round-sampling trick: i* uniform over [1, p] — no geometric tail,
+    // exactly p iterations, unfair-window probability exactly 1/p.
+    const std::size_t p = params_.p;
+    const std::size_t i_star = 1 + static_cast<std::size_t>(rng.below(p));
+    if (notes_) {
+      notes_->blobs["y"] = y;
+      notes_->vals["i_star"] = i_star;
     }
-  }
 
-  std::vector<Message> out;
-  if (!inputs[0] || !inputs[1]) {
-    if (notes_) notes_->vals["phase1_aborted"] = 1;
-    out.push_back(Message{sim::kFunc, 0, sim::encode_func_abort()});
-    out.push_back(Message{sim::kFunc, 1, sim::encode_func_abort()});
-    return out;
-  }
-
-  Rng& rng = ctx.rng();
-  const Bytes y = params_.spec.eval({*inputs[0], *inputs[1]});
-
-  // The round-sampling trick: i* uniform over [1, p] — no geometric tail,
-  // exactly p iterations, unfair-window probability exactly 1/p.
-  const std::size_t p = params_.p;
-  const std::size_t i_star = 1 + static_cast<std::size_t>(rng.below(p));
-  if (notes_) {
-    notes_->blobs["y"] = y;
-    notes_->vals["i_star"] = i_star;
-  }
-
-  // Both fakes resampled from the function's output distribution on a fresh
-  // peer input (the kPolyDomain shape, on both sides).
-  auto fake_a = [&]() { return params_.spec.eval({*inputs[0], params_.sample_x2(rng)}); };
-  auto fake_b = [&]() { return params_.spec.eval({params_.sample_x1(rng), *inputs[1]}); };
-
-  Writer w1, w2;
-  w1.u32(static_cast<std::uint32_t>(p)).blob(fake_a());  // a_0 fallback for p1
-  w2.u32(static_cast<std::uint32_t>(p)).blob(fake_b());  // b_0 fallback for p2
-  for (std::size_t j = 1; j <= p; ++j) {
-    const Bytes a_j = (j < i_star) ? fake_a() : y;
-    const Bytes b_j = (j < i_star) ? fake_b() : y;
-    const AuthSharing2 sa = auth_share2(a_j, rng);
-    const AuthSharing2 sb = auth_share2(b_j, rng);
-    w1.blob(sa.share1.to_bytes()).blob(sb.share1.to_bytes());
-    w2.blob(sa.share2.to_bytes()).blob(sb.share2.to_bytes());
-  }
-
-  std::vector<Message> deliveries = {
-      Message{sim::kFunc, 0, sim::encode_func_output(w1.bytes())},
-      Message{sim::kFunc, 1, sim::encode_func_output(w2.bytes())},
-  };
-  std::vector<Message> corrupted_outputs;
-  for (const Message& m : deliveries) {
-    if (ctx.corrupted().count(m.to)) corrupted_outputs.push_back(m);
-  }
-  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
-  if (notes_) notes_->vals["phase1_aborted"] = abort ? 1 : 0;
-  for (Message& m : deliveries) {
-    if (abort && !ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
-    out.push_back(std::move(m));
-  }
-  return out;
+    // Both fakes resampled from the function's output distribution on a
+    // fresh peer input (the kPolyDomain shape, on both sides).
+    auto fake_a = [&] { return params_.spec.eval({xs[0], params_.sample_x2(rng)}); };
+    auto fake_b = [&] { return params_.spec.eval({params_.sample_x1(rng), xs[1]}); };
+    return deal_auth_streams(p, i_star, y, fake_a, fake_b, rng);
+  });
 }
 
-Partial1pParty::Partial1pParty(sim::PartyId id, Partial1pParams params, Bytes input,
-                               Rng rng)
-    : PartyBase(id), params_(std::move(params)), input_(std::move(input)),
-      rng_(std::move(rng)) {
-  FAIRSFE_CHECK(id == 0 || id == 1, "Partial1pParty: protocol is 2-party");
-}
-
-void Partial1pParty::finish_with_default() {
-  std::vector<Bytes> xs = params_.spec.default_inputs;
-  xs[static_cast<std::size_t>(id_)] = input_;
-  finish(params_.spec.eval(xs));
-}
-
-std::vector<Message> Partial1pParty::make_opening(std::size_t j) const {
-  if (j == 0 || j > outgoing_shares_.size()) return {};
-  const AuthShare2& share = outgoing_shares_[j - 1];
-  return {Message{id_, static_cast<sim::PartyId>(1 - id_),
-                  encode_gk_opening(j, share.opening_to_bytes())}};
-}
-
-std::vector<Message> Partial1pParty::on_round(int /*round*/, MsgView in) {
-  switch (step_) {
-    case Step::kSendInput: {
-      step_ = Step::kAwaitShares;
-      return {Message{id_, sim::kFunc, sim::encode_func_input(input_)}};
-    }
-    case Step::kAwaitShares: {
-      const Message* fm = first_from(in, sim::kFunc);
-      if (fm == nullptr) return {};
-      const auto body = sim::decode_func_output(fm->payload);
-      if (!body) {
-        finish_with_default();
-        return {};
-      }
-      Reader r(*body);
-      const auto cap = r.u32();
-      const auto fallback = r.blob();
-      if (!cap || !fallback) {
-        finish_with_default();
-        return {};
-      }
-      rounds_ = *cap;
-      last_value_ = *fallback;
-      for (std::size_t j = 1; j <= rounds_; ++j) {
-        const auto sa = r.blob();
-        const auto sb = r.blob();
-        const auto share_a = sa ? AuthShare2::from_bytes(*sa) : std::nullopt;
-        const auto share_b = sb ? AuthShare2::from_bytes(*sb) : std::nullopt;
-        if (!share_a || !share_b) {
-          finish_with_default();
-          return {};
-        }
-        // p1 reads the a-stream and opens the b-stream; p2 vice versa.
-        if (id_ == 0) {
-          incoming_shares_.push_back(*share_a);
-          outgoing_shares_.push_back(*share_b);
-        } else {
-          incoming_shares_.push_back(*share_b);
-          outgoing_shares_.push_back(*share_a);
-        }
-      }
-      // Simultaneous schedule: BOTH parties open iteration 1 in the same
-      // round (they received the dealer output in the same round).
-      step_ = Step::kIterate;
-      j_ = 1;
-      return make_opening(1);
-    }
-    case Step::kIterate: {
-      // My opening of iteration j_ went out last round; the peer's opening
-      // of the same iteration must be in this round's input.
-      std::optional<Bytes> body;
-      for (const Message& m : in) {
-        if (m.from != 1 - id_) continue;
-        const auto dec = decode_gk_opening(m.payload);
-        if (dec && dec->first == j_) {
-          body = dec->second;
-          break;
-        }
-      }
-      const auto value = body ? auth_reconstruct2(incoming_shares_[j_ - 1], *body)
-                              : std::nullopt;
-      if (!value) {
-        // Peer withheld its opening (or cheated): output the last
-        // reconstructed value — the randomized-abort guarantee.
-        finish(last_value_);
-        return {};
-      }
-      last_value_ = *value;
-      if (j_ == rounds_) {
-        // v_p = y by construction (i* ≤ p always).
-        finish(last_value_);
-        return {};
-      }
-      ++j_;
-      return make_opening(j_);
-    }
-  }
-  return {};
-}
-
-void Partial1pParty::on_abort() {
-  if (done()) return;
-  if (step_ == Step::kIterate) {
+std::vector<Message> Partial1pParty::exchange(MsgView in) {
+  // My opening of iteration j_ went out last round; the peer's opening of the
+  // same iteration must be in this round's input.
+  const auto value = streams_.reconstruct(j_, in);
+  if (!value) {
+    // Peer withheld its opening (or cheated): output the last reconstructed
+    // value — the randomized-abort guarantee.
     finish(last_value_);
-  } else {
-    finish_with_default();
+    return {};
   }
+  last_value_ = *value;
+  if (j_ == streams_.rounds()) {
+    // v_p = y by construction (i* ≤ p always).
+    finish(last_value_);
+    return {};
+  }
+  ++j_;
+  return make_opening(j_);
 }
 
 std::vector<std::unique_ptr<sim::IParty>> make_partial_1p_parties(
     const Partial1pParams& params, const Bytes& x0, const Bytes& x1, Rng& rng) {
+  // No party randomness; the forks keep `rng`'s fork counter where callers
+  // expect it.
+  rng.fork("p1p-p0");
+  rng.fork("p1p-p1");
+  const auto shared = std::make_shared<const Partial1pParams>(params);
   std::vector<std::unique_ptr<sim::IParty>> parties;
-  parties.push_back(std::make_unique<Partial1pParty>(0, params, x0, rng.fork("p1p-p0")));
-  parties.push_back(std::make_unique<Partial1pParty>(1, params, x1, rng.fork("p1p-p1")));
+  parties.push_back(std::make_unique<Partial1pParty>(0, shared, x0));
+  parties.push_back(std::make_unique<Partial1pParty>(1, shared, x1));
   return parties;
 }
 

@@ -18,16 +18,14 @@
 // geometric draw gives 1/p against a *noticeability* threshold, while
 // round-sampling gives plain 1/p — the measured crossover E21 plots.
 //
-// Reuses the GK wire pieces: AuthShare2 authenticated sharings and the
-// encode_gk_opening / decode_gk_opening framing (fair/gk.h).
+// Shares the GK dealt-stream machinery (fair/auth_stream.h): the body
+// layout, AuthShare2 sharings and the encode_gk_opening framing.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "crypto/auth_share.h"
-#include "crypto/rng.h"
-#include "mpc/sfe_functionalities.h"
+#include "fair/auth_stream.h"
 #include "sim/party.h"
 
 namespace fairsfe::fair {
@@ -71,38 +69,14 @@ class Partial1pShareGenFunc final : public sim::IFunctionality {
 /// reconstructs the peer's opening j and (if j < p) sends its own opening
 /// j+1 — a missing expected opening means the peer aborted, and the party
 /// outputs the last value it reconstructed (the randomized-abort guarantee).
-class Partial1pParty final : public sim::PartyBase<Partial1pParty> {
+class Partial1pParty final : public AuthStreamParty<Partial1pParty, Partial1pParams> {
  public:
-  Partial1pParty(sim::PartyId id, Partial1pParams params, Bytes input, Rng rng);
-
-  std::vector<sim::Message> on_round(int round, sim::MsgView in) override;
-  void on_abort() override;
-
-  /// Adversary-visible state (the adversary owns corrupted parties), mirrors
-  /// GkParty: used by adversary/partial_1p_attack.h.
-  [[nodiscard]] const Bytes& last_value() const { return last_value_; }
-  [[nodiscard]] std::size_t iteration() const { return j_; }
-  [[nodiscard]] bool stream_started() const { return step_ == Step::kIterate; }
-
-  /// The opening message this party would send for iteration j of its
-  /// outgoing stream.
-  [[nodiscard]] std::vector<sim::Message> make_opening(std::size_t j) const;
+  using AuthStreamParty::AuthStreamParty;
 
  private:
-  enum class Step { kSendInput, kAwaitShares, kIterate };
-
-  void finish_with_default();
-
-  Partial1pParams params_;
-  Bytes input_;
-  Rng rng_;
-
-  Step step_ = Step::kSendInput;
-  std::size_t rounds_ = 0;
-  std::size_t j_ = 1;  // iteration whose peer opening is awaited
-  Bytes last_value_;   // fallback: the last reconstructed value
-  std::vector<AuthShare2> incoming_shares_;  // my halves of the stream I read
-  std::vector<AuthShare2> outgoing_shares_;  // my halves of the stream I open
+  friend AuthStreamParty;
+  std::vector<sim::Message> start() { return make_opening(1); }
+  std::vector<sim::Message> exchange(sim::MsgView in);
 };
 
 /// Build the two exchange parties for inputs (x1, x2); pair with

@@ -86,8 +86,8 @@ CorrelatedRandomness triples_from_rots(const CorrelatedRandomness& store,
     // (A.m0 at party 0, A.mc at party 1); symmetrically for a_0·b_1 via B.
     const bool a0 = B.choice, b0 = A.m0 != A.m1;
     const bool a1 = A.choice, b1 = B.m0 != B.m1;
-    const bool c0 = (a0 && b0) != A.m0 != B.mc;
-    const bool c1 = (a1 && b1) != A.mc != B.m0;
+    const bool c0 = ((a0 && b0) != A.m0) != B.mc;
+    const bool c1 = ((a1 && b1) != A.mc) != B.m0;
     out.set_triple(0, t, a0, b0, c0);
     out.set_triple(1, t, a1, b1, c1);
   }

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "circuit/builder.h"
+#include "util/check.h"
 
 namespace fairsfe::mpc {
 
@@ -161,6 +162,55 @@ std::vector<sim::Message> SfeFunc::on_round(sim::FuncContext& ctx, int /*round*/
     out.push_back(sim::Message{sim::kFunc, pid,
                                deliver ? sim::encode_func_output(y)
                                        : sim::encode_func_abort()});
+  }
+  return out;
+}
+
+std::vector<sim::Message> deal_through_gate(sim::FuncContext& ctx, sim::MsgView in,
+                                            std::size_t n, const NotesPtr& notes,
+                                            const Dealer& deal) {
+  std::vector<std::optional<Bytes>> inputs(n);
+  for (const sim::Message& m : in) {
+    if (m.from < 0 || m.from >= static_cast<sim::PartyId>(n)) continue;
+    const auto x = sim::decode_func_input(m.payload);
+    if (x && !inputs[static_cast<std::size_t>(m.from)]) {
+      inputs[static_cast<std::size_t>(m.from)] = *x;
+    }
+  }
+
+  std::vector<sim::Message> out;
+  std::vector<Bytes> xs;
+  xs.reserve(n);
+  for (const auto& x : inputs) {
+    if (!x) {
+      if (notes) notes->vals["phase1_aborted"] = 1;
+      for (std::size_t p = 0; p < n; ++p) {
+        out.push_back(sim::Message{sim::kFunc, static_cast<sim::PartyId>(p),
+                                   sim::encode_func_abort()});
+      }
+      return out;
+    }
+    xs.push_back(*x);
+  }
+
+  std::vector<Bytes> bodies = deal(xs);
+  FAIRSFE_CHECK(bodies.size() == n, "deal_through_gate: one body per party");
+  std::vector<sim::Message> corrupted_outputs;
+  for (std::size_t p = 0; p < n; ++p) {
+    out.push_back(sim::Message{sim::kFunc, static_cast<sim::PartyId>(p),
+                               sim::encode_func_output(bodies[p])});
+    // Release each body as soon as it is framed so the next frame can reuse
+    // its memory: freeing every body at once (~16 KiB each with a Lamport
+    // key) hands a large block back to the OS and costs page faults per run.
+    bodies[p] = Bytes();
+    if (ctx.corrupted().count(out.back().to)) corrupted_outputs.push_back(out.back());
+  }
+  const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
+  if (notes) notes->vals["phase1_aborted"] = abort ? 1 : 0;
+  if (abort) {
+    for (sim::Message& m : out) {
+      if (!ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();
+    }
   }
   return out;
 }

@@ -14,6 +14,10 @@
 
 namespace fairsfe::rpd {
 
+bool valid_lanes(std::size_t lanes) {
+  return lanes == 1 || lanes == util::kLaneWidth;
+}
+
 sim::ExecutionResult execute(RunSetup&& setup, Rng&& rng) {
   sim::Engine engine(std::move(setup.parties), std::move(setup.functionality),
                      std::move(setup.adversary), std::move(rng), setup.engine);
@@ -49,7 +53,7 @@ struct ShardAccumulator {
 
 UtilityEstimate estimate_utility(const EstimationTarget& target, const PayoffModel& model,
                                  const EstimatorOptions& opts) {
-  FAIRSFE_CHECK(opts.lanes == 1 || opts.lanes == util::kLaneWidth,
+  FAIRSFE_CHECK(valid_lanes(opts.lanes),
                 "EstimatorOptions::lanes must be 1 or the machine lane width");
   // The sliced path runs honest protocol code directly, so a fault-plan
   // override (which perturbs the engine's delivery) or a remote transport

@@ -193,6 +193,11 @@ struct EstimatorOptions {
   }
 };
 
+/// The lane widths EstimatorOptions::lanes accepts: 1 or util::kLaneWidth.
+/// Entry points that take a lane count from a user (CLI flag, daemon request)
+/// reject anything else before it reaches the estimator.
+[[nodiscard]] bool valid_lanes(std::size_t lanes);
+
 struct UtilityEstimate {
   double utility = 0.0;       ///< empirical mean payoff (over valid runs)
   double std_error = 0.0;     ///< standard error of the mean

@@ -16,6 +16,7 @@
 #include "service/runner.h"
 #include "service/signals.h"
 #include "sim/transport.h"
+#include "util/bitmat.h"
 
 namespace fairsfe::service {
 
@@ -248,6 +249,11 @@ void Daemon::handle_estimate(const JsonValue& req,
   if (req.find("seed") != nullptr) args.seed = req.get_u64("seed", 0);
   args.threads = static_cast<std::size_t>(req.get_u64("threads", 1));
   args.lanes = static_cast<std::size_t>(req.get_u64("lanes", 1));
+  if (!rpd::valid_lanes(args.lanes)) {
+    conn->write_event(error_event(id, "\"lanes\" must be 1 or " +
+                                          std::to_string(util::kLaneWidth)));
+    return;
+  }
   args.target_ci = req.get_number("target_ci", 0.0);
   const std::string preproc = req.get_string("preproc", "inline");
   const auto mode = mpc::preproc::parse_preproc_mode(preproc);

@@ -21,7 +21,9 @@
 // like the fairbench CLI flag of the same name (absent "runs" = the spec's
 // default_runs, absent "seed" = the scenario's hard-coded per-point seeds).
 // "id" is an opaque client token echoed on every response event for that
-// request, so one connection can pipeline requests.
+// request, so one connection can pipeline requests. An invalid field (runs 0,
+// lanes other than 1 or 64, an unknown preproc or transport) gets an "error"
+// event; the connection stays open.
 //
 // Response events (all single-line JSON objects with an "event" key):
 //

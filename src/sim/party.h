@@ -12,9 +12,11 @@
 // both for real aborts and for the adversary's lock-detection probe ("run the
 // protocol on p's state assuming the peer aborted, and see what it outputs").
 //
-// `clone()` must deep-copy the full state; the adversary uses clones to probe
-// hypothetical continuations of corrupted parties it controls, which is
-// legitimate since it owns those states.
+// `clone()` must deep-copy every piece of state the party can still mutate,
+// and may share immutable state (parameters, a dealt share body) with the
+// original by pointer: driving a clone must never change the original. The
+// adversary uses clones to probe hypothetical continuations of corrupted
+// parties it controls, which is legitimate since it owns those states.
 #pragma once
 
 #include <memory>

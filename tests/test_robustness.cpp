@@ -11,6 +11,7 @@
 #include "fair/lemma18.h"
 #include "fair/opt2sfe.h"
 #include "fair/optnsfe.h"
+#include "fair/partial_1p.h"
 #include "mpc/ot.h"
 #include "rpd/estimator.h"
 #include "sim/fault/plan.h"
@@ -252,6 +253,136 @@ TEST(JunkResilience, GkSurvivesSprayedGarbage) {
     ASSERT_TRUE(r.outputs[1].has_value());
     EXPECT_EQ(r.outputs[1]->size(), 1u);
   }
+}
+
+// Dealt-stream parties (GK and round-sampling) validate their whole ShareGen
+// body at receipt even though they parse each round's share only when they
+// use it: every malformed body must still end the run with the default
+// evaluation, right away.
+constexpr std::size_t kDealtRounds = 3;
+
+// Dealer bodies for y = 1 with fakes (and fallbacks) 7, switching at i* = 2.
+std::vector<Bytes> dealt_bodies() {
+  Rng rng(77);
+  const auto fake = [] { return Bytes{7}; };
+  return fair::deal_auth_streams(kDealtRounds, 2, Bytes{1}, fake, fake, rng);
+}
+
+sim::Message dealer_output(sim::PartyId to, const Bytes& body) {
+  return sim::Message{sim::kFunc, to, sim::encode_func_output(body)};
+}
+
+// The last share record of a body, and offsets into it (see AuthShare2).
+std::size_t last_share(const Bytes& body) { return body.size() - AuthShare2::blob_size(1); }
+
+void put_u32(Bytes& b, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::vector<std::pair<std::string, Bytes>> malformed_bodies() {
+  const Bytes good = dealt_bodies()[0];
+  std::vector<std::pair<std::string, Bytes>> out;
+  Bytes truncated = good;
+  truncated.pop_back();
+  out.emplace_back("truncated body", truncated);
+  Bytes bad_blob = good;
+  put_u32(bad_blob, last_share(good) + 4, 0xffffffffu);  // summand length past the end
+  out.emplace_back("bad last-round share blob", bad_blob);
+  Bytes bad_key = good;
+  put_u32(bad_key, good.size() - 16, 0xffffffffu);  // key word a (bytes -16..-9) >= Fp::kP
+  put_u32(bad_key, good.size() - 12, 0xffffffffu);
+  out.emplace_back("MacKey word >= Fp::kP", bad_key);
+  Bytes trailing = good;
+  put_u32(trailing, last_share(good), static_cast<std::uint32_t>(AuthShare2::blob_size(1) - 3));
+  trailing.push_back(0);  // the last share record now ends in a stray byte
+  out.emplace_back("trailing bytes in a share", trailing);
+  return out;
+}
+
+template <typename Party, typename Params>
+void expect_default_on_malformed_body(const Params& params) {
+  const auto shared = std::make_shared<const Params>(params);
+  const Bytes input{1};
+  for (const sim::PartyId id : {0, 1}) {
+    std::vector<Bytes> xs = params.spec.default_inputs;
+    xs[static_cast<std::size_t>(id)] = input;
+    const Bytes with_default = params.spec.eval(xs);
+    for (const auto& [what, body] : malformed_bodies()) {
+      Party party(id, shared, input);
+      (void)party.on_round(0, {});
+      (void)party.on_round(1, {dealer_output(id, body)});
+      ASSERT_TRUE(party.done()) << what << ", p" << id;
+      EXPECT_EQ(party.output(), std::optional<Bytes>(with_default)) << what << ", p" << id;
+    }
+    // Control: the unmodified body starts the exchange.
+    Party party(id, shared, input);
+    (void)party.on_round(0, {});
+    (void)party.on_round(1, {dealer_output(id, dealt_bodies()[static_cast<std::size_t>(id)])});
+    EXPECT_FALSE(party.done()) << "p" << id;
+    EXPECT_TRUE(party.stream_started()) << "p" << id;
+  }
+}
+
+TEST(DealtStreamRobustness, GkPartyRejectsMalformedShareGenBody) {
+  expect_default_on_malformed_body<fair::GkParty>(fair::make_gk_and_params(2));
+}
+
+TEST(DealtStreamRobustness, Partial1pPartyRejectsMalformedShareGenBody) {
+  expect_default_on_malformed_body<fair::Partial1pParty>(fair::make_partial_1p_and_params(2));
+}
+
+// Clones share the dealt body and the parameters with the original; driving
+// a pair of clones to completion must leave the originals exactly where they
+// were, and the originals must then finish the same way.
+template <typename Party, typename Params>
+void expect_clone_isolation(const Params& params) {
+  const auto shared = std::make_shared<const Params>(params);
+  const std::vector<Bytes> bodies = dealt_bodies();
+  Party p1(0, shared, Bytes{1});
+  Party p2(1, shared, Bytes{1});
+  (void)p1.on_round(0, {});
+  (void)p2.on_round(0, {});
+  const std::vector<sim::Message> out1 = p1.on_round(1, {dealer_output(0, bodies[0])});
+  const std::vector<sim::Message> out2 = p2.on_round(1, {dealer_output(1, bodies[1])});
+
+  // Exchange openings between two parties until both are done.
+  const auto drive = [&](sim::IParty& a, sim::IParty& b) {
+    std::vector<sim::Message> to_a = out2;
+    std::vector<sim::Message> to_b = out1;
+    for (int round = 2; round < 64 && !(a.done() && b.done()); ++round) {
+      std::vector<sim::Message> from_a = a.done() ? std::vector<sim::Message>{}
+                                                  : a.on_round(round, to_a);
+      std::vector<sim::Message> from_b = b.done() ? std::vector<sim::Message>{}
+                                                  : b.on_round(round, to_b);
+      to_a = std::move(from_b);
+      to_b = std::move(from_a);
+    }
+  };
+
+  const std::unique_ptr<sim::IParty> c1 = p1.clone();
+  const std::unique_ptr<sim::IParty> c2 = p2.clone();
+  drive(*c1, *c2);
+  ASSERT_TRUE(c1->done() && c2->done());
+  EXPECT_EQ(c1->output(), std::optional<Bytes>(Bytes{1}));
+  EXPECT_EQ(c2->output(), std::optional<Bytes>(Bytes{1}));
+  for (const Party* p : {&p1, &p2}) {
+    EXPECT_FALSE(p->done());
+    EXPECT_EQ(p->iteration(), 1u);
+    EXPECT_EQ(p->last_value(), Bytes{7});  // still the fallback
+  }
+
+  drive(p1, p2);
+  EXPECT_EQ(p1.output(), c1->output());
+  EXPECT_EQ(p2.output(), c2->output());
+  EXPECT_EQ(p1.iteration(), kDealtRounds);
+}
+
+TEST(DealtStreamRobustness, GkCloneRunToCompletionLeavesOriginalUntouched) {
+  expect_clone_isolation<fair::GkParty>(fair::make_gk_and_params(2));
+}
+
+TEST(DealtStreamRobustness, Partial1pCloneRunToCompletionLeavesOriginalUntouched) {
+  expect_clone_isolation<fair::Partial1pParty>(fair::make_partial_1p_and_params(2));
 }
 
 }  // namespace

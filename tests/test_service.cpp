@@ -323,6 +323,23 @@ TEST(Service, MalformedAndUnknownRequestsGetErrorEvents) {
             std::string::npos);
 }
 
+TEST(Service, BadLanesGetsErrorAndConnectionStillEstimates) {
+  // A lane width the estimator cannot run used to trip a contract check and
+  // abort the whole daemon; it must be an error event for that request only.
+  const std::string expected = one_shot_report(8, 4, sim::TransportKind::kInProc);
+  DaemonFixture fx(1);
+  Client c = fx.client();
+  c.send(std::string("{\"verb\":\"estimate\",\"scenario\":\"") + kScenario +
+         "\",\"lanes\":3,\"id\":\"bad\"}");
+  const std::string error = c.read_until_event("error");
+  EXPECT_NE(error.find("lanes"), std::string::npos) << error;
+  EXPECT_NE(error.find("\"id\":\"bad\""), std::string::npos) << error;
+  c.send(estimate_request("good", 8, 4, "inproc"));
+  const std::string line = c.read_until_event("result");
+  EXPECT_NE(line.find("\"id\":\"good\""), std::string::npos);
+  EXPECT_EQ(scrub_timing(report_of(line)), expected);
+}
+
 TEST(Service, ShutdownVerbDrainsWithoutPoisoningTheGlobalFlag) {
   ASSERT_FALSE(stop_requested())
       << "global stop flag set before the test - ordering bug";
