@@ -18,7 +18,12 @@
 # silently perturbing estimates. The tier labels are assigned in
 # tests/CMakeLists.txt.
 #
-# 3. Daemon smoke (gating): start the Release fairbenchd on a unix socket,
+# 3. ASan+UBSan gate: build the asan-ubsan preset and run the same tier1
+#    label under AddressSanitizer and UndefinedBehaviorSanitizer, so the
+#    unaligned SIMD loads and stores of the crypto kernels (ChaCha20 batches,
+#    SHA-NI lanes) and every other tier1 path run bounds- and UB-checked.
+#
+# 4. Daemon smoke (gating): start the Release fairbenchd on a unix socket,
 #    drive a request mix through scripts/loadtest.py --smoke, and assert the
 #    daemon drains and exits 0 on SIGTERM — the graceful-shutdown contract.
 #
@@ -68,6 +73,12 @@ else
   ctest --test-dir build-tsan -L tier1 --output-on-failure -j "$(nproc)"
   echo "tsan gate passed (-L tier1)"
 fi
+
+# --- gating ASan+UBSan stage ---------------------------------------------------
+cmake --preset asan-ubsan
+cmake --build --preset asan-ubsan -j "$(nproc)" --target fairsfe_tests
+ctest --test-dir build-asan-ubsan -L tier1 --output-on-failure -j "$(nproc)"
+echo "asan-ubsan gate passed (-L tier1)"
 
 # --- non-gating perf + experiment smoke --------------------------------------
 if cmake -S . -B build-perf -DCMAKE_BUILD_TYPE=Release >/dev/null 2>&1 &&

@@ -1,5 +1,8 @@
 #include "crypto/hmac.h"
 
+#include <cstring>
+
+#include "crypto/kernels.h"
 #include "crypto/sha256.h"
 
 namespace fairsfe {
@@ -9,7 +12,7 @@ HmacSha256::HmacSha256(ByteView key) {
   if (k.size() > Sha256::kBlockSize) k = sha256(k);
   k.resize(Sha256::kBlockSize, 0x00);
 
-  Bytes ipad(Sha256::kBlockSize), opad(Sha256::kBlockSize);
+  std::uint8_t ipad[Sha256::kBlockSize], opad[Sha256::kBlockSize];
   for (std::size_t i = 0; i < Sha256::kBlockSize; ++i) {
     ipad[i] = k[i] ^ 0x36;
     opad[i] = k[i] ^ 0x5c;
@@ -19,10 +22,22 @@ HmacSha256::HmacSha256(ByteView key) {
 }
 
 Bytes HmacSha256::mac(ByteView msg) const {
-  Sha256 inner = inner_;  // resume from the ipad midstate
-  const Bytes digest = inner.update(msg).finish();
-  Sha256 outer = outer_;
-  return outer.update(digest).finish();
+  // Both hashes resume from a midstate one block in. The inner one finishes
+  // in a single padded block whenever the message fits (every fork label
+  // does); the outer one always does, since its input is a 32-byte digest.
+  using crypto_kernels::sha256_finish_single_block;
+  std::uint8_t inner_digest[Sha256::kDigestSize];
+  if (msg.size() <= crypto_kernels::kSha256MaxSingleBlockTail) {
+    sha256_finish_single_block(inner_.state_.data(), Sha256::kBlockSize, msg, inner_digest);
+  } else {
+    Sha256 inner = inner_;
+    const Bytes digest = inner.update(msg).finish();
+    std::memcpy(inner_digest, digest.data(), sizeof(inner_digest));
+  }
+  Bytes out(Sha256::kDigestSize);
+  sha256_finish_single_block(outer_.state_.data(), Sha256::kBlockSize, inner_digest,
+                             out.data());
+  return out;
 }
 
 Bytes hmac_sha256(ByteView key, ByteView msg) {

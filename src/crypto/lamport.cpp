@@ -1,5 +1,6 @@
 #include "crypto/lamport.h"
 
+#include "crypto/kernels.h"
 #include "crypto/rng.h"
 #include "crypto/sha256.h"
 
@@ -21,11 +22,13 @@ inline int msg_bit(const Bytes& digest, std::size_t i) {
 
 LamportKeyPair lamport_gen(Rng& rng) {
   LamportKeyPair kp;
-  kp.signing_key = rng.bytes(kKeyBytes);
-  kp.verification_key.reserve(kKeyBytes);
-  for (std::size_t i = 0; i < 2 * kBits; ++i) {
-    const Bytes h = sha256(slice(kp.signing_key, i));
-    kp.verification_key.insert(kp.verification_key.end(), h.begin(), h.end());
+  kp.signing_key.resize(kKeyBytes);
+  rng.fill(kp.signing_key);
+  kp.verification_key.resize(kKeyBytes);
+  const std::uint8_t* sk = kp.signing_key.data();
+  std::uint8_t* vk = kp.verification_key.data();
+  for (std::size_t off = 0; off < kKeyBytes; off += 2 * kChunk) {
+    crypto_kernels::sha256_32x2(sk + off, sk + off + kChunk, vk + off, vk + off + kChunk);
   }
   return kp;
 }
@@ -45,10 +48,16 @@ Bytes lamport_sign(const Bytes& signing_key, ByteView msg) {
 bool lamport_verify(const Bytes& verification_key, ByteView msg, ByteView sig) {
   if (verification_key.size() != kKeyBytes || sig.size() != kBits * kChunk) return false;
   const Bytes digest = sha256(msg);
-  for (std::size_t i = 0; i < kBits; ++i) {
-    const std::size_t idx = 2 * i + static_cast<std::size_t>(msg_bit(digest, i));
-    const Bytes h = sha256(slice(sig, i));
-    if (!ct_equal(h, slice(verification_key, idx))) return false;
+  std::uint8_t h[2 * kChunk];
+  for (std::size_t i = 0; i < kBits; i += 2) {
+    crypto_kernels::sha256_32x2(sig.data() + i * kChunk, sig.data() + (i + 1) * kChunk, h,
+                                h + kChunk);
+    for (std::size_t j = 0; j < 2; ++j) {
+      const std::size_t idx = 2 * (i + j) + static_cast<std::size_t>(msg_bit(digest, i + j));
+      if (!ct_equal(ByteView(h + j * kChunk, kChunk), slice(verification_key, idx))) {
+        return false;
+      }
+    }
   }
   return true;
 }

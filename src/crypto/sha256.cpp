@@ -1,17 +1,20 @@
 #include "crypto/sha256.h"
 
+#include <bit>
 #include <cstring>
 
-#if defined(__x86_64__) && defined(__GNUC__)
+#include "crypto/kernels.h"
+#include "util/check.h"
+
+#ifdef FAIRSFE_X86_KERNELS
 #include <immintrin.h>
-#define FAIRSFE_SHA_NI 1
 #endif
 
 namespace fairsfe {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 64> kK = {
+alignas(16) constexpr std::array<std::uint32_t, 64> kK = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -28,171 +31,192 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-#ifdef FAIRSFE_SHA_NI
+// One byte swap and one store per word: byte-wise stores here get
+// auto-vectorized into a long shuffle sequence that costs more than the
+// SHA-NI compression itself.
+inline void put_be32(std::uint8_t* p, std::uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap32(v);
+  std::memcpy(p, &v, sizeof(v));
+}
 
-// One compression using the SHA extension (sha256rnds2/sha256msg1/
-// sha256msg2). Bit-identical to the portable loop — the hash itself is
-// unchanged, only the block pass — and gated at runtime on cpuid, so the
-// portable path below stays the behavioural reference everywhere else.
-// Forking an Rng costs four compressions (two with the HMAC key schedule
-// cached), and the estimator derives four streams per Monte-Carlo run, so
-// this is the hottest primitive in the whole simulator.
-__attribute__((target("sha,sse4.1,ssse3"))) void process_block_hw(
-    std::uint32_t* state, const std::uint8_t* data) {
-  const __m128i kShuffle =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-  const auto k = [](std::uint64_t hi, std::uint64_t lo) {
-    return _mm_set_epi64x(static_cast<long long>(hi), static_cast<long long>(lo));
-  };
+inline void put_digest(const std::uint32_t* state, std::uint8_t* out) {
+  for (int i = 0; i < 8; ++i) put_be32(out + 4 * i, state[i]);
+}
+
+/// The one padded block of a message whose last `tail.size()` <= 55 bytes
+/// follow `prefix_len` already-compressed bytes. The tail is copied in
+/// 16-byte pieces, the width the SHA-NI kernel loads, so those loads forward
+/// from the stores instead of waiting for them to retire.
+inline void pad_single_block(std::uint8_t* block, std::uint64_t prefix_len, ByteView tail) {
+  std::memset(block, 0, Sha256::kBlockSize);
+  std::size_t i = 0;
+  for (; i + 16 <= tail.size(); i += 16) std::memcpy(block + i, tail.data() + i, 16);
+  if (i < tail.size()) std::memcpy(block + i, tail.data() + i, tail.size() - i);
+  block[tail.size()] = 0x80;
+  const std::uint64_t bit_len = (prefix_len + tail.size()) * 8;
+  put_be32(block + 56, static_cast<std::uint32_t>(bit_len >> 32));
+  put_be32(block + 60, static_cast<std::uint32_t>(bit_len));
+}
+
+/// The padded block of a 32-byte message. Two 32-byte copies, so the
+/// kernel's 16-byte loads forward straight from the stores that built it.
+inline void pad_32(std::uint8_t* block, const std::uint8_t* in) {
+  static constexpr std::uint8_t kTail[32] = {0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                             0,    0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                             0,    0, 0, 0, 0, 0, 0, 0, 0x01, 0x00};
+  std::memcpy(block, in, 32);
+  std::memcpy(block + 32, kTail, 32);
+}
+
+#ifdef FAIRSFE_X86_KERNELS
+
+// One compression of N independent (state, block) pairs with the SHA
+// extension (sha256rnds2/sha256msg1/sha256msg2). Every step is a loop over
+// the lanes, so N = 2 interleaves two dependency chains through the round
+// unit while N = 1 is the plain single-block pass; the schedule itself is
+// written once. Bit-identical to the portable loop — only the block pass
+// changes — and gated at runtime on cpuid.
+//
+// The 64 rounds run as 16 groups of four. Group g feeds schedule register
+// msg[g % 4] (W[4g..4g+3]) to the round function; groups 3..14 finish the
+// next register with sha256msg2, and groups 1..12 start the one after with
+// sha256msg1.
+//
+// Each lane ends either as new state words (`new_states`) or, for a final
+// block, straight as its big-endian digest (`digests`, two 16-byte stores
+// that a following 16-byte load can forward from); exactly one is non-null.
+template <int N>
+__attribute__((target("sha,sse4.1,ssse3"), always_inline)) inline void compress_shani(
+    const std::uint32_t* const* states, const std::uint8_t* const* blocks,
+    std::uint32_t* const* new_states, std::uint8_t* const* digests) {
+  // Byte-swaps each 32-bit word: big-endian message words in, digest out.
+  const __m128i kShuffle = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i abef[N], cdgh[N], abef_save[N], cdgh_save[N], msg[4][N], wk[N];
 
   // state[] is {a,b,c,d,e,f,g,h}; the instruction wants (ABEF, CDGH) pairs.
-  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
-  __m128i state1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
-  tmp = _mm_shuffle_epi32(tmp, 0xB1);
-  state1 = _mm_shuffle_epi32(state1, 0x1B);
-  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);
-  state1 = _mm_blend_epi16(state1, tmp, 0xF0);
-
-  const __m128i abef_save = state0;
-  const __m128i cdgh_save = state1;
-  const __m128i* blk = reinterpret_cast<const __m128i*>(data);
-  __m128i msg;
-
-  // Rounds 0-3
-  __m128i msg0 = _mm_shuffle_epi8(_mm_loadu_si128(blk + 0), kShuffle);
-  msg = _mm_add_epi32(msg0, k(0xE9B5DBA5B5C0FBCFULL, 0x71374491428A2F98ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-
-  // Rounds 4-7
-  __m128i msg1 = _mm_shuffle_epi8(_mm_loadu_si128(blk + 1), kShuffle);
-  msg = _mm_add_epi32(msg1, k(0xAB1C5ED5923F82A4ULL, 0x59F111F13956C25BULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-
-  // Rounds 8-11
-  __m128i msg2 = _mm_shuffle_epi8(_mm_loadu_si128(blk + 2), kShuffle);
-  msg = _mm_add_epi32(msg2, k(0x550C7DC3243185BEULL, 0x12835B01D807AA98ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-  // Rounds 12-15
-  __m128i msg3 = _mm_shuffle_epi8(_mm_loadu_si128(blk + 3), kShuffle);
-  msg = _mm_add_epi32(msg3, k(0xC19BF1749BDC06A7ULL, 0x80DEB1FE72BE5D74ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg3, msg2, 4);
-  msg0 = _mm_add_epi32(msg0, tmp);
-  msg0 = _mm_sha256msg2_epu32(msg0, msg3);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  msg2 = _mm_sha256msg1_epu32(msg2, msg3);
-
-  // Rounds 16-47: the schedule registers rotate through the same four-round
-  // step — feed msgN to the round function, extend msgN+1 with msg2/msg1 ops.
-  const __m128i kMid[8] = {
-      k(0x240CA1CC0FC19DC6ULL, 0xEFBE4786E49B69C1ULL),
-      k(0x76F988DA5CB0A9DCULL, 0x4A7484AA2DE92C6FULL),
-      k(0xBF597FC7B00327C8ULL, 0xA831C66D983E5152ULL),
-      k(0x1429296706CA6351ULL, 0xD5A79147C6E00BF3ULL),
-      k(0x53380D134D2C6DFCULL, 0x2E1B213827B70A85ULL),
-      k(0x92722C8581C2C92EULL, 0x766A0ABB650A7354ULL),
-      k(0xC76C51A3C24B8B70ULL, 0xA81A664BA2BFE8A1ULL),
-      k(0x106AA070F40E3585ULL, 0xD6990624D192E819ULL),
-  };
-  for (int step = 0; step < 8; ++step) {
-    msg = _mm_add_epi32(msg0, kMid[step]);
-    state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-    tmp = _mm_alignr_epi8(msg0, msg3, 4);
-    msg1 = _mm_add_epi32(msg1, tmp);
-    msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-    msg = _mm_shuffle_epi32(msg, 0x0E);
-    state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-    msg3 = _mm_sha256msg1_epu32(msg3, msg0);
-    // Rotate (msg0, msg1, msg2, msg3) <- (msg1, msg2, msg3, msg0).
-    const __m128i rot = msg0;
-    msg0 = msg1;
-    msg1 = msg2;
-    msg2 = msg3;
-    msg3 = rot;
+  for (int l = 0; l < N; ++l) {
+    const __m128i dcba = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[l])), 0xB1);
+    const __m128i efgh = _mm_shuffle_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[l] + 4)), 0x1B);
+    abef[l] = abef_save[l] = _mm_alignr_epi8(dcba, efgh, 8);
+    cdgh[l] = cdgh_save[l] = _mm_blend_epi16(efgh, dcba, 0xF0);
+    for (int i = 0; i < 4; ++i) {
+      msg[i][l] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks[l]) + i), kShuffle);
+    }
   }
 
-  // Rounds 48-51
-  msg = _mm_add_epi32(msg0, k(0x34B0BCB52748774CULL, 0x1E376C0819A4C116ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg0, msg3, 4);
-  msg1 = _mm_add_epi32(msg1, tmp);
-  msg1 = _mm_sha256msg2_epu32(msg1, msg0);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-  // Last schedule-extension helper: msg3 still needs its sigma0 partials
-  // (the rotation loop above only applies sha256msg1 through W56..59).
-  msg3 = _mm_sha256msg1_epu32(msg3, msg0);
+#pragma GCC unroll 16
+  for (int g = 0; g < 16; ++g) {
+    const __m128i k = _mm_load_si128(reinterpret_cast<const __m128i*>(kK.data() + 4 * g));
+    __m128i* const cur = msg[g % 4];
+    __m128i* const next = msg[(g + 1) % 4];
+    __m128i* const prev = msg[(g + 3) % 4];
+    for (int l = 0; l < N; ++l) wk[l] = _mm_add_epi32(cur[l], k);
+    for (int l = 0; l < N; ++l) cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk[l]);
+    if (g >= 3 && g <= 14) {
+      for (int l = 0; l < N; ++l) {
+        next[l] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(next[l], _mm_alignr_epi8(cur[l], prev[l], 4)), cur[l]);
+      }
+    }
+    for (int l = 0; l < N; ++l) wk[l] = _mm_shuffle_epi32(wk[l], 0x0E);
+    for (int l = 0; l < N; ++l) abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], wk[l]);
+    if (g >= 1 && g <= 12) {
+      for (int l = 0; l < N; ++l) prev[l] = _mm_sha256msg1_epu32(prev[l], cur[l]);
+    }
+  }
 
-  // Rounds 52-55
-  msg = _mm_add_epi32(msg1, k(0x682E6FF35B9CCA4FULL, 0x4ED8AA4A391C0CB3ULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg1, msg0, 4);
-  msg2 = _mm_add_epi32(msg2, tmp);
-  msg2 = _mm_sha256msg2_epu32(msg2, msg1);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-
-  // Rounds 56-59
-  msg = _mm_add_epi32(msg2, k(0x8CC7020884C87814ULL, 0x78A5636F748F82EEULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  tmp = _mm_alignr_epi8(msg2, msg1, 4);
-  msg3 = _mm_add_epi32(msg3, tmp);
-  msg3 = _mm_sha256msg2_epu32(msg3, msg2);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-
-  // Rounds 60-63
-  msg = _mm_add_epi32(msg3, k(0xC67178F2BEF9A3F7ULL, 0xA4506CEB90BEFFFAULL));
-  state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-  msg = _mm_shuffle_epi32(msg, 0x0E);
-  state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-
-  state0 = _mm_add_epi32(state0, abef_save);
-  state1 = _mm_add_epi32(state1, cdgh_save);
-
-  // Back to {a..d}, {e..h} memory order.
-  tmp = _mm_shuffle_epi32(state0, 0x1B);
-  state1 = _mm_shuffle_epi32(state1, 0xB1);
-  state0 = _mm_blend_epi16(tmp, state1, 0xF0);
-  state1 = _mm_alignr_epi8(state1, tmp, 8);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+  // Back to {a..d}, {e..h} order.
+  for (int l = 0; l < N; ++l) {
+    const __m128i feba = _mm_shuffle_epi32(_mm_add_epi32(abef[l], abef_save[l]), 0x1B);
+    const __m128i dchg = _mm_shuffle_epi32(_mm_add_epi32(cdgh[l], cdgh_save[l]), 0xB1);
+    const __m128i abcd = _mm_blend_epi16(feba, dchg, 0xF0);
+    const __m128i efgh = _mm_alignr_epi8(dchg, feba, 8);
+    if (digests != nullptr) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(digests[l]), _mm_shuffle_epi8(abcd, kShuffle));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(digests[l] + 16),
+                       _mm_shuffle_epi8(efgh, kShuffle));
+    } else {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(new_states[l]), abcd);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(new_states[l] + 4), efgh);
+    }
+  }
 }
 
-bool sha_ni_available() {
-  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
-         __builtin_cpu_supports("ssse3");
+__attribute__((target("sha,sse4.1,ssse3"))) void digest_shani(const std::uint32_t* midstate,
+                                                              const std::uint8_t* block,
+                                                              std::uint8_t* out) {
+  compress_shani<1>(&midstate, &block, nullptr, &out);
 }
 
-#endif  // FAIRSFE_SHA_NI
+__attribute__((target("sha,sse4.1,ssse3"))) void digest_shani_x2(const std::uint8_t* block0,
+                                                                 const std::uint8_t* block1,
+                                                                 std::uint8_t* out0,
+                                                                 std::uint8_t* out1) {
+  const std::uint32_t* const states[2] = {crypto_kernels::kSha256Iv, crypto_kernels::kSha256Iv};
+  const std::uint8_t* const blocks[2] = {block0, block1};
+  std::uint8_t* const digests[2] = {out0, out1};
+  compress_shani<2>(states, blocks, nullptr, digests);
+}
 
-}  // namespace
+#endif  // FAIRSFE_X86_KERNELS
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19},
-      buf_{} {}
-
-void Sha256::process_block(const std::uint8_t* block) {
-#ifdef FAIRSFE_SHA_NI
-  // Function-local so the cpuid probe cannot race static initialization in
-  // other translation units (scenario registration hashes at startup).
-  static const bool have_sha_ni = sha_ni_available();
-  if (have_sha_ni) {
-    process_block_hw(state_.data(), block);
+/// One compression: SHA-NI when the CPU has it, the portable loop otherwise.
+inline void compress(std::uint32_t* state, const std::uint8_t* block) {
+#ifdef FAIRSFE_X86_KERNELS
+  if (crypto_kernels::cpu_has_sha_ni()) {
+    crypto_kernels::sha256_compress_shani(state, block);
     return;
   }
 #endif
+  crypto_kernels::sha256_compress_portable(state, block);
+}
+
+/// The digest of the final `block` compressed into `midstate`.
+inline void finish_block(const std::uint32_t* midstate, const std::uint8_t* block,
+                         std::uint8_t* out) {
+#ifdef FAIRSFE_X86_KERNELS
+  if (crypto_kernels::cpu_has_sha_ni()) {
+    digest_shani(midstate, block, out);
+    return;
+  }
+#endif
+  std::uint32_t state[8];
+  std::memcpy(state, midstate, sizeof(state));
+  crypto_kernels::sha256_compress_portable(state, block);
+  put_digest(state, out);
+}
+
+}  // namespace
+
+namespace crypto_kernels {
+
+#ifdef FAIRSFE_X86_KERNELS
+
+__attribute__((target("sha,sse4.1,ssse3"))) void sha256_compress_shani(
+    std::uint32_t* state, const std::uint8_t* block) {
+  const std::uint32_t* const in = state;
+  compress_shani<1>(&in, &block, &state, nullptr);
+}
+
+bool cpu_has_sha_ni() {
+  // Function-local so the cpuid probe cannot race static initialization in
+  // other translation units (scenario registration hashes at startup).
+  static const bool have = __builtin_cpu_supports("sha") &&
+                           __builtin_cpu_supports("sse4.1") &&
+                           __builtin_cpu_supports("ssse3");
+  return have;
+}
+
+#else
+
+bool cpu_has_sha_ni() { return false; }
+
+#endif  // FAIRSFE_X86_KERNELS
+
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -206,8 +230,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -226,16 +250,54 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = t1 + t2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
 
+void sha256_finish_single_block(const std::uint32_t* midstate, std::uint64_t prefix_len,
+                                ByteView tail, std::uint8_t* out) {
+  FAIRSFE_DCHECK(tail.size() <= kSha256MaxSingleBlockTail, "tail needs a second block");
+  std::uint8_t block[Sha256::kBlockSize];
+  pad_single_block(block, prefix_len, tail);
+  finish_block(midstate, block, out);
+}
+
+void sha256_32(const std::uint8_t* in, std::uint8_t* out) {
+  std::uint8_t block[Sha256::kBlockSize];
+  pad_32(block, in);
+  finish_block(kSha256Iv, block, out);
+}
+
+void sha256_32x2(const std::uint8_t* in0, const std::uint8_t* in1, std::uint8_t* out0,
+                 std::uint8_t* out1) {
+  std::uint8_t block0[Sha256::kBlockSize], block1[Sha256::kBlockSize];
+  pad_32(block0, in0);
+  pad_32(block1, in1);
+#ifdef FAIRSFE_X86_KERNELS
+  if (cpu_has_sha_ni()) {
+    digest_shani_x2(block0, block1, out0, out1);
+    return;
+  }
+#endif
+  finish_block(kSha256Iv, block0, out0);
+  finish_block(kSha256Iv, block1, out1);
+}
+
+}  // namespace crypto_kernels
+
+Sha256::Sha256() {
+  std::memcpy(state_.data(), crypto_kernels::kSha256Iv, sizeof(crypto_kernels::kSha256Iv));
+}
+
+void Sha256::process_block(const std::uint8_t* block) {
+  compress(state_.data(), block);
+}
 Sha256& Sha256::update(ByteView data) {
   total_len_ += data.size();
   std::size_t off = 0;
@@ -271,19 +333,26 @@ Bytes Sha256::finish() {
   std::uint8_t len_be[8];
   for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
   std::memcpy(buf_.data() + 56, len_be, 8);
-  process_block(buf_.data());
 
   Bytes out(kDigestSize);
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-  }
+  finish_block(state_.data(), buf_.data(), out.data());
   return out;
 }
 
 Bytes sha256(ByteView data) {
+  // Short messages (every fork label, Lamport message and commitment
+  // opening) finish in one stack-padded block; a 32-byte one (a digest
+  // hashed again) takes the fixed entry, whose padding needs no byte stores.
+  if (data.size() <= crypto_kernels::kSha256MaxSingleBlockTail) {
+    Bytes out(Sha256::kDigestSize);
+    if (data.size() == 32) {
+      crypto_kernels::sha256_32(data.data(), out.data());
+    } else {
+      crypto_kernels::sha256_finish_single_block(crypto_kernels::kSha256Iv, 0, data,
+                                                 out.data());
+    }
+    return out;
+  }
   return Sha256().update(data).finish();
 }
 

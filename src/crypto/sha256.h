@@ -23,6 +23,9 @@ class Sha256 {
   Bytes finish();
 
  private:
+  /// HMAC finishes from the cached ipad/opad midstates (state_) directly.
+  friend class HmacSha256;
+
   void process_block(const std::uint8_t* block);
 
   std::array<std::uint32_t, 8> state_{};

@@ -28,7 +28,13 @@ ByteView line_bytes(const std::string& s) {
   return ByteView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 
-std::string quoted(const std::string& s) { return "\"" + json_escape(s) + "\""; }
+std::string quoted(const std::string& s) {
+  const std::string escaped = json_escape(s);
+  std::string out;
+  out.reserve(escaped.size() + 2);
+  out.append(1, '"').append(escaped).append(1, '"');
+  return out;
+}
 
 std::string error_event(const std::string& id, const std::string& message) {
   return "{\"event\":\"error\",\"id\":" + quoted(id) +
