@@ -13,7 +13,7 @@
 //   fairbench --filter opt2 --json out.json --runs 500 --threads 0
 //   fairbench --filter exp18 --json new.json --baseline BENCH_fault.json
 //   fairbench --filter gmw --preproc offline_ideal
-//   fairbench --filter exp01 --transport tcp --seed 7
+//   fairbench --filter exp01 --seed 7
 //
 // JSON: one scenario selected -> a single object, byte-compatible with the
 // files the old exp* binaries wrote (BENCH_*.json); several -> an array of
@@ -48,8 +48,7 @@ void print_usage() {
   std::printf(
       "usage: fairbench [--list] [--filter <glob|substring|tag>] [runs] [--runs N]\n"
       "                 [--threads N] [--json out.json] [--baseline old.json]\n"
-      "                 [--lanes {1,64}] [--target-ci H]\n"
-      "                 [--transport {inproc,tcp}] [--seed S] [--quiet]\n"
+      "                 [--lanes {1,64}] [--target-ci H] [--seed S] [--quiet]\n"
       "\n"
       "  --list       print the scenario table and exit\n"
       "  --filter     select scenarios by id glob, id substring, or tag glob\n"
@@ -68,9 +67,6 @@ void print_usage() {
       "  --target-ci  stop each estimation once its 95%% CI half-width\n"
       "               (1.96 * std_error) reaches H instead of always doing\n"
       "               the full run count; deterministic given (seed, H)\n"
-      "  --transport  delivery-leg transport: inproc (native, default) or tcp\n"
-      "               (framed messages over real loopback sockets); estimates\n"
-      "               are bit-identical across transports\n"
       "  --seed       replay the whole run under one master seed (overrides\n"
       "               every per-point seed; what fairbenchd's \"seed\" field\n"
       "               maps to)\n"
@@ -126,9 +122,12 @@ int main(int argc, char** argv) {
       print_usage();
       return 0;
     }
-    std::fprintf(stderr, "fairbench: ignoring unrecognized argument '%s'\n",
+  }
+  for (const std::string& extra : args.passthrough) {
+    std::fprintf(stderr, "fairbench: unrecognized argument '%s' (see --help)\n",
                  extra.c_str());
   }
+  if (!args.passthrough.empty()) return 2;
 
   experiments::Registry& reg = experiments::Registry::instance();
   if (args.list) {

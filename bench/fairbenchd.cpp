@@ -9,8 +9,7 @@
 // and the cross-request offline-batch cache warm, and shards estimate
 // requests across a persistent worker pool. Answers are bit-identical to
 // one-shot `fairbench` runs of the same (scenario, runs, seed, threads,
-// preproc, lanes, target_ci, transport) — both go through
-// service::run_scenario.
+// preproc, lanes, target_ci) — both go through service::run_scenario.
 //
 // SIGINT/SIGTERM (or the "shutdown" verb) drains gracefully: in-flight
 // estimates finish and are answered, connections are closed cleanly, the

@@ -65,9 +65,8 @@ of that contract machine-checked:
                             src/net. The process's entire network surface must
                             stay auditable from src/net/socket.cpp (its header
                             comment enumerates every raw call site); everything
-                            above it — transports, mesh, daemon, benches,
-                            tests — talks net::Stream / net::*Listener /
-                            net::tcp_connect*.
+                            above it — mesh, daemon, benches, tests — talks
+                            net::Stream / net::*Listener / net::tcp_connect*.
 
 Escape hatch: a finding is suppressed by `// LINT-ALLOW(rule): reason` on the
 same line or on a comment line directly above it. The reason is mandatory

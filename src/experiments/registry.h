@@ -67,7 +67,7 @@ struct ScenarioContext {
   /// The driver-amortized offline batch for spec.preproc (null under kInline
   /// or when the spec declares no budget — bodies needing more material
   /// generate their own with preproc::generate_batch).
-  std::shared_ptr<const mpc::preproc::CorrelatedRandomness> batch;
+  std::shared_ptr<const mpc::preproc::CorrelatedRandomness> batch{};
   /// Wall-clock cost of generating `batch` (0 when batch is null).
   double offline_seconds = 0.0;
 };

@@ -1,5 +1,7 @@
 #include "experiments/report.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -17,7 +19,17 @@ Args parse_args(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       a.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      a.threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      const char* v = argv[++i];
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long n = std::strtoull(v, &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
+          errno == ERANGE) {
+        std::fprintf(stderr, "%s: --threads must be a non-negative integer, got '%s'\n",
+                     argv[0], v);
+        std::exit(2);
+      }
+      a.threads = static_cast<std::size_t>(n);
     } else if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc) {
       const long v = std::strtol(argv[++i], nullptr, 10);
       if (v > 0) {
@@ -46,13 +58,6 @@ Args parse_args(int argc, char** argv) {
       // eat `--json` as the mode.
       if (i + 1 < argc && mpc::preproc::parse_preproc_mode(argv[i + 1])) {
         a.preproc = *mpc::preproc::parse_preproc_mode(argv[++i]);
-      } else {
-        a.passthrough.emplace_back(argv[i]);
-      }
-    } else if (std::strcmp(argv[i], "--transport") == 0) {
-      // Like --preproc: only a recognized transport word is consumed.
-      if (i + 1 < argc && sim::parse_transport_kind(argv[i + 1])) {
-        a.transport = *sim::parse_transport_kind(argv[++i]);
       } else {
         a.passthrough.emplace_back(argv[i]);
       }
@@ -86,7 +91,6 @@ Reporter::Reporter(const Args& args, std::size_t default_runs)
       preproc_(args.preproc),
       lanes_(args.lanes),
       target_ci_(args.target_ci),
-      transport_(args.transport),
       seed_override_(args.seed),
       quiet_(args.quiet),
       json_path_(args.json_path) {}
@@ -244,11 +248,6 @@ std::string Reporter::json_object() const {
               offline_[i].triples, offline_[i].seconds);
     }
     appendf(out, "%s]}", offline_.empty() ? "" : "\n  ");
-  }
-  // Same byte-stability pattern: the key appears only off the default path.
-  if (transport_ != sim::TransportKind::kInProc) {
-    appendf(out, ",\n  \"transport\": \"%s\"",
-            std::string(sim::to_string(transport_)).c_str());
   }
   appendf(out, "\n}");
   return out;

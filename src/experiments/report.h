@@ -18,8 +18,7 @@
 // CLI accepted by every harness (see bench::parse_args):
 //   fairbench [--list] [--filter <glob>] [runs] [--runs N] [--threads N]
 //             [--json out.json] [--baseline old.json] [--preproc <mode>]
-//             [--lanes {1,64}] [--target-ci <halfwidth>]
-//             [--transport {inproc,tcp}] [--seed S] [--quiet]
+//             [--lanes {1,64}] [--target-ci <halfwidth>] [--seed S] [--quiet]
 // where [runs] / --runs overrides the Monte-Carlo runs per point, --threads
 // feeds rpd::EstimatorOptions::threads (0 = one per hardware thread), --json
 // selects the machine-readable sink, and --preproc selects the
@@ -53,9 +52,8 @@
 //     "preproc": {"mode": str,
 //                 "offline": [{"provider": str, "triples": int,
 //                              "seconds": num}]}
-// and, when a transport other than inproc is active, a "transport" key
-// (string). Both sections are conditional so the schema — and every
-// historical BENCH_*.json — stays byte-stable under the defaults.
+// The section is conditional so the schema — and every historical
+// BENCH_*.json — stays byte-stable under the defaults.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +64,6 @@
 
 #include "mpc/preproc/mode.h"
 #include "rpd/estimator.h"
-#include "sim/transport.h"
 
 namespace fairsfe::experiments {
 struct ScenarioSpec;
@@ -93,10 +90,6 @@ struct Args {
   std::size_t lanes = 1;
   /// --target-ci <halfwidth>: sequential-stopping 95% CI half-width; 0 = off.
   double target_ci = 0.0;
-  /// --transport {inproc,tcp}: delivery-leg transport for every estimation
-  /// (rpd::EstimatorOptions::transport). Estimates are bit-identical across
-  /// transports; tcp additionally exercises the framed wire path.
-  sim::TransportKind transport = sim::TransportKind::kInProc;
   /// --seed S: replay the whole scenario under one master seed — overrides
   /// the seed of EVERY EstimatorOptions the Reporter hands out (scenario
   /// bodies hard-code per-point seeds; this replaces them all uniformly).
@@ -114,9 +107,10 @@ struct Args {
 };
 
 /// Parses the shared harness CLI out of argv. Unknown flags are collected and
-/// a non-numeric positional is passed through; the one hard error is a
-/// --lanes value other than 1 or util::kLaneWidth, which prints a message and
-/// exits with status 2.
+/// a non-numeric positional is passed through; callers decide whether those
+/// are errors. A --threads value that is not a non-negative integer and a
+/// --lanes value other than 1 or util::kLaneWidth print a message and exit
+/// with status 2.
 Args parse_args(int argc, char** argv);
 
 /// Paper-vs-measured table writer; one instance per scenario run.
@@ -149,11 +143,9 @@ class Reporter {
     o.preproc = preproc_;
     o.lanes = lanes_;
     o.target_ci = target_ci_;
-    o.transport = transport_;
     return o;
   }
 
-  [[nodiscard]] sim::TransportKind transport() const { return transport_; }
   /// The scenario's effective batch/base seed: the --seed override when one
   /// is set, otherwise `fallback` (normally the spec's base_seed).
   [[nodiscard]] std::uint64_t base_seed_or(std::uint64_t fallback) const {
@@ -225,7 +217,6 @@ class Reporter {
   mpc::preproc::PreprocMode preproc_ = mpc::preproc::PreprocMode::kInline;
   std::size_t lanes_ = 1;
   double target_ci_ = 0.0;
-  sim::TransportKind transport_ = sim::TransportKind::kInProc;
   std::optional<std::uint64_t> seed_override_;
   bool quiet_ = false;
   std::function<void(std::size_t, const std::string&)> row_sink_;

@@ -37,18 +37,18 @@ struct GmwConfig {
   circuit::Circuit circuit;
   /// output_map[p] lists the indices (into circuit.outputs()) that party p
   /// learns. Use public_output() for the everyone-learns-everything case.
-  std::vector<std::vector<std::size_t>> output_map;
+  std::vector<std::vector<std::size_t>> output_map{};
   /// Shared execution plan (AND-layer schedule + input wire maps), built once
   /// per circuit family and reused read-only by every party in every run.
   /// public_output() fills it; a null plan makes each GmwParty build its own.
-  std::shared_ptr<const circuit::CompiledCircuit> plan;
+  std::shared_ptr<const circuit::CompiledCircuit> plan{};
   /// How AND layers obtain their OT correlations. kInline keeps the classic
   /// per-layer ideal-OT round trips; the offline modes consume `preproc`.
   preproc::PreprocMode preproc_mode = preproc::PreprocMode::kInline;
   /// The offline batch, shared read-only across all parties/runs/threads of
   /// a scenario. Required (non-null, matching party count) when preproc_mode
   /// is an offline mode; ignored under kInline.
-  std::shared_ptr<const preproc::CorrelatedRandomness> preproc;
+  std::shared_ptr<const preproc::CorrelatedRandomness> preproc{};
 
   /// Fluent construction: GmwConfig::for_circuit(c).with_plan(p)
   /// .with_preproc(mode, store).build(). Replaces aggregate-initialization

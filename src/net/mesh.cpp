@@ -8,8 +8,8 @@ namespace fairsfe::net {
 
 namespace {
 
-/// Mesh handshake magic, distinct from the transport relay's so a fairparty
-/// process dialed by the wrong peer kind fails closed at the hello.
+/// Mesh handshake magic, so a fairparty process dialed by anything other
+/// than a mesh peer fails closed at the hello.
 const Bytes kMeshMagic = {'f', 's', 'f', 'e', 'm'};
 
 [[noreturn]] void fail(const std::string& what) {

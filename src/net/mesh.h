@@ -37,7 +37,6 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "sim/message.h"
-#include "sim/transport.h"
 
 namespace fairsfe::net {
 
@@ -53,6 +52,14 @@ struct MeshConfig {
   std::string listen_host = "127.0.0.1";
   std::uint16_t base_port = 9100;  ///< party i listens on base_port + i
   int connect_attempts = 120;      ///< retry budget for the startup race
+};
+
+/// Wire-cost counters, cumulative over the node's lifetime.
+struct MeshStats {
+  std::uint64_t frames = 0;      ///< frames sent (messages and round marks)
+  std::uint64_t wire_bytes = 0;  ///< encoded bytes written to the wire
+  std::uint64_t rounds = 0;      ///< exchange() calls (round barriers)
+  std::uint64_t reconnects = 0;  ///< connect attempts beyond the first
 };
 
 class MeshNode {
@@ -80,7 +87,7 @@ class MeshNode {
   RoundResult exchange(int round, const std::vector<sim::Message>& out,
                        bool self_done);
 
-  [[nodiscard]] const sim::TransportStats& stats() const { return stats_; }
+  [[nodiscard]] const MeshStats& stats() const { return stats_; }
   [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
 
  private:
@@ -100,7 +107,7 @@ class MeshNode {
   std::vector<Peer> peers_;  ///< every pid != self, sorted by pid
   SeqTracker send_seq_;
   SeqTracker recv_seq_;
-  sim::TransportStats stats_;
+  MeshStats stats_;
 };
 
 }  // namespace fairsfe::net

@@ -3,10 +3,9 @@
 // This directory is the only place in the tree allowed to touch raw socket
 // syscalls — the fairsfe-lint rule `raw-socket-access` confines
 // socket()/bind()/listen()/accept()/connect() and the <sys/socket.h> family
-// of includes to src/net/. Everything above (sim::Transport implementations,
-// the fairbenchd service, the fairparty mesh runner) speaks through these
-// wrappers, so auditing the process's network surface means auditing
-// src/net/socket.cpp.
+// of includes to src/net/. Everything above (the fairbenchd service, the
+// fairparty mesh runner) speaks through these wrappers, so auditing the
+// process's network surface means auditing src/net/socket.cpp.
 //
 // Determinism contract: wrappers never consult ambient randomness or
 // wall-clock time; the only clock used is std::chrono::steady_clock, and only

@@ -1,4 +1,4 @@
-// Deterministic wire codec for transported simulation messages.
+// Deterministic wire codec for simulation messages sent between processes.
 //
 // Every frame is a u32 little-endian length prefix followed by a body in the
 // repo's canonical crypto/bytes.h encoding:
@@ -16,7 +16,7 @@
 // mismatch, trailing bytes, or a truncated body all yield "malformed", never
 // a partially-trusted frame (tests/test_net.cpp fuzzes this). Sequence
 // numbers are validated separately by SeqTracker — exactly-once, in-order
-// per channel — so a duplicated, dropped, or reordered frame on a transport
+// per channel — so a duplicated, dropped, or reordered frame on a socket
 // stream is detected rather than silently perturbing an execution.
 #pragma once
 

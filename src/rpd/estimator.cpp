@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "experiments/registry.h"
-#include "net/tcp_transport.h"
 #include "util/bitmat.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -56,11 +55,9 @@ UtilityEstimate estimate_utility(const EstimationTarget& target, const PayoffMod
   FAIRSFE_CHECK(valid_lanes(opts.lanes),
                 "EstimatorOptions::lanes must be 1 or the machine lane width");
   // The sliced path runs honest protocol code directly, so a fault-plan
-  // override (which perturbs the engine's delivery) or a remote transport
-  // (which needs message routing to exist) forces the real engine.
+  // override (which perturbs the engine's delivery) forces the real engine.
   const bool use_sliced =
-      opts.lanes == util::kLaneWidth && target.sliced != nullptr && !opts.fault &&
-      opts.transport == sim::TransportKind::kInProc;
+      opts.lanes == util::kLaneWidth && target.sliced != nullptr && !opts.fault;
   FAIRSFE_CHECK(use_sliced || target.factory != nullptr,
                 "estimate_utility: no scalar factory for the scalar path");
   if (use_sliced) {
@@ -128,11 +125,6 @@ UtilityEstimate estimate_utility(const EstimationTarget& target, const PayoffMod
       if (setup.bind_run) setup.bind_run(i);
       if (opts.fault) setup.engine.fault = *opts.fault;
       if (opts.round_timeout >= 0) setup.engine.round_timeout = opts.round_timeout;
-      if (opts.transport != sim::TransportKind::kInProc) {
-        // One lazily-built transport per worker thread, reused across every
-        // run this worker executes (sockets outlive the run, not the shard).
-        setup.engine.transport = net::thread_local_transport(opts.transport);
-      }
       const std::size_t n = setup.parties.size();
       auto j_predicate = setup.honest_got_output;
       auto i_predicate = setup.adversary_learned;

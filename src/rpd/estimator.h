@@ -33,7 +33,6 @@
 #include "rpd/payoff.h"
 #include "rpd/payoff_model.h"
 #include "sim/engine.h"
-#include "sim/transport.h"
 
 namespace fairsfe::experiments {
 struct ScenarioSpec;
@@ -119,11 +118,11 @@ struct EstimatorOptions {
   /// estimation may halt before the requested run count: earlier calls report
   /// total = requested runs, and one last call reports (stopped, stopped) so
   /// sinks keyed on done == total terminate instead of hanging at 98%.
-  std::function<void(std::size_t done, std::size_t total)> progress;
+  std::function<void(std::size_t done, std::size_t total)> progress{};
   /// Fault-plan override: when set, it replaces each run's
   /// `setup.engine.fault` after the factory builds it, so one factory can be
   /// swept across fault severities (exp18) without rebuilding setups.
-  std::optional<sim::fault::FaultPlan> fault;
+  std::optional<sim::fault::FaultPlan> fault{};
   /// `ExecutionOptions::round_timeout` override; < 0 keeps the factory's
   /// value.
   int round_timeout = -1;
@@ -147,20 +146,7 @@ struct EstimatorOptions {
   /// beyond the stop point are discarded, so the estimate is bit-identical
   /// for every `threads` setting. 0 disables stopping.
   double target_ci = 0.0;
-  /// Delivery-leg transport for every run's engine (sim/transport.h).
-  /// kInProc (the default) is the native zero-copy path, bit-identical to
-  /// the pre-transport estimator. kTcp routes every mailbox leg through a
-  /// per-worker-thread net::TcpTransport — real kernel sockets, framed wire
-  /// codec — and forces the scalar engine (the sliced path does no message
-  /// routing). Transports NEVER change the estimate: mailbox order is
-  /// preserved, so utilities are bit-identical across transports.
-  sim::TransportKind transport = sim::TransportKind::kInProc;
 
-  [[nodiscard]] EstimatorOptions with_transport(sim::TransportKind t) const {
-    EstimatorOptions o = *this;
-    o.transport = t;
-    return o;
-  }
   [[nodiscard]] EstimatorOptions with_lanes(std::size_t l) const {
     EstimatorOptions o = *this;
     o.lanes = l;

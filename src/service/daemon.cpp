@@ -15,7 +15,6 @@
 #include "service/json.h"
 #include "service/runner.h"
 #include "service/signals.h"
-#include "sim/transport.h"
 #include "util/bitmat.h"
 
 namespace fairsfe::service {
@@ -164,12 +163,18 @@ void Daemon::handle_connection(std::shared_ptr<Conn> conn) {
     if (n == 0) break;  // client EOF
     linebuf.append(reinterpret_cast<const char*>(chunk.data()), n);
     std::size_t nl;
-    while ((nl = linebuf.find('\n')) != std::string::npos) {
+    while ((nl = linebuf.find('\n')) != std::string::npos && nl <= kMaxRequestLine) {
       std::string line = linebuf.substr(0, nl);
       linebuf.erase(0, nl + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       dispatch(line, conn);
+    }
+    if (linebuf.size() > kMaxRequestLine) {
+      conn->write_event(error_event(
+          "", "request line longer than " + std::to_string(kMaxRequestLine) +
+                  " bytes; closing the connection"));
+      break;
     }
   }
   // Never close under a client's feet: answers for requests already accepted
@@ -270,14 +275,6 @@ void Daemon::handle_estimate(const JsonValue& req,
     return;
   }
   args.preproc = *mode;
-  const std::string transport = req.get_string("transport", "inproc");
-  const auto kind = sim::parse_transport_kind(transport);
-  if (!kind) {
-    conn->write_event(error_event(id, "unknown transport '" + transport +
-                                          "' (expected inproc|tcp)"));
-    return;
-  }
-  args.transport = *kind;
 
   {
     std::lock_guard<std::mutex> lock(conn->mu);

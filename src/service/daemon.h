@@ -12,7 +12,7 @@
 //
 //   {"verb": "estimate", "scenario": "exp05_nparty_bounds",
 //    "runs": 400, "seed": 7, "threads": 2, "preproc": "offline_ideal",
-//    "lanes": 1, "target_ci": 0.0, "transport": "inproc", "id": "r1"}
+//    "lanes": 1, "target_ci": 0.0, "id": "r1"}
 //   {"verb": "list"}
 //   {"verb": "status"}
 //   {"verb": "shutdown"}
@@ -21,9 +21,11 @@
 // like the fairbench CLI flag of the same name (absent "runs" = the spec's
 // default_runs, absent "seed" = the scenario's hard-coded per-point seeds).
 // "id" is an opaque client token echoed on every response event for that
-// request, so one connection can pipeline requests. An invalid field (runs 0,
-// lanes other than 1 or 64, an unknown preproc or transport) gets an "error"
-// event; the connection stays open.
+// request, so one connection can pipeline requests. Unknown keys are
+// ignored. An invalid field (runs 0, lanes other than 1 or 64, an unknown
+// preproc) gets an "error" event; the connection stays open. A request line
+// longer than kMaxRequestLine bytes gets one "error" event, and the daemon
+// then closes that connection (other connections are unaffected).
 //
 // Response events (all single-line JSON objects with an "event" key):
 //
@@ -69,6 +71,11 @@
 namespace fairsfe::service {
 
 class JsonValue;
+
+/// Longest request line the daemon buffers, in bytes; real requests are a
+/// few hundred. A longer line is answered with one "error" event and its
+/// connection is closed, so no client can grow the line buffer without bound.
+inline constexpr std::size_t kMaxRequestLine = 64 * 1024;
 
 struct DaemonConfig {
   /// Non-empty: listen on this unix-domain socket path (preferred for local

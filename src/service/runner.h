@@ -38,7 +38,7 @@ struct ScenarioRunResult {
 using RowSink = std::function<void(std::size_t, const std::string&)>;
 
 /// Run one registered scenario under `args` (runs/threads/seed/preproc/
-/// lanes/target_ci/transport/quiet all honored; args.json_path is ignored —
+/// lanes/target_ci/quiet all honored; args.json_path is ignored —
 /// the caller owns the sink). `cache_batches` turns on the cross-request
 /// offline-batch cache (the daemon sets it; one-shot fairbench does not need
 /// it and measures a fresh offline phase instead).

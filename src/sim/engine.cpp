@@ -1,12 +1,9 @@
 #include "sim/engine.h"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "sim/fault/injector.h"
-#include "sim/transport.h"
 #include "util/check.h"
 
 namespace fairsfe::sim {
@@ -37,12 +34,6 @@ struct RoundBuf {
   std::vector<Message> msgs;
   std::vector<std::vector<std::uint32_t>> mail;  // index = PartyId
   std::vector<std::uint32_t> func_mail;          // kFunc-addressed traffic
-  /// Count of locally-sent messages in `msgs`. Under a remote transport the
-  /// buffer additionally holds wire copies appended when the next round
-  /// collects its deliveries; all() (the adversary's tap) spans only the
-  /// originals, so the adversary's view is identical to the in-process run.
-  /// Sentinel "everything" while the round is still routing.
-  std::size_t originals = std::numeric_limits<std::size_t>::max();
 
   explicit RoundBuf(std::size_t n) : mail(n) {}
 
@@ -50,7 +41,6 @@ struct RoundBuf {
     msgs.clear();
     for (auto& box : mail) box.clear();
     func_mail.clear();
-    originals = std::numeric_limits<std::size_t>::max();
   }
 
   [[nodiscard]] MsgView mailbox(PartyId pid) const {
@@ -68,7 +58,7 @@ struct RoundBuf {
     return MsgView(msgs.data(), func_mail.data(), func_mail.size());
   }
   [[nodiscard]] MsgView all() const {
-    return MsgView(msgs.data(), std::min(originals, msgs.size()));
+    return MsgView(msgs.data(), msgs.size());
   }
 };
 
@@ -223,24 +213,11 @@ ExecutionResult Engine::run() {
 
   RoutingStats& stats = result.stats;
 
-  // The delivery-leg transport seam. nullptr (the default, and any kInProc
-  // transport) keeps the native direct-mailbox path; a remote transport has
-  // every leg shipped during round r and read back at round r+1.
-  Transport* const remote =
-      (cfg_.transport != nullptr &&
-       cfg_.transport->kind() != TransportKind::kInProc)
-          ? cfg_.transport
-          : nullptr;
-
   // Commit one delivery leg: the terminal act of routing, appending the
   // message index to the recipient's mailbox (rcpt == kFunc selects the
-  // hybrid slot). Under a remote transport the leg is shipped instead and
-  // the mailbox filled when the next round collects — in ship order, so
-  // mailbox contents are bit-identical either way.
+  // hybrid slot).
   const auto commit = [&](RoundBuf& buf, PartyId rcpt, std::uint32_t idx) {
-    if (remote != nullptr) {
-      remote->ship(rcpt, buf.msgs[idx], ctx_->round());
-    } else if (rcpt == kFunc) {
+    if (rcpt == kFunc) {
       buf.func_mail.push_back(idx);
     } else {
       buf.mail[static_cast<std::size_t>(rcpt)].push_back(idx);
@@ -286,8 +263,7 @@ ExecutionResult Engine::run() {
 
     // Per-recipient fate of one delivery leg (messages collected at round r
     // are consumed at round r+1, hence the crash check against r+1). Fates
-    // are drawn *before* the surviving leg is committed/shipped: faults are
-    // the modeled network, the transport underneath is reliable.
+    // are drawn *before* the surviving leg is committed.
     const auto route_leg = [&](PartyId rcpt) {
       if (rcpt == from || ctx_->is_corrupted(rcpt)) {
         commit(buf, rcpt, idx);
@@ -354,24 +330,6 @@ ExecutionResult Engine::run() {
   for (; r < cfg_.max_rounds; ++r) {
     ctx_->set_round(r);
     cur->clear();
-
-    // Remote transport: round r-1's shipped legs come off the wire now,
-    // filling the mailboxes the parties are about to consume. Wire copies
-    // land beyond `originals`, so prev->all() (the adversary's tap) still
-    // spans exactly the locally-sent messages. Must run before anything
-    // ships round-r legs (take_due below does).
-    if (remote != nullptr && r > 0) {
-      prev->originals = prev->msgs.size();
-      for (Delivery& leg : remote->collect(r - 1)) {
-        const auto idx = static_cast<std::uint32_t>(prev->msgs.size());
-        if (leg.rcpt == kFunc) {
-          prev->func_mail.push_back(idx);
-        } else {
-          prev->mail[static_cast<std::size_t>(leg.rcpt)].push_back(idx);
-        }
-        prev->msgs.push_back(std::move(leg.msg));
-      }
-    }
 
     if (injector) {
       injector->tick(r, fstats);

@@ -32,8 +32,6 @@
 
 namespace fairsfe::sim {
 
-class Transport;  // sim/transport.h — the mailbox-delivery seam
-
 struct ExecutionOptions {
   int max_rounds = 512;
   /// Record every round's messages in ExecutionResult::transcript. Off by
@@ -56,17 +54,6 @@ struct ExecutionOptions {
   /// or to install the inline ideal-OT hub. kInline is bit-identical to the
   /// pre-split engine.
   mpc::preproc::PreprocMode preproc = mpc::preproc::PreprocMode::kInline;
-  /// Delivery-leg transport (sim/transport.h). Borrowed, not owned; one
-  /// transport may serve many sequential executions. nullptr — or any
-  /// transport reporting TransportKind::kInProc — selects the engine's
-  /// native zero-copy mailbox path, byte-identical to the pre-transport
-  /// engine. A remote transport (net::TcpTransport) has every mailbox leg
-  /// shipped through it during round r and read back, in ship order, when
-  /// round r's mailboxes are consumed at round r+1; executions stay
-  /// bit-identical because mailbox order is preserved. Fault injection sits
-  /// above the transport: fates are drawn before ship, so a TCP run replays
-  /// the in-process fault schedule exactly.
-  Transport* transport = nullptr;
 };
 
 /// Legacy name for ExecutionOptions.

@@ -90,7 +90,7 @@ INSTANTIATE_TEST_SUITE_P(PartySweep, GmwPartyCountTest, ::testing::Values(2, 3, 
 TEST(Gmw, PrivateOutputsOnlyReachOwner) {
   // Swap circuit with output_map giving each party only its own half.
   circuit::Circuit c = circuit::make_swap_circuit(8);
-  GmwConfig cfg{c, {{}, {}}, {}};
+  GmwConfig cfg{.circuit = c, .output_map = {{}, {}}};
   for (std::size_t i = 0; i < 8; ++i) cfg.output_map[0].push_back(i);        // x2 -> p0
   for (std::size_t i = 8; i < 16; ++i) cfg.output_map[1].push_back(i);       // x1 -> p1
   auto shared = std::make_shared<const GmwConfig>(std::move(cfg));

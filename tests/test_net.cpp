@@ -1,8 +1,7 @@
 // Network subsystem tests (ISSUE 8): the wire codec fails closed under
 // malformed input (truncation, oversized length prefixes, corruption,
-// duplicated sequence numbers), the TCP transport reproduces the in-process
-// delivery order bit-for-bit, and the multi-process mesh merges a lockstep
-// round into the engine's canonical mailbox order.
+// duplicated sequence numbers), and the multi-process mesh merges a lockstep
+// round into the engine's canonical mailbox order over real sockets.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,10 +11,7 @@
 #include "crypto/rng.h"
 #include "net/mesh.h"
 #include "net/socket.h"
-#include "net/tcp_transport.h"
 #include "net/wire.h"
-#include "sim/engine.h"
-#include "sim/transport.h"
 
 namespace fairsfe::net {
 namespace {
@@ -190,153 +186,16 @@ TEST(Wire, SeqTrackerNextMatchesAccept) {
   EXPECT_EQ(sender.next(0, 1), 6u);
 }
 
-// --- Transport --------------------------------------------------------------
+// --- Mesh -------------------------------------------------------------------
 
-using sim::Delivery;
-using sim::InProcTransport;
 using sim::Message;
 
-/// Ship a deterministic pseudo-random delivery schedule into `t` and return
-/// collect()'s answer per round. The same seed must produce the same legs on
-/// every transport, making any two implementations directly comparable.
-std::vector<std::vector<Delivery>> drive_schedule(sim::Transport& t,
-                                                  std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<Delivery>> collected;
-  for (int round = 0; round < 5; ++round) {
-    const std::size_t legs = rng.u64() % 6;  // rounds may ship nothing
-    for (std::size_t i = 0; i < legs; ++i) {
-      Message m;
-      m.from = static_cast<sim::PartyId>(rng.u64() % 3);
-      m.to = (rng.u64() % 4 == 0) ? sim::kBroadcast
-                                  : static_cast<sim::PartyId>(rng.u64() % 3);
-      m.payload.resize(rng.u64() % 32);
-      for (auto& b : m.payload) b = static_cast<std::uint8_t>(rng.u64());
-      const auto rcpt = static_cast<sim::PartyId>(rng.u64() % 3);
-      t.ship(rcpt, m, round);
-    }
-    collected.push_back(t.collect(round));
-  }
-  return collected;
+/// Payload label "<kind><pid>", e.g. "b2" for party 2's broadcast.
+std::string label(char kind, int pid) {
+  std::string out(1, kind);
+  out += std::to_string(pid);
+  return out;
 }
-
-void expect_same_deliveries(const std::vector<std::vector<Delivery>>& a,
-                            const std::vector<std::vector<Delivery>>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    ASSERT_EQ(a[r].size(), b[r].size()) << "round " << r;
-    for (std::size_t i = 0; i < a[r].size(); ++i) {
-      EXPECT_EQ(a[r][i].rcpt, b[r][i].rcpt) << r << "/" << i;
-      EXPECT_EQ(a[r][i].msg.from, b[r][i].msg.from) << r << "/" << i;
-      EXPECT_EQ(a[r][i].msg.to, b[r][i].msg.to) << r << "/" << i;
-      EXPECT_EQ(a[r][i].msg.payload, b[r][i].msg.payload) << r << "/" << i;
-    }
-  }
-}
-
-TEST(Transport, InProcCollectReturnsShipOrderPerRound) {
-  InProcTransport t;
-  Message a{0, 1, bytes_of("a")};
-  Message b{1, sim::kBroadcast, bytes_of("b")};
-  t.ship(1, a, 0);
-  t.ship(2, b, 0);
-  const auto r0 = t.collect(0);
-  ASSERT_EQ(r0.size(), 2u);
-  EXPECT_EQ(r0[0].rcpt, 1);
-  EXPECT_EQ(r0[0].msg.payload, bytes_of("a"));
-  EXPECT_EQ(r0[1].rcpt, 2);
-  EXPECT_EQ(r0[1].msg.to, sim::kBroadcast);
-  t.ship(0, a, 1);
-  const auto r1 = t.collect(1);
-  ASSERT_EQ(r1.size(), 1u);
-  EXPECT_EQ(r1[0].rcpt, 0);
-  EXPECT_TRUE(t.collect(2).empty());  // empty rounds are legal
-  // A leg shipped for a round that is never collected (the final round of an
-  // execution) is discarded at the next collect, not delivered late.
-  t.ship(1, a, 3);
-  EXPECT_TRUE(t.collect(4).empty());
-  EXPECT_TRUE(t.collect(3).empty());
-}
-
-TEST(Transport, TcpReproducesInProcDeliveryOrder) {
-  // The ordering oracle: the same ship schedule through a real kernel TCP
-  // socket pair must come back exactly as the reference FIFO returns it.
-  InProcTransport ref;
-  TcpTransport tcp;
-  const auto expected = drive_schedule(ref, 0xfeedface);
-  const auto actual = drive_schedule(tcp, 0xfeedface);
-  expect_same_deliveries(expected, actual);
-  const sim::TransportStats st = tcp.stats();
-  EXPECT_GT(st.frames, 0u);
-  EXPECT_GT(st.wire_bytes, 0u);
-  EXPECT_EQ(st.rounds, 5u);
-  EXPECT_EQ(ref.stats().wire_bytes, 0u);  // nothing serialized in-process
-}
-
-TEST(Transport, TcpInstanceServesSequentialExecutions) {
-  // One transport per worker thread is reused across Monte-Carlo runs; seq
-  // streams and framing must survive a second independent schedule.
-  TcpTransport tcp;
-  InProcTransport ref1;
-  expect_same_deliveries(drive_schedule(ref1, 11), drive_schedule(tcp, 11));
-  InProcTransport ref2;
-  expect_same_deliveries(drive_schedule(ref2, 22), drive_schedule(tcp, 22));
-}
-
-// Pingpong party: broadcasts in round 0, then echoes received payload sizes
-// point-to-point around a ring; output is a digest of everything seen.
-class PingPong final : public sim::PartyBase<PingPong> {
- public:
-  PingPong(sim::PartyId id, int n) : PartyBase(id), n_(n) {}
-
-  std::vector<Message> on_round(int round, sim::MsgView in) override {
-    for (const Message& m : in) {
-      log_ += std::to_string(round) + ":" + std::to_string(m.from) + ":" +
-              std::to_string(m.payload.size()) + ";";
-    }
-    std::vector<Message> out;
-    if (round == 0) {
-      out.push_back(Message{id_, sim::kBroadcast,
-                            Bytes(static_cast<std::size_t>(id_) + 1, 0xab)});
-    } else if (round < 4) {
-      out.push_back(Message{id_, (id_ + 1) % n_, bytes_of(log_)});
-    }
-    if (round >= 4) finish(bytes_of(log_));
-    return out;
-  }
-
-  void on_abort() override { finish_bot(); }
-
- private:
-  int n_;
-  std::string log_;
-};
-
-TEST(Transport, EngineExecutionBitIdenticalAcrossTransports) {
-  // The same protocol, the same rng, once over the native mailbox path and
-  // once with every delivery leg round-tripped through TCP: outputs and the
-  // full transcript must match bit for bit.
-  const auto run_with = [](sim::Transport* transport) {
-    std::vector<std::unique_ptr<sim::IParty>> parties;
-    for (int i = 0; i < 3; ++i) parties.push_back(std::make_unique<PingPong>(i, 3));
-    sim::ExecutionOptions cfg;
-    cfg.record_transcript = true;
-    cfg.transport = transport;
-    return run_honest(std::move(parties), Rng(99), cfg);
-  };
-  const sim::ExecutionResult native = run_with(nullptr);
-  TcpTransport tcp;
-  const sim::ExecutionResult remote = run_with(&tcp);
-  ASSERT_EQ(native.outputs.size(), remote.outputs.size());
-  for (std::size_t i = 0; i < native.outputs.size(); ++i) {
-    EXPECT_EQ(native.outputs[i], remote.outputs[i]) << "party " << i;
-  }
-  EXPECT_EQ(native.rounds, remote.rounds);
-  EXPECT_EQ(native.transcript_lines(), remote.transcript_lines());
-  EXPECT_GT(tcp.stats().frames, 0u);  // the remote run really used the wire
-}
-
-// --- Mesh -------------------------------------------------------------------
 
 TEST(Mesh, ThreeProcessLockstepMatchesEngineMailboxOrder) {
   constexpr std::uint16_t kBase = 24310;
@@ -358,10 +217,8 @@ TEST(Mesh, ThreeProcessLockstepMatchesEngineMailboxOrder) {
       for (int round = 0; round < 3; ++round) {
         std::vector<Message> out;
         if (round < 2) {
-          out.push_back(Message{i, sim::kBroadcast,
-                                bytes_of("b" + std::to_string(i))});
-          out.push_back(Message{i, (i + 1) % kParties,
-                                bytes_of("p" + std::to_string(i))});
+          out.push_back(Message{i, sim::kBroadcast, bytes_of(label('b', i))});
+          out.push_back(Message{i, (i + 1) % kParties, bytes_of(label('p', i))});
         }
         // Round 1: only party 0 claims done -> all_done must stay false.
         const bool self_done = (round == 2) || (round == 1 && i == 0);
@@ -387,8 +244,8 @@ TEST(Mesh, ThreeProcessLockstepMatchesEngineMailboxOrder) {
     }
     std::vector<std::pair<int, std::string>> want;
     for (int s = 0; s < kParties; ++s) {
-      want.emplace_back(s, "b" + std::to_string(s));
-      if ((s + 1) % kParties == i) want.emplace_back(s, "p" + std::to_string(s));
+      want.emplace_back(s, label('b', s));
+      if ((s + 1) % kParties == i) want.emplace_back(s, label('p', s));
     }
     EXPECT_EQ(got, want) << "party " << i << " round 0";
     EXPECT_EQ(logs[i].inboxes[2].size(), 0u) << "round 2 ships nothing";

@@ -1,14 +1,15 @@
-// fairbenchd daemon tests (ISSUE 8): a daemon answer is bit-identical to a
-// one-shot fairbench run of the same (scenario, seed, runs) — across inproc
-// and tcp transports and across daemon worker counts — and the NDJSON
-// control surface (list/status/shutdown, error handling, concurrent
-// requests) behaves as documented in service/daemon.h.
+// fairbenchd daemon tests: a daemon answer is bit-identical to a one-shot
+// fairbench run of the same (scenario, seed, runs) — across daemon worker
+// counts — and the NDJSON control surface (list/status/shutdown, error
+// handling, over-long lines, concurrent requests) behaves as documented in
+// service/daemon.h.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -27,19 +28,23 @@ namespace {
 
 constexpr const char* kScenario = "exp01_contract_fairness";
 
+/// How long a client waits for the daemon's next bytes before failing.
+constexpr std::chrono::seconds kReadTimeout(30);
+
 /// Line-oriented NDJSON client over a connected stream.
 class Client {
  public:
   explicit Client(net::Stream s) : stream_(std::move(s)) {}
 
-  void send(const std::string& line) {
-    const std::string framed = line + "\n";
+  void send(const std::string& line) { send_raw(line + "\n"); }
+
+  void send_raw(const std::string& bytes) {
     stream_.write_all(ByteView(
-        reinterpret_cast<const std::uint8_t*>(framed.data()), framed.size()));
+        reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
   }
 
-  /// Next response line (blocking; throws on EOF so a hung daemon fails the
-  /// test instead of deadlocking it).
+  /// Next response line. Throws on EOF or after kReadTimeout without data,
+  /// so a closed or hung daemon fails the test instead of deadlocking it.
   std::string read_line() {
     for (;;) {
       const std::size_t nl = buf_.find('\n');
@@ -48,12 +53,12 @@ class Client {
         buf_.erase(0, nl + 1);
         return line;
       }
-      std::uint8_t chunk[4096];
-      const std::size_t n = stream_.read_some(chunk);
-      if (n == 0) throw std::runtime_error("daemon closed the connection");
-      buf_.append(reinterpret_cast<const char*>(chunk), n);
+      if (read_chunk() == 0) throw std::runtime_error("daemon closed the connection");
     }
   }
+
+  /// True when the daemon closes the connection with no unread line left.
+  bool closed_by_daemon() { return buf_.empty() && read_chunk() == 0; }
 
   /// Read until an event line of the given type arrives; progress lines in
   /// between are counted, any other non-progress event fails the test.
@@ -74,6 +79,17 @@ class Client {
   }
 
  private:
+  /// Append the next bytes to buf_; 0 means EOF.
+  std::size_t read_chunk() {
+    if (!stream_.readable_for(kReadTimeout)) {
+      throw std::runtime_error("no answer from the daemon");
+    }
+    std::uint8_t chunk[4096];
+    const std::size_t n = stream_.read_some(chunk);
+    buf_.append(reinterpret_cast<const char*>(chunk), n);
+    return n;
+  }
+
   net::Stream stream_;
   std::string buf_;
 };
@@ -112,10 +128,14 @@ class DaemonFixture {
 /// Zero out the value of a numeric timing key everywhere in a JSON string:
 /// wall-clock fields are the one part of a report that legitimately differs
 /// between two bit-identical estimates.
-std::string scrub_key(std::string json, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t pos = 0;
-  while ((pos = json.find(needle, pos)) != std::string::npos) {
+std::string scrub_key(const std::string& json, const std::string& key) {
+  std::string needle = "\"";
+  needle.append(key).append("\":");
+  std::string out;
+  out.reserve(json.size());
+  std::size_t from = 0;
+  std::size_t pos;
+  while ((pos = json.find(needle, from)) != std::string::npos) {
     std::size_t v = pos + needle.size();
     while (v < json.size() && json[v] == ' ') ++v;
     std::size_t end = v;
@@ -125,10 +145,11 @@ std::string scrub_key(std::string json, const std::string& key) {
             json[end] == 'e' || json[end] == 'E')) {
       ++end;
     }
-    json.replace(v, end - v, "0");
-    pos = v;
+    out.append(json, from, v - from).push_back('0');
+    from = end;
   }
-  return json;
+  out.append(json, from);
+  return out;
 }
 
 std::string scrub_timing(std::string json) {
@@ -138,22 +159,10 @@ std::string scrub_timing(std::string json) {
   return json;
 }
 
-/// Remove the report's transport annotation. A non-inproc run records its
-/// transport kind as a trailing metadata key (inproc runs omit it so the
-/// historical BENCH goldens stay byte-stable); stripping it is what lets a
-/// tcp report be compared byte-for-byte against the inproc answer.
-std::string scrub_transport(std::string json) {
-  const std::string needle = ",  \"transport\": \"tcp\"";
-  const std::size_t pos = json.find(needle);
-  if (pos != std::string::npos) json.erase(pos, needle.size());
-  return json;
-}
-
 /// The one-shot answer the daemon must reproduce: service::run_scenario with
 /// the very Args an estimate request describes, flattened to one line the
 /// way the daemon frames reports (strip '\n'), timing scrubbed.
-std::string one_shot_report(std::size_t runs, std::uint64_t seed,
-                            sim::TransportKind transport) {
+std::string one_shot_report(std::size_t runs, std::uint64_t seed) {
   const experiments::ScenarioSpec* spec =
       experiments::Registry::instance().find(kScenario);
   EXPECT_NE(spec, nullptr);
@@ -162,7 +171,6 @@ std::string one_shot_report(std::size_t runs, std::uint64_t seed,
   args.runs = runs;
   args.runs_set = true;
   args.seed = seed;
-  args.transport = transport;
   const ScenarioRunResult res = run_scenario(*spec, args);
   std::string json = res.json;
   json.erase(std::remove(json.begin(), json.end(), '\n'), json.end());
@@ -170,11 +178,10 @@ std::string one_shot_report(std::size_t runs, std::uint64_t seed,
 }
 
 std::string estimate_request(const std::string& id, std::size_t runs,
-                             std::uint64_t seed, const std::string& transport) {
+                             std::uint64_t seed) {
   return std::string("{\"verb\":\"estimate\",\"scenario\":\"") + kScenario +
          "\",\"runs\":" + std::to_string(runs) +
-         ",\"seed\":" + std::to_string(seed) + ",\"transport\":\"" + transport +
-         "\",\"id\":\"" + id + "\"}";
+         ",\"seed\":" + std::to_string(seed) + ",\"id\":\"" + id + "\"}";
 }
 
 /// Extract the report object from a result event line (it is the value of
@@ -192,10 +199,10 @@ std::string report_of(const std::string& result_line) {
 }
 
 TEST(Service, DaemonAnswerBitIdenticalToOneShot) {
-  const std::string expected = one_shot_report(12, 5, sim::TransportKind::kInProc);
+  const std::string expected = one_shot_report(12, 5);
   DaemonFixture fx(2);
   Client c = fx.client();
-  c.send(estimate_request("r1", 12, 5, "inproc"));
+  c.send(estimate_request("r1", 12, 5));
   int progress = 0;
   const std::string line = c.read_until_event("result", &progress);
   EXPECT_GT(progress, 0) << "no progress events streamed";
@@ -205,28 +212,12 @@ TEST(Service, DaemonAnswerBitIdenticalToOneShot) {
   EXPECT_EQ(scrub_timing(report_of(line)), expected);
 }
 
-TEST(Service, DaemonAnswerBitIdenticalAcrossTransports) {
-  // tcp must change the delivery mechanics, never an estimate byte: apart
-  // from the transport annotation key, the one-shot tcp report equals the
-  // one-shot inproc report, and the daemon's tcp answer equals both.
-  const std::string inproc = one_shot_report(10, 3, sim::TransportKind::kInProc);
-  const std::string tcp = one_shot_report(10, 3, sim::TransportKind::kTcp);
-  EXPECT_NE(tcp.find("\"transport\": \"tcp\""), std::string::npos);
-  EXPECT_EQ(inproc, scrub_transport(tcp));
-  DaemonFixture fx(1);
-  Client c = fx.client();
-  c.send(estimate_request("t1", 10, 3, "tcp"));
-  const std::string daemon_tcp = scrub_timing(report_of(c.read_until_event("result")));
-  EXPECT_EQ(daemon_tcp, tcp);
-  EXPECT_EQ(scrub_transport(daemon_tcp), inproc);
-}
-
 TEST(Service, DaemonAnswerBitIdenticalAcrossWorkerCounts) {
-  const std::string expected = one_shot_report(10, 9, sim::TransportKind::kInProc);
+  const std::string expected = one_shot_report(10, 9);
   for (const std::size_t workers : {1u, 2u, 8u}) {
     DaemonFixture fx(workers);
     Client c = fx.client();
-    c.send(estimate_request("w", 10, 9, "inproc"));
+    c.send(estimate_request("w", 10, 9));
     EXPECT_EQ(scrub_timing(report_of(c.read_until_event("result"))), expected)
         << workers << " workers";
   }
@@ -236,7 +227,7 @@ TEST(Service, ConcurrentRequestsAllAnsweredIdentically) {
   // Three connections, two pipelined requests each, one shared worker pool:
   // every request is answered, ids route to the right caller, and identical
   // requests yield identical reports regardless of scheduling.
-  const std::string expected = one_shot_report(8, 21, sim::TransportKind::kInProc);
+  const std::string expected = one_shot_report(8, 21);
   DaemonFixture fx(4);
   std::vector<std::string> reports(6);
   std::vector<std::thread> clients;
@@ -245,8 +236,8 @@ TEST(Service, ConcurrentRequestsAllAnsweredIdentically) {
       Client c = fx.client();
       const std::string id0 = "c" + std::to_string(cidx) + "a";
       const std::string id1 = "c" + std::to_string(cidx) + "b";
-      c.send(estimate_request(id0, 8, 21, "inproc"));
-      c.send(estimate_request(id1, 8, 21, "inproc"));
+      c.send(estimate_request(id0, 8, 21));
+      c.send(estimate_request(id1, 8, 21));
       for (int got = 0; got < 2; ++got) {
         const std::string line = c.read_until_event("result");
         const bool is0 = line.find("\"id\":\"" + id0 + "\"") != std::string::npos;
@@ -291,7 +282,7 @@ TEST(Service, StatusCountsServedRequests) {
   EXPECT_NE(line.find("\"served\":0"), std::string::npos) << line;
   EXPECT_NE(line.find("\"workers\":1"), std::string::npos) << line;
   EXPECT_NE(line.find("\"connections\":1"), std::string::npos) << line;
-  c.send(estimate_request("s1", 8, 1, "inproc"));
+  c.send(estimate_request("s1", 8, 1));
   c.read_until_event("result");
   // A status issued after the result was read must observe it as served.
   c.send("{\"verb\":\"status\"}");
@@ -311,10 +302,6 @@ TEST(Service, MalformedAndUnknownRequestsGetErrorEvents) {
   EXPECT_NE(c.read_until_event("error").find("unknown scenario"),
             std::string::npos);
   c.send(std::string("{\"verb\":\"estimate\",\"scenario\":\"") + kScenario +
-         "\",\"transport\":\"carrier-pigeon\",\"id\":\"z\"}");
-  EXPECT_NE(c.read_until_event("error").find("unknown transport"),
-            std::string::npos);
-  c.send(std::string("{\"verb\":\"estimate\",\"scenario\":\"") + kScenario +
          "\",\"runs\":0,\"id\":\"q\"}");
   EXPECT_NE(c.read_until_event("error").find("positive"), std::string::npos);
   // The connection survives every error: a well-formed request still works.
@@ -326,7 +313,7 @@ TEST(Service, MalformedAndUnknownRequestsGetErrorEvents) {
 TEST(Service, BadLanesGetsErrorAndConnectionStillEstimates) {
   // A lane width the estimator cannot run used to trip a contract check and
   // abort the whole daemon; it must be an error event for that request only.
-  const std::string expected = one_shot_report(8, 4, sim::TransportKind::kInProc);
+  const std::string expected = one_shot_report(8, 4);
   DaemonFixture fx(1);
   Client c = fx.client();
   c.send(std::string("{\"verb\":\"estimate\",\"scenario\":\"") + kScenario +
@@ -334,9 +321,33 @@ TEST(Service, BadLanesGetsErrorAndConnectionStillEstimates) {
   const std::string error = c.read_until_event("error");
   EXPECT_NE(error.find("lanes"), std::string::npos) << error;
   EXPECT_NE(error.find("\"id\":\"bad\""), std::string::npos) << error;
-  c.send(estimate_request("good", 8, 4, "inproc"));
+  c.send(estimate_request("good", 8, 4));
   const std::string line = c.read_until_event("result");
   EXPECT_NE(line.find("\"id\":\"good\""), std::string::npos);
+  EXPECT_EQ(scrub_timing(report_of(line)), expected);
+}
+
+TEST(Service, OverlongLineClosesOnlyThatConnection) {
+  // A client streaming bytes without a newline must not grow the daemon's
+  // line buffer without bound: past kMaxRequestLine it gets one error event
+  // and EOF, and every other connection is served as before.
+  const std::string expected = one_shot_report(8, 6);
+  DaemonFixture fx(1);
+  Client other = fx.client();
+  {
+    Client c = fx.client();
+    c.send_raw(std::string(kMaxRequestLine + 1, 'x'));
+    const std::string error = c.read_until_event("error");
+    EXPECT_NE(error.find("longer than"), std::string::npos) << error;
+    EXPECT_TRUE(c.closed_by_daemon());
+  }
+  other.send("{\"verb\":\"list\"}");
+  EXPECT_NE(other.read_until_event("scenarios").find("\"count\":22"),
+            std::string::npos);
+  Client fresh = fx.client();
+  fresh.send(estimate_request("after", 8, 6));
+  const std::string line = fresh.read_until_event("result");
+  EXPECT_NE(line.find("\"id\":\"after\""), std::string::npos);
   EXPECT_EQ(scrub_timing(report_of(line)), expected);
 }
 
@@ -345,7 +356,7 @@ TEST(Service, ShutdownVerbDrainsWithoutPoisoningTheGlobalFlag) {
       << "global stop flag set before the test - ordering bug";
   DaemonFixture fx(1);
   Client c = fx.client();
-  c.send(estimate_request("d1", 8, 2, "inproc"));
+  c.send(estimate_request("d1", 8, 2));
   c.send("{\"verb\":\"shutdown\"}");
   // The in-flight estimate is answered even though shutdown arrived first:
   // bye acknowledges the verb, then the drain still delivers the result.
