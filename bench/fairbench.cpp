@@ -95,20 +95,25 @@ int write_json(const std::string& path, const std::vector<std::string>& objects)
     std::fprintf(stderr, "fairbench: cannot open %s for writing\n", path.c_str());
     return 1;
   }
+  // One object for a single scenario (byte-compatible with the files the
+  // standalone exp* binaries wrote), an array for several.
+  std::string doc;
   if (objects.size() == 1) {
-    // Byte-compatible with the files the standalone exp* binaries wrote.
-    std::fwrite(objects[0].data(), 1, objects[0].size(), f);
-    std::fputc('\n', f);
+    doc = objects[0] + "\n";
   } else {
-    std::fputs("[\n", f);
+    doc = "[\n";
     for (std::size_t i = 0; i < objects.size(); ++i) {
-      std::fwrite(objects[i].data(), 1, objects[i].size(), f);
-      if (i + 1 < objects.size()) std::fputc(',', f);
-      std::fputc('\n', f);
+      doc += objects[i];
+      doc += i + 1 < objects.size() ? ",\n" : "\n";
     }
-    std::fputs("]\n", f);
+    doc += "]\n";
   }
-  std::fclose(f);
+  // A full disk surfaces at fwrite or only at fclose's flush; either fails.
+  const bool written = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "fairbench: writing %s failed\n", path.c_str());
+    return 1;
+  }
   std::printf("json report written to %s\n", path.c_str());
   return 0;
 }

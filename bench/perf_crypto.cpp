@@ -1,11 +1,6 @@
 // P01 — crypto substrate throughput (google-benchmark).
 #include <benchmark/benchmark.h>
 
-#include <string>
-#include <vector>
-
-#include "bench_util.h"
-
 #include "crypto/auth_share.h"
 #include "crypto/chacha20.h"
 #include "crypto/commitment.h"
@@ -142,29 +137,3 @@ BENCHMARK(BM_LamportSignVerify);
 
 }  // namespace
 }  // namespace fairsfe
-
-// Same CLI surface as fairbench/perf_protocols: --json and --filter are
-// translated onto google-benchmark's flags, anything unrecognized passes
-// through to benchmark::Initialize untouched.
-int main(int argc, char** argv) {
-  const fairsfe::bench::Args args = fairsfe::bench::parse_args(argc, argv);
-  std::vector<std::string> fwd;
-  fwd.emplace_back(argv[0]);
-  if (!args.json_path.empty()) {
-    fwd.emplace_back("--benchmark_out=" + args.json_path);
-    fwd.emplace_back("--benchmark_out_format=json");
-  }
-  if (!args.filter.empty()) {
-    fwd.emplace_back("--benchmark_filter=" + args.filter);
-  }
-  for (const std::string& extra : args.passthrough) fwd.push_back(extra);
-  std::vector<char*> fwd_argv;
-  fwd_argv.reserve(fwd.size());
-  for (std::string& s : fwd) fwd_argv.push_back(s.data());
-  int fwd_argc = static_cast<int>(fwd_argv.size());
-  benchmark::Initialize(&fwd_argc, fwd_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(fwd_argc, fwd_argv.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

@@ -1,44 +1,13 @@
-// P02 — end-to-end protocol execution throughput: full engine runs of the
-// fair protocols and the GMW substrate (gates/second).
-//
-// Three modes:
-//   perf_protocols [google-benchmark flags]   — the microbenchmarks below
-//   perf_protocols --scaling [--json <path>] [runs] [--threads N]
-//     — Monte-Carlo estimator thread-scaling: runs/sec at 1/2/4/8 worker
-//       threads (same seed; the estimates are bit-identical by construction)
-//       rendered through bench::Reporter, so --json records the throughput
-//       trajectory machine-readably.
-//   perf_protocols --profile [--json <path>] [iters]
-//     — hot-path profile of representative full-engine runs: runs/sec plus
-//       the engine's RoutingStats counters (messages/round, payload bytes and
-//       copy-avoided bytes per run). --json writes BENCH_hotpath.json so the
-//       trajectory of the zero-copy delivery path is recorded in-repo.
-//   perf_protocols --preproc [--json <path>] [iters]
-//     — offline/online phase split (DESIGN.md §10): for the GMW profile
-//       cases, inline OT-hybrid runs/sec vs the online phase consuming a
-//       pre-dealt CorrelatedRandomness batch, plus the offline batch cost
-//       for both providers. --json writes BENCH_preproc.json.
-//   perf_protocols --bitslice [--json <path>] [runs] [--threads N]
-//     — bit-sliced transposed execution (DESIGN.md §11): estimator
-//       throughput with the scalar engine vs 64 runs per machine word on
-//       honest GMW runs, demanding bit-identical estimates and a >= 10x
-//       speedup on gmw_millionaires_16, plus Beaver-path and 4-party rows
-//       and the zero-variance sequential-stopping trajectory. --json writes
-//       BENCH_bitslice.json.
-//   perf_protocols --zoo [--json <path>] [runs] [--threads N]
-//     — protocol-zoo throughput (the E21/E22 families): full estimator runs
-//       of the round-sampling 1/p exchange and the escrowed penalty
-//       exchange, with the structural claims (1/p saturation, the deposit
-//       flip, the at_least_as_fair ordering) as checks. --json writes
-//       BENCH_zoo.json.
+// P02 — end-to-end protocol execution throughput (google-benchmark): full
+// engine runs of the fair protocols and the GMW substrate (gates/second), and
+// whole Monte-Carlo utility points through the estimator. Two pairs keep the
+// GMW speed ratios measurable: BM_GmwPreprocPhase/{inline,offline_ideal}
+// (the online phase vs inline OT-hybrid execution) and
+// BM_GmwLanesEstimation/{1,64} (scalar vs bit-sliced estimation).
+// BM_UtilityEstimationThreads/{1,2,4,8} shows thread scaling. The shared
+// main (benchmark_main.cpp) forwards --json/--filter onto google-benchmark.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cmath>
-#include <cstring>
-#include <functional>
-
-#include "bench_util.h"
 #include "circuit/builder.h"
 #include "experiments/setups.h"
 #include "fair/mixed.h"
@@ -222,687 +191,70 @@ void BM_UtilityEstimationThreads(benchmark::State& state) {
   state.counters["runs/s"] = benchmark::Counter(
       static_cast<double>(state.iterations() * opts.runs), benchmark::Counter::kIsRate);
 }
+// Wall time: the work runs on pool threads, not the timing thread.
 BENCHMARK(BM_UtilityEstimationThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
-// --scaling mode: estimator throughput (runs/sec) vs worker threads, with the
-// bit-identical determinism guarantee checked along the way.
-int run_scaling(int argc, char** argv) {
-  bench::Reporter rep(argc, argv, 2000);
-  const rpd::PayoffVector gamma = rpd::PayoffVector::standard();
-
-  rep.title("P02-scaling: parallel Monte-Carlo estimator throughput",
-            "estimate_utility(Opt2SFE/lock-abort) at 1/2/4/8 worker threads; same seed "
-            "=> bit-identical estimates, runs/sec should scale with the hardware.");
-  rep.gamma(gamma);
-  rep.row_header();
-
-  const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
-  std::vector<rpd::UtilityEstimate> ests;
-  for (std::size_t t : thread_counts) {
-    auto opts = rep.opts(42);
-    opts.threads = t;
-    auto est = rpd::estimate_utility(opt2_lock_abort(0), gamma, opts);
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.0f runs/sec", est.runs_per_sec());
-    rep.row("threads=" + std::to_string(t), est, buf);
-    ests.push_back(std::move(est));
-  }
-
-  bool identical = true;
-  for (const auto& est : ests) {
-    identical = identical && est.utility == ests[0].utility &&
-                est.std_error == ests[0].std_error &&
-                est.event_freq == ests[0].event_freq &&
-                est.run_events == ests[0].run_events;
-  }
-  rep.check(identical, "estimates bit-identical across all thread counts");
-  const double speedup = ests.back().runs_per_sec() / ests.front().runs_per_sec();
-  char buf[96];
-  std::snprintf(buf, sizeof(buf),
-                "8-thread throughput >= 3x single-thread (measured %.2fx; needs >= 4 "
-                "hardware threads)",
-                speedup);
-  rep.check(speedup >= 3.0, buf);
-  return rep.finish();
-}
-
-// --profile mode: per-protocol hot-path profile. Each configuration is run
-// `iters` times with deterministic seeds; we report wall-clock throughput and
-// the engine's exact RoutingStats so regressions in the zero-copy delivery
-// path show up as bytes, not just microseconds.
-struct ProfileCase {
-  std::string name;
-  // Returns a ready-to-run engine for iteration `seed`.
-  std::function<sim::Engine(std::uint64_t seed)> make;
-};
-
-struct ProfileRow {
-  std::string name;
-  std::size_t runs = 0;
-  double wall_seconds = 0;
-  double rounds = 0;            // mean rounds per run
-  double messages = 0;          // mean messages per run
-  double broadcasts = 0;        // mean broadcast messages per run
-  double payload_bytes = 0;     // mean payload bytes per run (stored once)
-  double bytes_copied = 0;      // mean bytes duplicated per run (0: no transcript)
-  double bytes_copy_avoided = 0;  // mean bytes a copy-per-recipient engine pays
-
-  [[nodiscard]] double runs_per_sec() const {
-    return wall_seconds > 0 ? static_cast<double>(runs) / wall_seconds : 0;
-  }
-  [[nodiscard]] double messages_per_round() const {
-    return rounds > 0 ? messages / rounds : 0;
-  }
-};
-
-std::vector<ProfileCase> profile_cases() {
-  std::vector<ProfileCase> cases;
-
-  auto mill = std::make_shared<const mpc::GmwConfig>(
-      mpc::GmwConfig::public_output(circuit::make_millionaires_circuit(16)));
-  cases.push_back({"gmw_millionaires_16", [mill](std::uint64_t seed) {
-    Rng rng(seed);
-    std::vector<std::vector<bool>> inputs = {
-        circuit::u64_to_bits(rng.below(1u << 16), 16),
-        circuit::u64_to_bits(rng.below(1u << 16), 16)};
-    auto parties = mpc::make_gmw_parties(mill, inputs, rng);
-    return sim::Engine(std::move(parties), mpc::make_gmw_functionality(*mill), nullptr,
-                       rng.fork("engine"));
-  }});
-
-  auto max4 = std::make_shared<const mpc::GmwConfig>(
+void BM_GmwPreprocPhase(benchmark::State& state, mpc::preproc::PreprocMode mode) {
+  // The offline/online split (DESIGN.md §10) on gmw_max_4party_8bit: `inline`
+  // runs the OT-hybrid protocol; `offline_ideal` runs only the online phase,
+  // each run spending its slice of one ideal-dealer batch dealt before the
+  // timed loop (run indices cycle through the batch's kBatchRuns slices).
+  constexpr std::size_t kBatchRuns = 1024;
+  auto cfg = std::make_shared<const mpc::GmwConfig>(
       mpc::GmwConfig::public_output(circuit::make_max_circuit(4, 8)));
-  cases.push_back({"gmw_max_4party_8bit", [max4](std::uint64_t seed) {
+  const bool offline = mpc::preproc::is_offline(mode);
+  if (offline) {
+    mpc::preproc::PreprocRequest req;
+    req.parties = cfg->circuit.num_parties();
+    req.triples = kBatchRuns * cfg->triples_per_run();
+    Rng dealer_rng(1);
+    cfg = mpc::GmwConfig::for_circuit(cfg->circuit)
+              .with_plan(cfg->plan)
+              .with_preproc(mode, mpc::preproc::generate_batch(mode, req, dealer_rng))
+              .build_shared();
+  }
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
     Rng rng(seed);
     std::vector<std::vector<bool>> inputs;
     for (std::size_t p = 0; p < 4; ++p) {
       inputs.push_back(circuit::u64_to_bits(rng.below(256), 8));
     }
-    auto parties = mpc::make_gmw_parties(max4, inputs, rng);
-    return sim::Engine(std::move(parties), mpc::make_gmw_functionality(*max4), nullptr,
-                       rng.fork("engine"));
-  }});
-
-  auto base = std::make_shared<const circuit::Circuit>(circuit::make_concat_circuit(2, 8));
-  auto plan = fair::Opt2CompiledPlan::build(base);
-  cases.push_back({"opt2_compiled_concat16", [plan](std::uint64_t seed) {
-    Rng rng(seed);
-    std::vector<std::vector<bool>> inputs = {circuit::u64_to_bits(rng.below(256), 8),
-                                             circuit::u64_to_bits(rng.below(256), 8)};
-    auto parties = fair::make_opt2_compiled_parties(plan, inputs, rng);
-    sim::ExecutionOptions opts;
-    opts.max_rounds = 24;
-    return sim::Engine(std::move(parties), mpc::make_ot_functionality(), nullptr,
-                       rng.fork("engine"), opts);
-  }});
-
-  return cases;
+    auto parties = mpc::make_gmw_parties(cfg, inputs, rng);
+    if (offline) mpc::make_gmw_run_binder(parties)(seed % kBatchRuns);
+    sim::Engine e(std::move(parties), mpc::make_gmw_functionality(*cfg), nullptr,
+                  rng.fork("engine"));
+    benchmark::DoNotOptimize(e.run());
+    ++seed;
+  }
+  state.counters["runs/s"] = benchmark::Counter(static_cast<double>(state.iterations()),
+                                                benchmark::Counter::kIsRate);
 }
+BENCHMARK_CAPTURE(BM_GmwPreprocPhase, inline, mpc::preproc::PreprocMode::kInline);
+BENCHMARK_CAPTURE(BM_GmwPreprocPhase, offline_ideal,
+                  mpc::preproc::PreprocMode::kOfflineIdeal);
 
-int run_profile(int argc, char** argv) {
-  // Same shared CLI as fairbench/run_scaling ([iters] / --json); the
-  // --profile selector itself lands in args.passthrough.
-  const bench::Args args = bench::parse_args(argc, argv);
-  const std::size_t iters = args.runs_or(2000);
-  const std::string json_path = args.json_path;
-
-  std::printf("\n=== P02-profile: zero-copy hot path ===\n");
-  std::printf("%zu deterministic engine runs per configuration; RoutingStats are exact\n"
-              "per-delivery counters, not samples. bytes_copied must stay 0 (transcripts\n"
-              "off); copy_avoided is what a copy-per-recipient engine would duplicate.\n\n",
-              iters);
-  std::printf("%-24s %10s %7s %9s %11s %9s %12s\n", "configuration", "runs/sec",
-              "rounds", "msgs/rnd", "payload/run", "copied", "avoided/run");
-  std::printf("%-24s %10s %7s %9s %11s %9s %12s\n", "-------------", "--------",
-              "------", "--------", "-----------", "------", "-----------");
-
-  std::vector<ProfileRow> rows;
-  for (const ProfileCase& c : profile_cases()) {
-    ProfileRow row;
-    row.name = c.name;
-    row.runs = iters;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < iters; ++i) {
-      sim::Engine e = c.make(i);
-      const sim::ExecutionResult r = e.run();
-      row.rounds += r.rounds;
-      row.messages += static_cast<double>(r.stats.messages);
-      row.broadcasts += static_cast<double>(r.stats.broadcast_messages);
-      row.payload_bytes += static_cast<double>(r.stats.payload_bytes);
-      row.bytes_copied += static_cast<double>(r.stats.bytes_copied);
-      row.bytes_copy_avoided += static_cast<double>(r.stats.bytes_copy_avoided);
-    }
-    row.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    const double n = static_cast<double>(iters);
-    row.rounds /= n;
-    row.messages /= n;
-    row.broadcasts /= n;
-    row.payload_bytes /= n;
-    row.bytes_copied /= n;
-    row.bytes_copy_avoided /= n;
-    std::printf("%-24s %10.0f %7.1f %9.1f %11.0f %9.0f %12.0f\n", row.name.c_str(),
-                row.runs_per_sec(), row.rounds, row.messages_per_round(),
-                row.payload_bytes, row.bytes_copied, row.bytes_copy_avoided);
-    rows.push_back(std::move(row));
-  }
-
-  bool zero_copies = true;
-  for (const ProfileRow& r : rows) zero_copies = zero_copies && r.bytes_copied == 0;
-  std::printf("\n  [%s] bytes_copied == 0 for every configuration (transcripts off)\n",
-              zero_copies ? "PASS" : "DEVIATION");
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "bench: cannot open %s for writing\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"experiment\": \"P02-profile\",\n"
-                    "  \"claim\": \"zero-copy hot path: mailbox routing, lazy transcripts, "
-                    "cached circuit plans\",\n  \"iters\": %zu,\n  \"rows\": [",
-                 iters);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const ProfileRow& r = rows[i];
-      std::fprintf(f,
-                   "%s\n    {\"name\": \"%s\", \"runs\": %zu, \"wall_seconds\": %.6g, "
-                   "\"runs_per_sec\": %.6g, \"rounds\": %.6g, \"messages\": %.6g, "
-                   "\"broadcast_messages\": %.6g, \"messages_per_round\": %.6g, "
-                   "\"payload_bytes\": %.6g, \"bytes_copied\": %.6g, "
-                   "\"bytes_copy_avoided\": %.6g}",
-                   i == 0 ? "" : ",", r.name.c_str(), r.runs, r.wall_seconds,
-                   r.runs_per_sec(), r.rounds, r.messages, r.broadcasts,
-                   r.messages_per_round(), r.payload_bytes, r.bytes_copied,
-                   r.bytes_copy_avoided);
-    }
-    std::fprintf(f, "\n  ],\n  \"checks\": [\n    {\"ok\": %s, \"what\": \"bytes_copied "
-                    "== 0 with transcripts off\"}\n  ]\n}\n",
-                 zero_copies ? "true" : "false");
-    std::fclose(f);
-    std::printf("json report written to %s\n", json_path.c_str());
-  }
-  return zero_copies ? 0 : 1;
-}
-
-// --preproc mode: offline/online phase split for the GMW profile cases.
-// Reports, per configuration:
-//   [inline]  the classic OT-hybrid execution (BENCH_hotpath methodology),
-//   [online]  the online phase only — every run spends its slice of one
-//             pre-dealt CorrelatedRandomness batch (one broadcast per AND
-//             layer, zero kFunc traffic),
-//   offline_ideal cost for the full batch (iters × triples/run), and an
-//   offline_ot probe (the real OT rounds run up front, modest batch) so both
-//   providers' costs are on record.
-struct PreprocPerfCase {
-  std::string name;
-  std::shared_ptr<const mpc::GmwConfig> inline_cfg;
-  // Builds parties + inputs for iteration `seed`; shared by both phases.
-  std::function<std::vector<std::unique_ptr<sim::IParty>>(
-      std::shared_ptr<const mpc::GmwConfig>, Rng&)> make_parties;
-};
-
-int run_preproc(int argc, char** argv) {
-  const bench::Args args = bench::parse_args(argc, argv);
-  const std::size_t iters = args.runs_or(2000);
-  const std::string json_path = args.json_path;
-
-  std::printf("\n=== P02-preproc: offline/online phase split (DESIGN.md §10) ===\n");
-  std::printf("%zu deterministic engine runs per configuration and phase; the online\n"
-              "phase consumes run-indexed slices of one ideal-dealer batch.\n\n",
-              iters);
-
-  std::vector<PreprocPerfCase> cases;
-  {
-    auto mill = std::make_shared<const mpc::GmwConfig>(
-        mpc::GmwConfig::public_output(circuit::make_millionaires_circuit(16)));
-    cases.push_back({"gmw_millionaires_16", mill,
-                     [](std::shared_ptr<const mpc::GmwConfig> cfg, Rng& rng) {
-                       std::vector<std::vector<bool>> inputs = {
-                           circuit::u64_to_bits(rng.below(1u << 16), 16),
-                           circuit::u64_to_bits(rng.below(1u << 16), 16)};
-                       return mpc::make_gmw_parties(std::move(cfg), inputs, rng);
-                     }});
-    auto max4 = std::make_shared<const mpc::GmwConfig>(
-        mpc::GmwConfig::public_output(circuit::make_max_circuit(4, 8)));
-    cases.push_back({"gmw_max_4party_8bit", max4,
-                     [](std::shared_ptr<const mpc::GmwConfig> cfg, Rng& rng) {
-                       std::vector<std::vector<bool>> inputs;
-                       for (std::size_t p = 0; p < 4; ++p) {
-                         inputs.push_back(circuit::u64_to_bits(rng.below(256), 8));
-                       }
-                       return mpc::make_gmw_parties(std::move(cfg), inputs, rng);
-                     }});
-  }
-
-  struct PhaseRow {
-    std::string name;
-    std::size_t runs;
-    double wall_seconds;
-    [[nodiscard]] double runs_per_sec() const {
-      return wall_seconds > 0 ? static_cast<double>(runs) / wall_seconds : 0;
-    }
-  };
-  struct OfflineRow {
-    std::string name;
-    std::size_t triples;
-    double seconds;
-  };
-  std::vector<PhaseRow> rows;
-  std::vector<OfflineRow> offline;
-  bool speedup_ok = true;
-
-  std::printf("%-36s %12s\n", "configuration", "runs/sec");
-  std::printf("%-36s %12s\n", "-------------", "--------");
-  for (const PreprocPerfCase& c : cases) {
-    auto timed_phase = [&](const std::string& label,
-                           const std::shared_ptr<const mpc::GmwConfig>& cfg) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < iters; ++i) {
-        Rng rng(i);
-        auto parties = c.make_parties(cfg, rng);
-        if (mpc::preproc::is_offline(cfg->preproc_mode)) {
-          mpc::make_gmw_run_binder(parties)(i);
-        }
-        sim::Engine e(std::move(parties), mpc::make_gmw_functionality(*cfg), nullptr,
-                      rng.fork("engine"));
-        e.run();
-      }
-      PhaseRow row{c.name + " [" + label + "]", iters,
-                   std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                       .count()};
-      std::printf("%-36s %12.0f\n", row.name.c_str(), row.runs_per_sec());
-      rows.push_back(row);
-      return row;
-    };
-
-    const PhaseRow inline_row = timed_phase("inline", c.inline_cfg);
-
-    // Offline phase: one ideal-dealer batch covering every run's slice.
-    const std::size_t parties = c.inline_cfg->circuit.num_parties();
-    const std::size_t triples = iters * c.inline_cfg->triples_per_run();
-    mpc::preproc::PreprocRequest req;
-    req.parties = parties;
-    req.triples = triples;
-    Rng dealer_rng(1);
-    auto t0 = std::chrono::steady_clock::now();
-    auto batch = mpc::preproc::generate_batch(mpc::preproc::PreprocMode::kOfflineIdeal,
-                                              req, dealer_rng);
-    double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    offline.push_back({c.name + " offline_ideal", triples, secs});
-    std::printf("%-36s %12s   (%zu triples, %.4fs)\n",
-                (c.name + " offline_ideal").c_str(), "-", triples, secs);
-
-    auto online_cfg = mpc::GmwConfig::for_circuit(c.inline_cfg->circuit)
-                          .with_plan(c.inline_cfg->plan)
-                          .with_preproc(mpc::preproc::PreprocMode::kOfflineIdeal, batch)
-                          .build_shared();
-    const PhaseRow online_row = timed_phase("online", online_cfg);
-
-    // The real-OT provider on a modest probe batch: its cost per triple is
-    // what an implementation would pay up front instead of per layer.
-    mpc::preproc::PreprocRequest probe;
-    probe.parties = parties;
-    probe.triples = std::min<std::size_t>(triples, 4096);
-    Rng probe_rng(2);
-    t0 = std::chrono::steady_clock::now();
-    (void)mpc::preproc::generate_batch(mpc::preproc::PreprocMode::kOfflineOt, probe,
-                                       probe_rng);
-    secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    offline.push_back({c.name + " offline_ot_probe", probe.triples, secs});
-    std::printf("%-36s %12s   (%zu triples, %.4fs)\n",
-                (c.name + " offline_ot_probe").c_str(), "-", probe.triples, secs);
-
-    const double speedup =
-        inline_row.runs_per_sec() > 0
-            ? online_row.runs_per_sec() / inline_row.runs_per_sec()
-            : 0;
-    std::printf("%-36s %11.2fx\n\n", (c.name + " online/inline").c_str(), speedup);
-    if (c.name == "gmw_max_4party_8bit" && speedup < 3.0) speedup_ok = false;
-  }
-
-  std::printf("  [%s] gmw_max_4party_8bit online phase >= 3x inline throughput\n",
-              speedup_ok ? "PASS" : "DEVIATION");
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "bench: cannot open %s for writing\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"experiment\": \"P02-preproc\",\n"
-                    "  \"claim\": \"offline/online split: the online phase spends "
-                    "pre-dealt Beaver triples, one broadcast per AND layer\",\n"
-                    "  \"iters\": %zu,\n  \"rows\": [",
-                 iters);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::fprintf(f,
-                   "%s\n    {\"name\": \"%s\", \"runs\": %zu, \"wall_seconds\": %.6g, "
-                   "\"runs_per_sec\": %.6g}",
-                   i == 0 ? "" : ",", rows[i].name.c_str(), rows[i].runs,
-                   rows[i].wall_seconds, rows[i].runs_per_sec());
-    }
-    std::fprintf(f, "\n  ],\n  \"offline\": [");
-    for (std::size_t i = 0; i < offline.size(); ++i) {
-      std::fprintf(f,
-                   "%s\n    {\"name\": \"%s\", \"triples\": %zu, \"seconds\": %.6g, "
-                   "\"triples_per_sec\": %.6g}",
-                   i == 0 ? "" : ",", offline[i].name.c_str(), offline[i].triples,
-                   offline[i].seconds,
-                   offline[i].seconds > 0
-                       ? static_cast<double>(offline[i].triples) / offline[i].seconds
-                       : 0.0);
-    }
-    std::fprintf(f, "\n  ],\n  \"checks\": [\n    {\"ok\": %s, \"what\": "
-                    "\"gmw_max_4party_8bit online >= 3x inline runs/sec\"}\n  ]\n}\n",
-                 speedup_ok ? "true" : "false");
-    std::fclose(f);
-    std::printf("json report written to %s\n", json_path.c_str());
-  }
-  return speedup_ok ? 0 : 1;
-}
-
-// --bitslice mode: scalar engine vs bit-sliced transposed execution
-// (DESIGN.md §11) on honest GMW runs. Every row is a full Monte-Carlo
-// estimation through rpd::estimate_utility, so the measured speedup is the
-// end-to-end one an experiment sees, and bit-identity is demanded on the
-// estimates themselves (utility, std_error, event_freq, per-run events).
-int run_bitslice(int argc, char** argv) {
-  const bench::Args args = bench::parse_args(argc, argv);
-  const std::size_t iters = args.runs_or(8192);
-  const std::string json_path = args.json_path;
+void BM_GmwLanesEstimation(benchmark::State& state) {
+  // Bit-sliced execution (DESIGN.md §11): a 2048-run honest estimation of
+  // gmw_millionaires_16 on the scalar engine (lanes 1) vs 64 runs per machine
+  // word (lanes 64). The estimates are bit-identical (BitsliceGmw.*).
+  const GmwHonestPair pair =
+      gmw_honest_pair(std::make_shared<const mpc::GmwConfig>(
+          mpc::GmwConfig::public_output(circuit::make_millionaires_circuit(16))));
+  const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
   const rpd::PayoffVector gamma = rpd::PayoffVector::standard();
-
-  std::printf("\n=== P02-bitslice: 64 Monte-Carlo runs per machine word ===\n");
-  std::printf("%zu honest GMW runs per configuration; [sliced] packs 64 runs into the\n"
-              "lanes of each wire word (one circuit walk per batch), [scalar] drives the\n"
-              "engine one run at a time. Estimates must agree bit-for-bit.\n\n",
-              iters);
-  std::printf("%-36s %12s %10s\n", "configuration", "runs/sec", "runs");
-  std::printf("%-36s %12s %10s\n", "-------------", "--------", "----");
-
-  struct SliceRow {
-    std::string name;
-    std::size_t runs;
-    double wall_seconds;
-    [[nodiscard]] double runs_per_sec() const {
-      return wall_seconds > 0 ? static_cast<double>(runs) / wall_seconds : 0;
-    }
-  };
-  struct SliceCheck {
-    bool ok;
-    std::string what;
-  };
-  std::vector<SliceRow> rows;
-  std::vector<SliceCheck> checks;
-
-  auto measure = [&](const std::string& name, const rpd::EstimationTarget& target,
-                     std::size_t lanes, const rpd::EstimatorOptions& base) {
-    rpd::EstimatorOptions opts = base;
-    opts.lanes = lanes;
-    const auto est = rpd::estimate_utility(target, gamma, opts);
-    rows.push_back({name, est.runs, est.wall_seconds});
-    std::printf("%-36s %12.0f %10zu\n", name.c_str(), est.runs_per_sec(), est.runs);
-    return est;
-  };
-  auto record = [&](bool ok, const std::string& what) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "DEVIATION", what.c_str());
-    checks.push_back({ok, what});
-  };
-  auto identical = [](const rpd::UtilityEstimate& a, const rpd::UtilityEstimate& b) {
-    return a.utility == b.utility && a.std_error == b.std_error &&
-           a.event_freq == b.event_freq && a.run_events == b.run_events;
-  };
-
-  rpd::EstimatorOptions base;
-  base.runs = iters;
-  base.seed = 42;
-  base.threads = args.threads;
-
-  double speedup = 0.0;
-  {
-    auto mill = std::make_shared<const mpc::GmwConfig>(
-        mpc::GmwConfig::public_output(circuit::make_millionaires_circuit(16)));
-    const GmwHonestPair pair = gmw_honest_pair(mill);
-    const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
-    const auto scalar = measure("gmw_millionaires_16 [scalar]", target, 1, base);
-    const auto sliced = measure("gmw_millionaires_16 [sliced]", target, 64, base);
-    record(identical(scalar, sliced),
-           "gmw_millionaires_16: sliced estimate bit-identical to scalar");
-    speedup = rows[rows.size() - 2].runs_per_sec() > 0
-                  ? rows.back().runs_per_sec() / rows[rows.size() - 2].runs_per_sec()
-                  : 0.0;
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "gmw_millionaires_16: sliced >= 10x scalar runs/sec (measured %.1fx)",
-                  speedup);
-    record(speedup >= 10.0, buf);
-
-    // Zero-variance honest runs: the stopping rule fires at the earliest
-    // legal point (two lane batches), a deterministic trajectory worth
-    // keeping on record.
-    rpd::EstimatorOptions stop_opts = base;
-    stop_opts.target_ci = 0.05;
-    const auto stop = measure("gmw_millionaires_16 [sliced stop]", target, 64, stop_opts);
-    record(iters < 2 * 64 || (stop.stopped_early && stop.runs == 2 * 64),
-           "sequential stop after two lane batches on zero-variance runs");
+  rpd::EstimatorOptions opts;
+  opts.runs = 2048;
+  opts.seed = 42;
+  opts.lanes = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rpd::estimate_utility(target, gamma, opts));
   }
-
-  {
-    // Beaver path: one ideal-dealer batch sized for every run's slice; the
-    // sliced AND layers read 64 triples per word-op from the same offsets
-    // the scalar tapes seek to.
-    auto mill = mpc::GmwConfig::public_output(circuit::make_millionaires_circuit(16));
-    mpc::preproc::PreprocRequest req;
-    req.parties = 2;
-    req.triples = iters * mill.triples_per_run();
-    Rng dealer_rng(1);
-    auto batch = mpc::preproc::generate_batch(mpc::preproc::PreprocMode::kOfflineIdeal,
-                                              req, dealer_rng);
-    auto online = mpc::GmwConfig::for_circuit(mill.circuit)
-                      .with_plan(mill.plan)
-                      .with_preproc(mpc::preproc::PreprocMode::kOfflineIdeal, batch)
-                      .build_shared();
-    const GmwHonestPair pair = gmw_honest_pair(online);
-    const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
-    const auto scalar = measure("gmw_millionaires_16_beaver [scalar]", target, 1, base);
-    const auto sliced = measure("gmw_millionaires_16_beaver [sliced]", target, 64, base);
-    record(identical(scalar, sliced),
-           "beaver online phase: sliced estimate bit-identical to scalar");
-  }
-
-  {
-    auto max4 = std::make_shared<const mpc::GmwConfig>(
-        mpc::GmwConfig::public_output(circuit::make_max_circuit(4, 8)));
-    const GmwHonestPair pair = gmw_honest_pair(max4);
-    const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
-    rpd::EstimatorOptions small = base;
-    small.runs = std::max<std::size_t>(256, iters / 8);
-    const auto scalar = measure("gmw_max_4party_8bit [scalar]", target, 1, small);
-    const auto sliced = measure("gmw_max_4party_8bit [sliced]", target, 64, small);
-    record(identical(scalar, sliced),
-           "gmw_max_4party_8bit: sliced estimate bit-identical to scalar");
-  }
-
-  bool all_ok = true;
-  for (const SliceCheck& c : checks) all_ok = all_ok && c.ok;
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "bench: cannot open %s for writing\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"experiment\": \"P02-bitslice\",\n"
-                    "  \"claim\": \"bit-sliced transposed execution: 64 runs per machine "
-                    "word, bit-identical estimates\",\n"
-                    "  \"iters\": %zu,\n  \"speedup_millionaires_16\": %.3g,\n  \"rows\": [",
-                 iters, speedup);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::fprintf(f,
-                   "%s\n    {\"name\": \"%s\", \"runs\": %zu, \"wall_seconds\": %.6g, "
-                   "\"runs_per_sec\": %.6g}",
-                   i == 0 ? "" : ",", rows[i].name.c_str(), rows[i].runs,
-                   rows[i].wall_seconds, rows[i].runs_per_sec());
-    }
-    std::fprintf(f, "\n  ],\n  \"checks\": [");
-    for (std::size_t i = 0; i < checks.size(); ++i) {
-      std::fprintf(f, "%s\n    {\"ok\": %s, \"what\": \"%s\"}", i == 0 ? "" : ",",
-                   checks[i].ok ? "true" : "false", checks[i].what.c_str());
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    std::printf("json report written to %s\n", json_path.c_str());
-  }
-  return all_ok ? 0 : 1;
+  state.counters["runs/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * opts.runs), benchmark::Counter::kIsRate);
 }
-
-// --zoo mode: throughput of the E21/E22 protocol families through the full
-// estimator — the round-sampling 1/p exchange at small and large p, the
-// escrowed penalty exchange under both deposit-game strategies, and the
-// CHOR-wrapped dummy protocol. Every row is an rpd::estimate_utility /
-// rpd::assess_protocol call, so runs/sec is the end-to-end figure the E21 and
-// E22 sweeps pay per point, and the structural claims of those experiments
-// ride along as checks.
-int run_zoo(int argc, char** argv) {
-  const bench::Args args = bench::parse_args(argc, argv);
-  const std::size_t iters = args.runs_or(4096);
-  const std::string json_path = args.json_path;
-
-  std::printf("\n=== P02-zoo: partial-1/p + penalty exchange throughput ===\n");
-  std::printf("%zu Monte-Carlo runs per configuration.\n\n", iters);
-  std::printf("%-36s %12s %10s\n", "configuration", "runs/sec", "runs");
-  std::printf("%-36s %12s %10s\n", "-------------", "--------", "----");
-
-  struct ZooRow {
-    std::string name;
-    std::size_t runs;
-    double wall_seconds;
-    [[nodiscard]] double runs_per_sec() const {
-      return wall_seconds > 0 ? static_cast<double>(runs) / wall_seconds : 0;
-    }
-  };
-  struct ZooCheck {
-    bool ok;
-    std::string what;
-  };
-  std::vector<ZooRow> rows;
-  std::vector<ZooCheck> checks;
-
-  rpd::EstimatorOptions base;
-  base.runs = iters;
-  base.seed = 42;
-  base.threads = args.threads;
-
-  auto measure = [&](const std::string& name, const rpd::SetupFactory& factory,
-                     const rpd::PayoffModel& model) {
-    const rpd::EstimationTarget target{factory, nullptr, 0};
-    const auto est = rpd::estimate_utility(target, model, base);
-    rows.push_back({name, est.runs, est.wall_seconds});
-    std::printf("%-36s %12.0f %10zu\n", name.c_str(), est.runs_per_sec(), est.runs);
-    return est;
-  };
-  auto record = [&](bool ok, const std::string& what) {
-    std::printf("  [%s] %s\n", ok ? "PASS" : "DEVIATION", what.c_str());
-    checks.push_back({ok, what});
-  };
-
-  const rpd::VectorModel pf(rpd::payoff::partial_fairness());
-  for (const std::size_t p : {std::size_t{2}, std::size_t{8}}) {
-    const fair::Partial1pParams params = fair::make_partial_1p_and_params(p);
-    const auto est =
-        measure("partial_1p_p" + std::to_string(p) + " [abort@1]",
-                partial_1p_attack(params, Partial1pAttack::kAbortAt1), pf);
-    const double bound = 1.0 / static_cast<double>(p);
-    record(std::abs(est.utility - bound) <= est.margin() + 0.02,
-           "partial_1p p=" + std::to_string(p) + ": abort@1 saturates g10/p");
-  }
-
-  const rpd::VectorModel standard(rpd::payoff::standard());
-  rpd::CollateralTerms unit;
-  unit.deposit = 1.0;
-  const rpd::CollateralModel escrowed(rpd::payoff::standard(), unit);
-  const auto withhold_free =
-      measure("penalty_d0 [withhold-claim]",
-              penalty_attack(adversary::PenaltyMode::kWithholdClaim), standard);
-  const auto withhold_escrowed =
-      measure("penalty_d1 [withhold-claim]",
-              penalty_attack(adversary::PenaltyMode::kWithholdClaim), escrowed);
-  const auto honest_escrowed = measure(
-      "penalty_d1 [honest]", penalty_attack(adversary::PenaltyMode::kHonest), escrowed);
-  record(withhold_free.utility > honest_escrowed.utility &&
-             withhold_escrowed.utility < honest_escrowed.utility,
-         "penalty: deposit d=1 flips the rational strategy to honest");
-
-  measure("fullsec_dummy2 [lock-abort]", full_security_dummy2(0), standard);
-
-  // The E22 zoo ordering, at bench scale: the escrowed exchange (full
-  // deposit) must be at least as fair as the bare withhold game.
-  const auto bare = rpd::assess_protocol(penalty_attack_family(), standard,
-                                         base.with_seed(base.seed + 100));
-  const auto priced = rpd::assess_protocol(penalty_attack_family(), escrowed,
-                                           base.with_seed(base.seed + 200));
-  record(rpd::at_least_as_fair(priced, bare),
-         "at_least_as_fair: penalty(d=1) >= penalty(d=0)");
-
-  bool all_ok = true;
-  for (const ZooCheck& c : checks) all_ok = all_ok && c.ok;
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "bench: cannot open %s for writing\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"experiment\": \"P02-zoo\",\n"
-                    "  \"claim\": \"protocol-zoo throughput: round-sampling 1/p and "
-                    "escrowed penalty exchange\",\n"
-                    "  \"iters\": %zu,\n  \"rows\": [",
-                 iters);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::fprintf(f,
-                   "%s\n    {\"name\": \"%s\", \"runs\": %zu, \"wall_seconds\": %.6g, "
-                   "\"runs_per_sec\": %.6g}",
-                   i == 0 ? "" : ",", rows[i].name.c_str(), rows[i].runs,
-                   rows[i].wall_seconds, rows[i].runs_per_sec());
-    }
-    std::fprintf(f, "\n  ],\n  \"checks\": [");
-    for (std::size_t i = 0; i < checks.size(); ++i) {
-      std::fprintf(f, "%s\n    {\"ok\": %s, \"what\": \"%s\"}", i == 0 ? "" : ",",
-                   checks[i].ok ? "true" : "false", checks[i].what.c_str());
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    std::printf("json report written to %s\n", json_path.c_str());
-  }
-  return all_ok ? 0 : 1;
-}
+BENCHMARK(BM_GmwLanesEstimation)->Arg(1)->Arg(64)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace fairsfe
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scaling") == 0) {
-      return fairsfe::run_scaling(argc, argv);
-    }
-    if (std::strcmp(argv[i], "--profile") == 0) {
-      return fairsfe::run_profile(argc, argv);
-    }
-    if (std::strcmp(argv[i], "--preproc") == 0) {
-      return fairsfe::run_preproc(argc, argv);
-    }
-    if (std::strcmp(argv[i], "--bitslice") == 0) {
-      return fairsfe::run_bitslice(argc, argv);
-    }
-    if (std::strcmp(argv[i], "--zoo") == 0) {
-      return fairsfe::run_zoo(argc, argv);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}

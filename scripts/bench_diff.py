@@ -1,43 +1,26 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json reports and print per-row deltas.
+"""Compare two fairbench JSON reports and print per-row deltas.
 
-Works with every report layout in this repo:
-  - bench::Reporter files (rows keyed by "name" with "utility"/"runs_per_sec")
-  - perf_protocols --profile files (rows keyed by "name" with throughput and
-    RoutingStats counters)
-  - fairbench multi-scenario files: a JSON array of Reporter objects (one per
-    selected scenario); rows are then matched per (experiment, name) pair, so
-    an array baseline diffs cleanly against an array rerun and a legacy
-    single-object baseline still matches its scenario inside an array.
+Both layouts fairbench writes are accepted: a single bench::Reporter object
+(one scenario selected, e.g. the committed BENCH_fault.json) or a JSON array
+of them (several scenarios). Rows are matched per (experiment, name) pair, so
+an array baseline diffs cleanly against an array rerun and a single-object
+baseline still matches its scenario inside an array.
 
-Usage: scripts/bench_diff.py [--fail-above PCT] OLD.json NEW.json
+Usage: scripts/bench_diff.py OLD.json NEW.json
 
-Without --fail-above the diff is purely informational — exits 0 regardless of
-direction; eyeball the signs. With --fail-above PCT it exits 1 when any *perf*
-key (throughput or cost counters — utility/std_error are estimates, not
-performance, and are never gated) regresses by more than PCT percent, so CI
-can use it as a perf smoke gate.
+The diff is informational and exits 0 regardless of direction; eyeball the
+signs. `fairbench --baseline OLD.json --json NEW.json` runs it for you.
 """
 import argparse
 import json
 import sys
 
-# Higher is better for throughput; lower is better for cost counters and
-# latencies.
-HIGHER_IS_BETTER = {"runs_per_sec", "requests_per_sec"}
-# wall_seconds is omitted: it scales with the iteration count, not the work.
+# Throughput reads higher-is-better; every other key reads lower-is-better.
+HIGHER_IS_BETTER = {"runs_per_sec"}
+# wall_seconds is omitted: it scales with the run count, not the work.
 NUMERIC_KEYS = [
     "runs_per_sec",
-    "requests_per_sec",
-    "p50_ms",
-    "p95_ms",
-    "p99_ms",
-    "rounds",
-    "messages",
-    "messages_per_round",
-    "payload_bytes",
-    "bytes_copied",
-    "bytes_copy_avoided",
     "utility",
     "std_error",
     "ci_halfwidth",
@@ -45,29 +28,15 @@ NUMERIC_KEYS = [
     "stopped_at",
     "lanes",
 ]
-# Keys eligible for --fail-above gating. Statistical estimates are excluded:
-# a seed or run-count change moves them without any code regressing. The
-# sliced-execution trajectory keys (lanes, valid_runs, stopped_at,
-# ci_halfwidth) are configuration/estimate descriptors, not performance, so
-# they are diffed but never gated either.
-GATED_KEYS = set(NUMERIC_KEYS) - {
-    "utility",
-    "std_error",
-    "ci_halfwidth",
-    "valid_runs",
-    "stopped_at",
-    "lanes",
-}
 
 
 def load_rows(path):
     """Load one report file into ({(experiment, row_name): row}, [reports]).
 
-    A single object (legacy BENCH_*.json; what fairbench still writes when
-    exactly one scenario is selected) becomes a one-element report list; a
-    fairbench array is taken as-is. Keying rows by (experiment, name) keeps
-    row names from different scenarios apart and lets the two layouts diff
-    against each other.
+    A single object (what fairbench writes when exactly one scenario is
+    selected) becomes a one-element report list; a fairbench array is taken
+    as-is. Keying rows by (experiment, name) keeps row names from different
+    scenarios apart and lets the two layouts diff against each other.
     """
     try:
         with open(path) as f:
@@ -99,30 +68,16 @@ def fmt(v):
     return f"{v:,.3f}".rstrip("0").rstrip(".") if isinstance(v, float) else str(v)
 
 
-def regression_pct(key, old, new):
-    """How much worse `new` is than `old` for this key, in percent (>= 0)."""
-    if old == 0:
-        return 0.0
-    if key in HIGHER_IS_BETTER:
-        return max(0.0, (old - new) / old * 100.0)
-    return max(0.0, (new - old) / old * 100.0)
-
-
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
         allow_abbrev=False,
-        epilog="examples:\n"
-               "  python3 scripts/bench_diff.py BENCH_hotpath.json "
-               "BENCH_hotpath.ci.json\n"
-               "  python3 scripts/bench_diff.py --fail-above 35 "
-               "BENCH_preproc.json BENCH_preproc.ci.json\n"
+        epilog="example:\n"
+               "  python3 scripts/bench_diff.py BENCH_fault.json new.json\n"
                "\n"
-               "Exit status: 0 clean, 1 regression above --fail-above, "
+               "Exit status: 0 diff printed, 1 unreadable report, "
                "2 bad usage.\n")
-    ap.add_argument("--fail-above", type=float, metavar="PCT", default=None,
-                    help="exit 1 if any perf key regresses by more than PCT%%")
     ap.add_argument("old", metavar="OLD.json")
     ap.add_argument("new", metavar="NEW.json")
     args = ap.parse_args()
@@ -139,7 +94,6 @@ def main():
         exp, name = key
         return name if len(new_reps) == 1 else f"{exp} :: {name}"
 
-    worst = (0.0, None)  # (pct, "row/key") over gated keys only
     for row_key in new_rows:
         name = label(row_key)
         new = new_rows[row_key]
@@ -152,10 +106,6 @@ def main():
             if key not in new or key not in old:
                 continue
             o, n = old[key], new[key]
-            if key in GATED_KEYS:
-                pct = regression_pct(key, o, n)
-                if pct > worst[0]:
-                    worst = (pct, f"{name}/{key}")
             if o == n:
                 continue
             ratio = (n / o) if o else float("inf")
@@ -165,16 +115,6 @@ def main():
     gone = set(old_rows) - set(new_rows)
     for row_key in sorted(gone):
         print(f"{label(row_key)}: dropped from report")
-
-    if args.fail_above is not None:
-        pct, where = worst
-        print(f"\nworst perf regression: {pct:.1f}%"
-              + (f" ({where})" if where else "")
-              + f", threshold {args.fail_above:.1f}%")
-        if pct > args.fail_above:
-            print("FAIL: perf regression above threshold")
-            sys.exit(1)
-        print("OK: within threshold")
 
 
 if __name__ == "__main__":

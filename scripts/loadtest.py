@@ -4,23 +4,21 @@
 Spawns a fairbenchd on a unix socket (or connects to a running one with
 --connect), fires `--requests` estimate requests from `--connections`
 concurrent NDJSON connections (one request in flight per connection, so
-per-request latency is honest), and writes a bench_diff.py-compatible report
-with p50/p95/p99 latency and sustained throughput:
+per-request latency is honest), and prints p50/p95/p99 latency and
+sustained throughput:
 
-    scripts/loadtest.py --out BENCH_service.json
-    scripts/bench_diff.py --fail-above 50 BENCH_service.json new.json
+    scripts/loadtest.py --daemon build/fairbenchd --requests 8 --runs 32
 
-The request mix sweeps seeds over a cheap scenario so the committed
-BENCH_service.json is quick to regenerate, and every response is checked to
-be a well-formed result event (a daemon error fails the load test, not just
-slows it).
+The request mix sweeps seeds over a cheap scenario, and every response is
+checked to be a well-formed result event (a daemon error fails the load
+test, not just slows it). The repository benchmark (`perfbench/`, workload
+daemon_mix) is where daemon throughput and latency are measured.
 """
 import argparse
 import json
 import os
 import signal
 import socket
-import statistics
 import subprocess
 import sys
 import threading
@@ -76,8 +74,7 @@ def main():
         epilog="examples:\n"
                "  python3 scripts/loadtest.py --daemon build-perf/fairbenchd "
                "--requests 8 --connections 2 --runs 32\n"
-               "  python3 scripts/loadtest.py --connect /tmp/fairbenchd.sock "
-               "--out BENCH_service.ci.json\n"
+               "  python3 scripts/loadtest.py --connect /tmp/fairbenchd.sock\n"
                "\n"
                "Exit status: 0 clean drain with every request answered, "
                "1 any error event or unclean shutdown, 2 bad usage.\n")
@@ -92,8 +89,6 @@ def main():
                     help="Monte-Carlo runs per estimate request")
     ap.add_argument("--requests", type=int, default=24)
     ap.add_argument("--connections", type=int, default=4)
-    ap.add_argument("--out", default=None, metavar="OUT.json",
-                    help="write the bench_diff-compatible report here")
     args = ap.parse_args()
 
     proc = None
@@ -143,37 +138,9 @@ def main():
         sys.exit(f"loadtest: {len(results)}/{args.requests} requests answered")
 
     lat = sorted(results)
-    report = {
-        "experiment": "service_loadtest",
-        "claim": f"fairbenchd sustains the request mix "
-                 f"({args.requests} x {args.scenario}/{args.runs} runs over "
-                 f"{args.connections} connections)",
-        "gamma": None,
-        "runs_per_point": args.runs,
-        "threads": args.workers,
-        "rows": [{
-            "name": f"estimate_{args.scenario}",
-            "requests": args.requests,
-            "connections": args.connections,
-            "p50_ms": round(percentile(lat, 50), 3),
-            "p95_ms": round(percentile(lat, 95), 3),
-            "p99_ms": round(percentile(lat, 99), 3),
-            "mean_ms": round(statistics.fmean(lat), 3),
-            "requests_per_sec": round(args.requests / wall, 3),
-        }],
-        "checks": [{"ok": True, "what": "every request answered with a result "
-                                        "event; clean daemon shutdown"}],
-        "deviations": 0,
-    }
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-        print(f"loadtest: report written to {args.out}")
-    row = report["rows"][0]
     print(f"loadtest: {args.requests} requests in {wall:.2f}s — "
-          f"p50 {row['p50_ms']}ms p95 {row['p95_ms']}ms p99 {row['p99_ms']}ms, "
-          f"{row['requests_per_sec']} req/s")
+          f"p50 {percentile(lat, 50):.3f}ms p95 {percentile(lat, 95):.3f}ms "
+          f"p99 {percentile(lat, 99):.3f}ms, {args.requests / wall:.3f} req/s")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -13,77 +14,89 @@
 
 namespace fairsfe::bench {
 
+namespace {
+
+// Strict unsigned decimal: digits only (no sign, no blanks), no overflow.
+std::optional<std::uint64_t> parse_u64(const char* v) {
+  if (!std::isdigit(static_cast<unsigned char>(v[0]))) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return std::nullopt;
+  return static_cast<std::uint64_t>(n);
+}
+
+[[noreturn]] void reject(const char* prog, const char* flag, const std::string& want,
+                         const char* got) {
+  std::fprintf(stderr, "%s: %s must be %s, got '%s'\n", prog, flag, want.c_str(), got);
+  std::exit(2);
+}
+
+std::size_t parse_runs(const char* prog, const char* v) {
+  const auto n = parse_u64(v);
+  if (!n || *n == 0 || *n > rpd::kMaxRuns) {
+    reject(prog, "--runs", "an integer in [1, " + std::to_string(rpd::kMaxRuns) + "]", v);
+  }
+  return static_cast<std::size_t>(*n);
+}
+
+}  // namespace
+
 Args parse_args(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       a.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const char* v = argv[++i];
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' ||
-          errno == ERANGE) {
-        std::fprintf(stderr, "%s: --threads must be a non-negative integer, got '%s'\n",
-                     argv[0], v);
-        std::exit(2);
+      const auto n = parse_u64(argv[++i]);
+      if (!n || *n > rpd::kMaxThreads) {
+        reject(argv[0], "--threads",
+               "an integer in [0, " + std::to_string(rpd::kMaxThreads) + "]", argv[i]);
       }
-      a.threads = static_cast<std::size_t>(n);
+      a.threads = static_cast<std::size_t>(*n);
     } else if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc) {
-      const long v = std::strtol(argv[++i], nullptr, 10);
-      if (v > 0) {
-        a.runs = static_cast<std::size_t>(v);
-        a.runs_set = true;
-      }
+      a.runs = parse_runs(argv[0], argv[++i]);
+      a.runs_set = true;
     } else if (std::strcmp(argv[i], "--filter") == 0 && i + 1 < argc) {
       a.filter = argv[++i];
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
       a.baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      const long v = std::strtol(argv[++i], &end, 10);
-      if (*end != '\0' || v <= 0 || !rpd::valid_lanes(static_cast<std::size_t>(v))) {
-        std::fprintf(stderr, "%s: --lanes must be 1 or %zu, got '%s'\n", argv[0],
-                     util::kLaneWidth, argv[i]);
-        std::exit(2);
+      const auto n = parse_u64(argv[++i]);
+      if (!n || !rpd::valid_lanes(static_cast<std::size_t>(*n))) {
+        reject(argv[0], "--lanes", "1 or " + std::to_string(util::kLaneWidth), argv[i]);
       }
-      a.lanes = static_cast<std::size_t>(v);
+      a.lanes = static_cast<std::size_t>(*n);
     } else if (std::strcmp(argv[i], "--target-ci") == 0 && i + 1 < argc) {
-      const double v = std::strtod(argv[++i], nullptr);
-      if (v > 0.0) a.target_ci = v;
-    } else if (std::strcmp(argv[i], "--preproc") == 0) {
-      // Only a recognized mode word is consumed: perf_protocols uses a bare
-      // `--preproc` as its mode selector, so `--preproc --json x` must not
-      // eat `--json` as the mode.
-      if (i + 1 < argc && mpc::preproc::parse_preproc_mode(argv[i + 1])) {
-        a.preproc = *mpc::preproc::parse_preproc_mode(argv[++i]);
-      } else {
-        a.passthrough.emplace_back(argv[i]);
+      const char* v = argv[++i];
+      char* end = nullptr;
+      const double h = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(h) || h < 0.0) {
+        reject(argv[0], "--target-ci", "a non-negative number (0 = off)", v);
       }
+      a.target_ci = h;
+    } else if (std::strcmp(argv[i], "--preproc") == 0) {
+      const char* v = i + 1 < argc ? argv[++i] : "";
+      const auto mode = mpc::preproc::parse_preproc_mode(v);
+      if (!mode) reject(argv[0], "--preproc", "inline, offline_ideal or offline_ot", v);
+      a.preproc = *mode;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      a.seed = static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
+      const auto n = parse_u64(argv[++i]);
+      if (!n) reject(argv[0], "--seed", "an integer in [0, 2^64)", argv[i]);
+      a.seed = *n;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       a.quiet = true;
     } else if (std::strcmp(argv[i], "--list") == 0) {
       a.list = true;
-    } else if (argv[i][0] != '-') {
-      const long v = std::strtol(argv[i], nullptr, 10);
-      if (v > 0) {
-        a.runs = static_cast<std::size_t>(v);
-        a.runs_set = true;
-      } else {
-        a.passthrough.emplace_back(argv[i]);
-      }
+    } else if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
+      a.runs = parse_runs(argv[0], argv[i]);
+      a.runs_set = true;
     } else {
       a.passthrough.emplace_back(argv[i]);
     }
   }
   return a;
 }
-
-Reporter::Reporter(int argc, char** argv, std::size_t default_runs)
-    : Reporter(parse_args(argc, argv), default_runs) {}
 
 Reporter::Reporter(const Args& args, std::size_t default_runs)
     : runs_(args.runs_or(default_runs)),
@@ -92,8 +105,7 @@ Reporter::Reporter(const Args& args, std::size_t default_runs)
       lanes_(args.lanes),
       target_ci_(args.target_ci),
       seed_override_(args.seed),
-      quiet_(args.quiet),
-      json_path_(args.json_path) {}
+      quiet_(args.quiet) {}
 
 void Reporter::offline_batch(const std::string& provider, std::size_t triples,
                              double seconds) {
@@ -157,7 +169,6 @@ int Reporter::finish() {
                 failures_ == 0 ? "ALL CHECKS PASSED" : "DEVIATIONS", failures_,
                 failures_ == 1 ? "" : "s");
   }
-  if (!json_path_.empty()) write_json();
   return 0;
 }
 
@@ -236,8 +247,8 @@ std::string Reporter::json_object() const {
   }
   appendf(out, "\n  ],\n  \"deviations\": %d", failures_);
   // Emitted only under an offline mode (or when a batch was recorded), so
-  // the schema of inline runs — and thus every historical BENCH_*.json —
-  // stays byte-stable.
+  // the schema of inline runs — and thus every historical report — stays
+  // byte-stable.
   if (mpc::preproc::is_offline(preproc_) || !offline_.empty()) {
     appendf(out, ",\n  \"preproc\": {\"mode\": \"%s\", \"offline\": [",
             std::string(mpc::preproc::to_string(preproc_)).c_str());
@@ -251,19 +262,6 @@ std::string Reporter::json_object() const {
   }
   appendf(out, "\n}");
   return out;
-}
-
-void Reporter::write_json() {
-  std::FILE* f = std::fopen(json_path_.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench: cannot open %s for writing\n", json_path_.c_str());
-    return;
-  }
-  const std::string obj = json_object();
-  std::fwrite(obj.data(), 1, obj.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  if (!quiet_) std::printf("json report written to %s\n", json_path_.c_str());
 }
 
 }  // namespace fairsfe::bench

@@ -1,19 +1,13 @@
 // Shared CLI parsing and reporting for every experiment driver: the single
-// `fairbench` scenario runner, the perf_* harnesses, and the test suite's
-// schema checks.
-//
-// Historically this lived in bench/bench_util.h and every exp* binary
-// re-parsed `[runs] [--json] [--threads]` by hand. The class keeps its
-// `fairsfe::bench` namespace (so scenario bodies and the perf harnesses read
-// unchanged) but now lives in the library, next to the scenario registry
-// that drives it.
+// `fairbench` scenario runner, fairbenchd, the perf_* microbenchmarks' main,
+// and the test suite's schema checks.
 //
 // bench::Reporter renders the historical fixed-width table on stdout — for
 // each configuration the measured utility (with its 3-sigma margin), the
 // empirical event distribution, and the paper's closed-form bound, then a
-// PASS/DEVIATION verdict on the shape claim — and, when the harness is
-// invoked with `--json <path>`, additionally writes the same data
-// machine-readably so BENCH_*.json trajectories can be recorded.
+// PASS/DEVIATION verdict on the shape claim — and renders the same data as
+// one JSON object (json_object()), which fairbench writes to `--json <path>`
+// and fairbenchd sends over its socket.
 //
 // CLI accepted by every harness (see bench::parse_args):
 //   fairbench [--list] [--filter <glob>] [runs] [--runs N] [--threads N]
@@ -53,7 +47,8 @@
 //                 "offline": [{"provider": str, "triples": int,
 //                              "seconds": num}]}
 // The section is conditional so the schema — and every historical
-// BENCH_*.json — stays byte-stable under the defaults.
+// report, e.g. the committed BENCH_fault.json — stays byte-stable under the
+// defaults.
 #pragma once
 
 #include <cstdint>
@@ -108,20 +103,18 @@ struct Args {
 
 /// Parses the shared harness CLI out of argv. Unknown flags are collected and
 /// a non-numeric positional is passed through; callers decide whether those
-/// are errors. A --threads value that is not a non-negative integer and a
-/// --lanes value other than 1 or util::kLaneWidth print a message and exit
-/// with status 2.
+/// are errors. A malformed value prints a message and exits with status 2:
+/// runs (--runs or positional) outside [1, rpd::kMaxRuns], --threads outside
+/// [0, rpd::kMaxThreads], a --seed that is not an integer below 2^64, a
+/// negative or non-numeric --target-ci, --lanes other than 1 or
+/// util::kLaneWidth, and --preproc without one of its three mode words.
 Args parse_args(int argc, char** argv);
 
 /// Paper-vs-measured table writer; one instance per scenario run.
 class Reporter {
  public:
-  /// Parses [runs] / --json / --threads from argv; `default_runs` applies
-  /// when no positional override is given.
-  Reporter(int argc, char** argv, std::size_t default_runs);
-
-  /// The parsed-args form used by fairbench (which parses argv once and
-  /// shares the result across every selected scenario).
+  /// `default_runs` applies unless `args` overrides the run count. fairbench
+  /// parses argv once and shares the result across every selected scenario.
   Reporter(const Args& args, std::size_t default_runs);
 
   [[nodiscard]] std::size_t runs() const { return runs_; }
@@ -177,9 +170,8 @@ class Reporter {
            const std::string& paper);
   void check(bool ok, const std::string& what);
 
-  /// Prints the verdict summary and, with --json, writes the report file.
-  /// Always returns 0: deviations are recorded in the output, never break
-  /// the bench loop.
+  /// Prints the verdict summary. Always returns 0: deviations are recorded
+  /// in the output, never break the bench loop.
   int finish();
 
   [[nodiscard]] int deviations() const { return failures_; }
@@ -210,7 +202,6 @@ class Reporter {
   };
 
   static std::string json_escape(const std::string& s);
-  void write_json();
 
   std::size_t runs_;
   std::size_t threads_ = 1;
@@ -221,7 +212,6 @@ class Reporter {
   bool quiet_ = false;
   std::function<void(std::size_t, const std::string&)> row_sink_;
   std::vector<OfflineBatch> offline_;
-  std::string json_path_;
   std::string experiment_, claim_, gamma_;
   std::vector<Row> rows_;
   std::vector<Check> checks_;

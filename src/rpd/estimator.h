@@ -184,6 +184,14 @@ struct EstimatorOptions {
 /// reject anything else before it reaches the estimator.
 [[nodiscard]] bool valid_lanes(std::size_t lanes);
 
+/// Upper bounds on the run and thread counts a user may request (CLI flag,
+/// daemon request field), checked at the same entry points as valid_lanes so
+/// a hostile value is an error rather than an unbounded allocation or thread
+/// count. Every registered scenario's default run count is far below
+/// kMaxRuns.
+inline constexpr std::size_t kMaxRuns = std::size_t{1} << 20;
+inline constexpr std::size_t kMaxThreads = 256;
+
 struct UtilityEstimate {
   double utility = 0.0;       ///< empirical mean payoff (over valid runs)
   double std_error = 0.0;     ///< standard error of the mean

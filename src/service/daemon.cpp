@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdarg>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "experiments/registry.h"
@@ -236,43 +239,59 @@ void Daemon::dispatch(const std::string& line,
 void Daemon::handle_estimate(const JsonValue& req,
                              const std::shared_ptr<Conn>& conn) {
   const std::string id = req.get_string("id");
+  const auto reject = [&conn, &id](const std::string& message) {
+    conn->write_event(error_event(id, message));
+  };
   const std::string scenario = req.get_string("scenario");
   const experiments::ScenarioSpec* spec =
       experiments::Registry::instance().find(scenario);
   if (spec == nullptr) {
-    conn->write_event(error_event(
-        id, "unknown scenario '" + scenario + "' (send {\"verb\":\"list\"})"));
-    return;
+    return reject("unknown scenario '" + scenario + "' (send {\"verb\":\"list\"})");
   }
 
-  // Field-for-flag mirror of the fairbench CLI; every default matches
-  // bench::parse_args so daemon answers equal one-shot answers.
+  // Field-for-flag mirror of the fairbench CLI; every default and bound
+  // matches bench::parse_args so daemon answers equal one-shot answers.
+  // An integer field: `def` when absent, nullopt unless a whole number in
+  // [0, 2^64).
+  const auto uint_field = [&req](std::string_view key, std::uint64_t def) {
+    const JsonValue* v = req.find(key);
+    return v == nullptr ? std::optional<std::uint64_t>(def) : v->as_u64();
+  };
   bench::Args args;
   args.quiet = true;
   if (req.find("runs") != nullptr) {
-    args.runs = static_cast<std::size_t>(req.get_u64("runs", 0));
-    args.runs_set = true;
-    if (args.runs == 0) {
-      conn->write_event(error_event(id, "\"runs\" must be a positive integer"));
-      return;
+    const auto runs = uint_field("runs", 0);
+    if (!runs || *runs == 0 || *runs > rpd::kMaxRuns) {
+      return reject("\"runs\" must be a positive integer no larger than " +
+                    std::to_string(rpd::kMaxRuns));
     }
+    args.runs = static_cast<std::size_t>(*runs);
+    args.runs_set = true;
   }
-  if (req.find("seed") != nullptr) args.seed = req.get_u64("seed", 0);
-  args.threads = static_cast<std::size_t>(req.get_u64("threads", 1));
-  args.lanes = static_cast<std::size_t>(req.get_u64("lanes", 1));
-  if (!rpd::valid_lanes(args.lanes)) {
-    conn->write_event(error_event(id, "\"lanes\" must be 1 or " +
-                                          std::to_string(util::kLaneWidth)));
-    return;
+  if (req.find("seed") != nullptr) {
+    args.seed = uint_field("seed", 0);
+    if (!args.seed) return reject("\"seed\" must be an integer in [0, 2^64)");
   }
+  const auto threads = uint_field("threads", 1);
+  if (!threads || *threads > rpd::kMaxThreads) {
+    return reject("\"threads\" must be an integer in [0, " +
+                  std::to_string(rpd::kMaxThreads) + "]");
+  }
+  args.threads = static_cast<std::size_t>(*threads);
+  const auto lanes = uint_field("lanes", 1);
+  if (!lanes || !rpd::valid_lanes(static_cast<std::size_t>(*lanes))) {
+    return reject("\"lanes\" must be 1 or " + std::to_string(util::kLaneWidth));
+  }
+  args.lanes = static_cast<std::size_t>(*lanes);
   args.target_ci = req.get_number("target_ci", 0.0);
+  if (!(args.target_ci >= 0.0) || !std::isfinite(args.target_ci)) {
+    return reject("\"target_ci\" must be a non-negative number (0 = off)");
+  }
   const std::string preproc = req.get_string("preproc", "inline");
   const auto mode = mpc::preproc::parse_preproc_mode(preproc);
   if (!mode) {
-    conn->write_event(error_event(
-        id, "unknown preproc mode '" + preproc +
-                "' (expected inline|offline_ideal|offline_ot)"));
-    return;
+    return reject("unknown preproc mode '" + preproc +
+                  "' (expected inline|offline_ideal|offline_ot)");
   }
   args.preproc = *mode;
 

@@ -22,8 +22,10 @@
 // default_runs, absent "seed" = the scenario's hard-coded per-point seeds).
 // "id" is an opaque client token echoed on every response event for that
 // request, so one connection can pipeline requests. Unknown keys are
-// ignored. An invalid field (runs 0, lanes other than 1 or 64, an unknown
-// preproc) gets an "error" event; the connection stays open. A request line
+// ignored. An invalid field gets an "error" event and the connection stays
+// open: runs outside [1, rpd::kMaxRuns], threads above rpd::kMaxThreads, a
+// number with no uint64 value (negative, fractional, at or above 2^64), lanes
+// other than 1 or 64, a negative target_ci, an unknown preproc. A request line
 // longer than kMaxRequestLine bytes gets one "error" event, and the daemon
 // then closes that connection (other connections are unaffected).
 //

@@ -62,12 +62,17 @@ double JsonValue::get_number(std::string_view key, double def) const {
   return v->as_number();
 }
 
+std::optional<std::uint64_t> JsonValue::as_u64() const {
+  if (type_ != Type::kNumber || !(num_ >= 0.0) || num_ >= 0x1p64 ||
+      num_ != std::floor(num_)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(num_);
+}
+
 std::uint64_t JsonValue::get_u64(std::string_view key, std::uint64_t def) const {
   const JsonValue* v = find(key);
-  if (v == nullptr || v->type() != Type::kNumber) return def;
-  const double d = v->as_number();
-  if (!(d >= 0.0) || d != std::floor(d)) return def;
-  return static_cast<std::uint64_t>(d);
+  return v == nullptr ? def : v->as_u64().value_or(def);
 }
 
 namespace {

@@ -46,13 +46,16 @@ class JsonValue {
   [[nodiscard]] const std::string& as_string() const { return str_; }
   [[nodiscard]] const JsonArray& as_array() const { return arr_; }
   [[nodiscard]] const JsonMembers& members() const { return members_; }
+  /// The number as an unsigned integer: nullopt unless it is a whole number
+  /// in [0, 2^64) (JSON numbers are doubles, so larger values have none).
+  [[nodiscard]] std::optional<std::uint64_t> as_u64() const;
 
   /// Object member lookup (first match in document order); nullptr if absent
   /// or not an object.
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
 
   /// Typed accessors with defaults, for request fields: absent key or wrong
-  /// type yields the default.
+  /// type (for get_u64: no as_u64() value) yields the default.
   [[nodiscard]] std::string get_string(std::string_view key,
                                        std::string def = "") const;
   [[nodiscard]] double get_number(std::string_view key, double def) const;

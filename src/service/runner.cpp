@@ -63,11 +63,7 @@ CachedBatch offline_batch_for(mpc::preproc::PreprocMode mode,
 ScenarioRunResult run_scenario(const experiments::ScenarioSpec& spec,
                                const bench::Args& args, const RowSink& row_sink,
                                bool cache_batches) {
-  // The caller owns the JSON sink (single object vs array vs socket), so the
-  // per-scenario Reporter runs without one.
-  bench::Args local = args;
-  local.json_path.clear();
-  bench::Reporter rep(local, spec.default_runs);
+  bench::Reporter rep(args, spec.default_runs);
   if (row_sink) rep.set_row_sink(row_sink);
   rep.begin(spec);
   experiments::ScenarioContext ctx{spec, rep};

@@ -168,32 +168,35 @@ rpd::EstimatorOptions opts_with(std::size_t runs, std::uint64_t seed,
 }
 
 TEST(BitsliceGmw, BitIdenticalToScalarAcrossPreprocModesAndThreads) {
-  const circuit::Circuit mill = circuit::make_millionaires_circuit(8);
+  // Two-party millionaires and the four-party max of 8-bit inputs.
   const std::size_t runs = 192;
-  const std::size_t layers =
-      mpc::GmwConfig::public_output(mill).plan->num_and_layers();
-  for (const PreprocMode mode : {PreprocMode::kInline, PreprocMode::kOfflineIdeal,
-                                 PreprocMode::kOfflineOt}) {
-    const auto cfg = config_for(mill, mode, runs, 900);
-    const experiments::GmwHonestPair pair =
-        experiments::gmw_honest_pair(cfg, crash_every_8th(layers));
-    const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
-    const rpd::PayoffVector gamma = rpd::PayoffVector::standard();
-    const auto scalar =
-        rpd::estimate_utility(target, gamma, opts_with(runs, 17, 1).with_lanes(1));
-    EXPECT_EQ(scalar.lanes, 1u);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      const auto sliced = rpd::estimate_utility(
-          target, gamma, opts_with(runs, 17, threads).with_lanes(64));
-      EXPECT_EQ(sliced.lanes, kLaneWidth);
-      expect_bit_identical(scalar, sliced);
-    }
-    // The crash schedule is deterministic, so the event mix is exact.
-    ASSERT_EQ(scalar.run_events.size(), runs);
-    for (std::size_t i = 0; i < runs; ++i) {
-      EXPECT_EQ(scalar.run_events[i],
-                i % 8 == 0 ? rpd::FairnessEvent::kE00 : rpd::FairnessEvent::kE01)
-          << "run " << i;
+  for (const circuit::Circuit& c :
+       {circuit::make_millionaires_circuit(8), circuit::make_max_circuit(4, 8)}) {
+    SCOPED_TRACE(c.num_parties());
+    const std::size_t layers = mpc::GmwConfig::public_output(c).plan->num_and_layers();
+    for (const PreprocMode mode : {PreprocMode::kInline, PreprocMode::kOfflineIdeal,
+                                   PreprocMode::kOfflineOt}) {
+      const auto cfg = config_for(c, mode, runs, 900);
+      const experiments::GmwHonestPair pair =
+          experiments::gmw_honest_pair(cfg, crash_every_8th(layers));
+      const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
+      const rpd::PayoffVector gamma = rpd::PayoffVector::standard();
+      const auto scalar =
+          rpd::estimate_utility(target, gamma, opts_with(runs, 17, 1).with_lanes(1));
+      EXPECT_EQ(scalar.lanes, 1u);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+        const auto sliced = rpd::estimate_utility(
+            target, gamma, opts_with(runs, 17, threads).with_lanes(64));
+        EXPECT_EQ(sliced.lanes, kLaneWidth);
+        expect_bit_identical(scalar, sliced);
+      }
+      // The crash schedule is deterministic, so the event mix is exact.
+      ASSERT_EQ(scalar.run_events.size(), runs);
+      for (std::size_t i = 0; i < runs; ++i) {
+        EXPECT_EQ(scalar.run_events[i],
+                  i % 8 == 0 ? rpd::FairnessEvent::kE00 : rpd::FairnessEvent::kE01)
+            << "run " << i;
+      }
     }
   }
 }
@@ -359,6 +362,23 @@ TEST(BitsliceStopping, ProgressSinkEndsAtTheStoppedTotal) {
   EXPECT_EQ(calls.back().second, est.runs);
   for (std::size_t k = 1; k < calls.size(); ++k) {
     EXPECT_GE(calls[k].first, calls[k - 1].first);  // monotone
+  }
+}
+
+TEST(BitsliceStopping, ZeroVarianceStopsAfterTwoLaneBatches) {
+  // Honest runs all score the same, so the rule fires at its earliest legal
+  // point: after two lane batches.
+  const circuit::Circuit mill = circuit::make_millionaires_circuit(8);
+  const auto cfg = config_for(mill, PreprocMode::kInline, 1024, 908);
+  const experiments::GmwHonestPair pair = experiments::gmw_honest_pair(cfg);
+  const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    const auto est = rpd::estimate_utility(
+        target, rpd::PayoffVector::standard(),
+        opts_with(1024, 42, threads).with_lanes(64).with_target_ci(0.05));
+    EXPECT_TRUE(est.stopped_early);
+    EXPECT_EQ(est.runs, 2 * kLaneWidth);
+    EXPECT_EQ(est.std_error, 0.0);
   }
 }
 

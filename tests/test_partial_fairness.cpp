@@ -2,11 +2,15 @@
 //
 // Theorem 23/24: under ~γ = (0,0,1,0) no attack strategy against the GK
 // protocols earns more than 1/p. Lemma 26/27: Π̃ is 1/2-secure yet leaks the
-// honest input with probability 1/4.
+// honest input with probability 1/4. The protocol-zoo claims of E21/E22 (1/p
+// saturation of round sampling, the deposit flip of the penalty exchange)
+// close the file.
 #include <gtest/gtest.h>
 
 #include "experiments/setups.h"
 #include "fair/leaky_and.h"
+#include "rpd/fairness_relation.h"
+#include "rpd/payoff_model.h"
 
 namespace fairsfe::experiments {
 namespace {
@@ -159,6 +163,43 @@ TEST(LeakyAnd, StillHalfSecureAsGkSubprotocol) {
       rpd::estimate_utility(gk_attack(params, GkAttack::kMatchTarget), kPf,
       rpd::EstimatorOptions{.runs = 1200, .seed = 7000});
   EXPECT_LE(est.utility, 0.5 + est.margin());
+}
+
+TEST(ProtocolZoo, SaturationDepositFlipAndOrderingAtFixedSeed) {
+  const rpd::EstimatorOptions opts{.runs = 4096, .seed = 42};
+  // Round sampling: aborting at the first round earns exactly g10/p.
+  const rpd::VectorModel pf(rpd::payoff::partial_fairness());
+  for (const std::size_t p : {std::size_t{2}, std::size_t{8}}) {
+    const auto est = rpd::estimate_utility(
+        rpd::EstimationTarget{partial_1p_attack(fair::make_partial_1p_and_params(p),
+                                                Partial1pAttack::kAbortAt1),
+                              nullptr, 0},
+        pf, opts);
+    EXPECT_NEAR(est.utility, 1.0 / static_cast<double>(p), est.margin() + 0.02)
+        << "p=" << p;
+  }
+
+  // Penalty exchange: withholding the claim beats honesty without a deposit,
+  // and a deposit of d=1 makes honesty the better strategy.
+  const rpd::VectorModel standard(rpd::payoff::standard());
+  rpd::CollateralTerms unit;
+  unit.deposit = 1.0;
+  const rpd::CollateralModel escrowed(rpd::payoff::standard(), unit);
+  const auto estimate = [&opts](adversary::PenaltyMode mode, const rpd::PayoffModel& m) {
+    return rpd::estimate_utility(rpd::EstimationTarget{penalty_attack(mode), nullptr, 0},
+                                 m, opts)
+        .utility;
+  };
+  const double honest_escrowed = estimate(adversary::PenaltyMode::kHonest, escrowed);
+  EXPECT_GT(estimate(adversary::PenaltyMode::kWithholdClaim, standard), honest_escrowed);
+  EXPECT_LT(estimate(adversary::PenaltyMode::kWithholdClaim, escrowed), honest_escrowed);
+
+  // The E22 ordering: the escrowed exchange is at least as fair as the bare one.
+  const auto bare =
+      rpd::assess_protocol(penalty_attack_family(), standard, opts.with_seed(142));
+  const auto priced =
+      rpd::assess_protocol(penalty_attack_family(), escrowed, opts.with_seed(242));
+  EXPECT_TRUE(rpd::at_least_as_fair(priced, bare));
 }
 
 }  // namespace

@@ -50,6 +50,8 @@ TEST(Registry, EveryScenarioIsWellFormed) {
     EXPECT_FALSE(s->attacks.empty()) << s->id;
     EXPECT_TRUE(static_cast<bool>(s->run)) << s->id;
     EXPECT_GT(s->default_runs, 0u) << s->id;
+    // The CLI and the daemon reject run counts above kMaxRuns.
+    EXPECT_LE(s->default_runs, rpd::kMaxRuns) << s->id;
     for (const auto& a : s->attacks) {
       EXPECT_FALSE(a.name.empty()) << s->id;
       EXPECT_TRUE(static_cast<bool>(a.factory)) << s->id;

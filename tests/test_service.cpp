@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "experiments/registry.h"
@@ -304,10 +305,34 @@ TEST(Service, MalformedAndUnknownRequestsGetErrorEvents) {
   c.send(std::string("{\"verb\":\"estimate\",\"scenario\":\"") + kScenario +
          "\",\"runs\":0,\"id\":\"q\"}");
   EXPECT_NE(c.read_until_event("error").find("positive"), std::string::npos);
+  // Resource caps, and numbers with no uint64 value (JSON numbers are
+  // doubles; converting one at or above 2^64 would be undefined).
+  const std::string over_runs = std::to_string(rpd::kMaxRuns + 1);
+  const std::string over_threads = std::to_string(rpd::kMaxThreads + 1);
+  for (const auto& [fields, key] : std::vector<std::pair<std::string, std::string>>{
+           {"\"runs\":" + over_runs, "runs"},
+           {"\"runs\":1e300", "runs"},
+           {"\"threads\":" + over_threads, "threads"},
+           {"\"threads\":1e20", "threads"},
+           {"\"seed\":1e30", "seed"},
+           {"\"seed\":18446744073709551616", "seed"},
+           {"\"seed\":-1", "seed"},
+           {"\"target_ci\":-1", "target_ci"}}) {
+    c.send(std::string("{\"verb\":\"estimate\",\"scenario\":\"") + kScenario +
+           "\"," + fields + ",\"id\":\"cap\"}");
+    const std::string error = c.read_until_event("error");
+    EXPECT_NE(error.find("\\\"" + key + "\\\""), std::string::npos)
+        << fields << ": " << error;
+    EXPECT_NE(error.find("\"id\":\"cap\""), std::string::npos) << error;
+  }
   // The connection survives every error: a well-formed request still works.
   c.send("{\"verb\":\"list\"}");
   EXPECT_NE(c.read_until_event("scenarios").find("\"count\":22"),
             std::string::npos);
+  c.send(estimate_request("good", 8, 4));
+  const std::string line = c.read_until_event("result");
+  EXPECT_NE(line.find("\"id\":\"good\""), std::string::npos) << line;
+  EXPECT_EQ(scrub_timing(report_of(line)), one_shot_report(8, 4));
 }
 
 TEST(Service, BadLanesGetsErrorAndConnectionStillEstimates) {
