@@ -11,14 +11,11 @@
 //   fairbench --filter exp05 [runs]        run a selection (glob / substring
 //                                          / tag; empty filter = everything)
 //   fairbench --filter opt2 --json out.json --runs 500 --threads 0
-//   fairbench --filter exp18 --json new.json --baseline BENCH_fault.json
 //   fairbench --filter gmw --preproc offline_ideal
 //   fairbench --filter exp01 --seed 7
 //
 // JSON: one scenario selected -> a single object, byte-compatible with the
-// files the old exp* binaries wrote (BENCH_*.json); several -> an array of
-// those objects. --baseline feeds the fresh JSON plus the given baseline to
-// scripts/bench_diff.py (run from the repository root).
+// files the old exp* binaries wrote; several -> an array of those objects.
 //
 // --preproc moves the OT correlations of GMW-backed scenarios into an
 // offline phase: for every selected scenario that declares a PreprocBudget,
@@ -47,7 +44,7 @@ namespace {
 void print_usage() {
   std::printf(
       "usage: fairbench [--list] [--filter <glob|substring|tag>] [runs] [--runs N]\n"
-      "                 [--threads N] [--json out.json] [--baseline old.json]\n"
+      "                 [--threads N] [--json out.json]\n"
       "                 [--lanes {1,64}] [--target-ci H] [--seed S] [--quiet]\n"
       "\n"
       "  --list       print the scenario table and exit\n"
@@ -56,8 +53,6 @@ void print_usage() {
       "  --threads    estimator threads (0 = one per hardware thread)\n"
       "  --json       write the report(s): one object for a single scenario,\n"
       "               an array for several\n"
-      "  --baseline   after --json, diff against a baseline via\n"
-      "               scripts/bench_diff.py (run from the repo root)\n"
       "  --preproc    correlated-randomness phase split: inline (default),\n"
       "               offline_ideal (trusted dealer), offline_ot (real OT\n"
       "               rounds run up front); one offline batch per scenario\n"
@@ -147,10 +142,6 @@ int main(int argc, char** argv) {
     for (const auto* s : reg.all()) std::fprintf(stderr, "  %s\n", s->id.c_str());
     return 2;
   }
-  if (!args.baseline_path.empty() && args.json_path.empty()) {
-    std::fprintf(stderr, "fairbench: --baseline requires --json <path>\n");
-    return 2;
-  }
 
   service::install_stop_handlers();
 
@@ -182,16 +173,6 @@ int main(int argc, char** argv) {
   }
   if (!args.json_path.empty() && !objects.empty()) {
     if (const int rc = write_json(args.json_path, objects); rc != 0) return rc;
-  }
-  if (!args.baseline_path.empty() && !interrupted) {
-    const std::string cmd =
-        "python3 scripts/bench_diff.py " + args.baseline_path + " " + args.json_path;
-    std::printf("\n$ %s\n", cmd.c_str());
-    // When stdout is a pipe our report is still sitting in the stdio buffer;
-    // flush so the child's diff doesn't interleave mid-table.
-    std::fflush(stdout);
-    const int rc = std::system(cmd.c_str());
-    if (rc != 0) return 1;
   }
   return 0;
 }

@@ -19,6 +19,8 @@
 #include <exception>
 #include <string>
 
+#include "experiments/report.h"
+#include "rpd/estimator.h"
 #include "service/daemon.h"
 #include "service/signals.h"
 
@@ -33,17 +35,30 @@ void print_usage() {
       "\n"
       "  --unix       listen on a unix-domain socket at <path>\n"
       "  --host       TCP bind address (default 127.0.0.1)\n"
-      "  --port       TCP port (0 = ephemeral, printed at startup); TCP is\n"
-      "               the default when --unix is not given (port 9600)\n"
-      "  --workers    estimate worker threads (0 = one per hardware thread;\n"
-      "               default 1 — each request's own \"threads\" field\n"
-      "               additionally shards its Monte-Carlo runs)\n"
+      "  --port       TCP port in [0, 65535] (0 = ephemeral, printed at\n"
+      "               startup); TCP is the default when --unix is not given\n"
+      "               (port 9600)\n"
+      "  --workers    estimate worker threads in [0, 256] (0 = one per\n"
+      "               hardware thread; default 1 — each request's own\n"
+      "               \"threads\" field additionally shards its Monte-Carlo\n"
+      "               runs)\n"
       "  --quiet      suppress the stdout log\n"
       "\n"
       "protocol: newline-delimited JSON requests, e.g.\n"
       "  {\"verb\":\"estimate\",\"scenario\":\"exp01_swap_vs_opt\","
       "\"runs\":400,\"seed\":7}\n"
       "  {\"verb\":\"list\"} | {\"verb\":\"status\"} | {\"verb\":\"shutdown\"}\n");
+}
+
+// An integer in [0, max] or exit 2, as fairbench rejects a malformed value.
+std::uint64_t parse_bounded(const char* flag, const char* v, std::uint64_t max) {
+  const auto n = bench::parse_u64(v);
+  if (!n || *n > max) {
+    std::fprintf(stderr, "fairbenchd: %s must be an integer in [0, %llu], got '%s'\n",
+                 flag, static_cast<unsigned long long>(max), v);
+    std::exit(2);
+  }
+  return *n;
 }
 
 }  // namespace
@@ -62,9 +77,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--host" && has_value) {
       cfg.tcp_host = argv[++i];
     } else if (arg == "--port" && has_value) {
-      cfg.tcp_port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+      cfg.tcp_port = static_cast<std::uint16_t>(parse_bounded("--port", argv[++i], 65535));
     } else if (arg == "--workers" && has_value) {
-      cfg.workers = static_cast<std::size_t>(std::atoi(argv[++i]));
+      cfg.workers =
+          static_cast<std::size_t>(parse_bounded("--workers", argv[++i], rpd::kMaxThreads));
     } else if (arg == "--quiet") {
       cfg.quiet = true;
     } else {

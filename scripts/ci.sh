@@ -12,16 +12,17 @@
 # 2. TSan gate for the parallel Monte-Carlo estimation engine: build the tsan
 # preset and run the tier1 ctest label — the scheduling-independence suites
 # (estimator, thread pool, RNG forking, hot-path goldens, fault injection)
-# plus the scenario-registry, wire-codec/mesh and fairbenchd daemon suites
-# and the fairbench argument checks — under ThreadSanitizer, so data races
-# in the estimator/thread-pool/plan-cache/fault/daemon layer fail the build
-# rather than silently perturbing estimates. The tier labels are assigned in
-# tests/CMakeLists.txt.
+# plus the scenario-registry, exp18 golden and fairbenchd daemon suites
+# and the fairbench/fairbenchd argument checks — under ThreadSanitizer, so
+# data races in the estimator/thread-pool/plan-cache/fault/daemon layer fail
+# the build rather than silently perturbing estimates. The preset builds with
+# warnings as errors. The tier labels are assigned in tests/CMakeLists.txt.
 #
-# 3. ASan+UBSan gate: build the asan-ubsan preset and run the same tier1
-#    label under AddressSanitizer and UndefinedBehaviorSanitizer, so the
-#    unaligned SIMD loads and stores of the crypto kernels (ChaCha20 batches,
-#    SHA-NI lanes) and every other tier1 path run bounds- and UB-checked.
+# 3. ASan+UBSan gate: build the asan-ubsan preset (warnings as errors) and
+#    run the same tier1 label under AddressSanitizer and
+#    UndefinedBehaviorSanitizer, so the unaligned SIMD loads and stores of
+#    the crypto kernels (ChaCha20 batches, SHA-NI lanes) and every other
+#    tier1 path run bounds- and UB-checked.
 #
 # 4. Release build (gating): every target (library, tests, benches,
 #    examples) is built with CMAKE_BUILD_TYPE=Release and
@@ -54,7 +55,7 @@ echo "lint + analyze gate passed"
 
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target fairsfe_tests \
-      --target fairbench
+      --target fairbench --target fairbenchd
 if [[ $# -ge 1 ]]; then
   ctest --test-dir build-tsan -R "$1" --output-on-failure -j "$(nproc)"
   echo "tsan gate passed (-R $1)"
@@ -66,7 +67,7 @@ fi
 # --- gating ASan+UBSan stage ---------------------------------------------------
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" --target fairsfe_tests \
-      --target fairbench
+      --target fairbench --target fairbenchd
 ctest --test-dir build-asan-ubsan -L tier1 --output-on-failure -j "$(nproc)"
 echo "asan-ubsan gate passed (-L tier1)"
 

@@ -9,7 +9,7 @@ regexes, this package runs a real (if lightweight) analysis pipeline:
   2. tu.py          a per-translation-unit structural pass over the token
                     stream: function/scope tracking, statement-level flow
                     facts, Rng fork/draw events, message-kind call sites,
-                    taint-source annotations, struct field tables;
+                    taint-source annotations;
   3. analyses.py    three global analyses over the merged per-TU facts:
                     Rng stream lineage, secret-flow taint, and message-schema
                     conformance;
@@ -19,11 +19,11 @@ regexes, this package runs a real (if lightweight) analysis pipeline:
 
 The contracts enforced are the ones every number this reproduction reports
 rests on: pairwise-independent forked Rng streams, secrets never reaching
-transcripts/logs/wire frames unmasked, and sender/receiver agreement on
+transcripts/logs/check messages unmasked, and sender/receiver agreement on
 message kinds (DESIGN.md §14).
 """
 
 ANALYZER_NAME = "fairsfe-analyze"
 # Bump whenever extraction or analysis semantics change: the version is part
 # of the per-TU cache key, so stale facts can never survive an upgrade.
-ANALYZER_VERSION = "1.0.0"
+ANALYZER_VERSION = "1.1.0"

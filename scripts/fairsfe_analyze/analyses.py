@@ -7,10 +7,10 @@ Three analyses, each a pure function from a list of TU facts dicts
               labels under one parent, un-indexed fork() in loops, and
               parent-stream draws after a child fork (protocol layers only);
   taint       secret-flow taint: forward propagation from TAINT-SOURCE
-              declarations to transcript/log/wire/check sinks, untainted by
+              declarations to transcript/log/check sinks, untainted by
               masking XOR or DECLASSIFY;
   schema      message-schema conformance: kinds encoded but never decoded
-              (and vice versa), plus the Frame⊇Message field cross-check.
+              (and vice versa).
 
 A finding is {"rule", "path", "line", "col", "message"}. LINT-ALLOW
 filtering and unused-allow detection live in driver.py so both text and
@@ -22,10 +22,6 @@ SARIF output see the same post-suppression stream.
 # estimates rest on; fixtures are mapped under src/ by the self-test harness.
 PROTOCOL_DIRS = ("src/sim/", "src/mpc/", "src/fair/", "src/adversary/")
 TAINT_DIRS = ("src/",)
-
-# Hand-maintained kind aliases: encode_frame's body is split from
-# decode_frame_body in src/net/wire.*, but both speak the same frame schema.
-KIND_ALIASES = {"frame_body": "frame"}
 
 # Kinds whose decode side is a Reader loop rather than a decode_<kind>()
 # helper get an `// ANALYZE-HANDLES(kind)` annotation at the parse site; the
@@ -47,18 +43,12 @@ RULES = [
     ("secret-to-log",
      "tainted value reaches stdout/stderr/printf without mask/DECLASSIFY",
      "src"),
-    ("secret-to-wire",
-     "tainted value reaches a net:: frame writer without mask/DECLASSIFY",
-     "src"),
     ("secret-to-check",
      "tainted value interpolated into a FAIRSFE_CHECK message",
      "src"),
     ("orphan-message-kind",
      "message kind encoded but never decoded, or decoded but never encoded",
      "src"),
-    ("wire-schema-drift",
-     "sim::Message field missing from net::Frame",
-     "src/net + src/sim"),
     ("unused-declassify",
      "DECLASSIFY marker on a line with no tainted sink",
      "src"),
@@ -204,7 +194,7 @@ def analyze_lineage(facts_list):
 # ---------------------------------------------------------------------------
 
 _SINK_RULE = {"transcript": "secret-to-transcript", "log": "secret-to-log",
-              "wire": "secret-to-wire", "check": "secret-to-check"}
+              "check": "secret-to-check"}
 
 
 def _collect_sources(facts_list):
@@ -321,23 +311,21 @@ def analyze_schema(facts_list):
         for site in facts["kinds"]:
             if not site["is_call"]:
                 continue
-            kind = KIND_ALIASES.get(site["kind"], site["kind"])
+            kind = site["kind"]
             if site["role"] == "encode":
                 encoded.setdefault(kind, (path, site["line"], site["col"]))
             else:
                 decoded.add(kind)
         for h in facts["handles"]:
-            handled.add(KIND_ALIASES.get(h["kind"], h["kind"]))
+            handled.add(h["kind"])
         for e in facts.get("emits", []):
-            kind = KIND_ALIASES.get(e["kind"], e["kind"])
-            encoded.setdefault(kind, (path, e["line"], 1))
+            encoded.setdefault(e["kind"], (path, e["line"], 1))
     decode_sites = {}
     for facts in facts_list:
         for site in facts["kinds"]:
             if site["is_call"] and site["role"] == "decode":
-                kind = KIND_ALIASES.get(site["kind"], site["kind"])
                 decode_sites.setdefault(
-                    kind, (facts["relpath"], site["line"], site["col"]))
+                    site["kind"], (facts["relpath"], site["line"], site["col"]))
     for kind, (path, line, col) in sorted(encoded.items()):
         if kind not in decoded and kind not in handled:
             findings.append(_finding(
@@ -351,24 +339,6 @@ def analyze_schema(facts_list):
                 "orphan-message-kind", path, line, col,
                 'message kind "%s" is decoded here but nothing ever encodes '
                 "it (no encode_%s() call)" % (kind, kind)))
-
-    # Frame ⊇ Message field cross-check: every sim::Message field must have a
-    # carrying Frame field, or shares ride the wire without a schema slot.
-    msg_fields, msg_path = None, None
-    frame_fields = None
-    for facts in facts_list:
-        cls = facts["classes"]
-        if "Message" in cls and facts["relpath"].startswith("src/sim/"):
-            msg_fields, msg_path = cls["Message"], facts["relpath"]
-        if "Frame" in cls and facts["relpath"].startswith("src/net/"):
-            frame_fields = {f for f, _ in cls["Frame"]}
-    if msg_fields is not None and frame_fields is not None:
-        for field, line in msg_fields:
-            if field not in frame_fields:
-                findings.append(_finding(
-                    "wire-schema-drift", msg_path, line, 1,
-                    "sim::Message field `%s` has no corresponding net::Frame "
-                    "field: the wire schema cannot carry it" % field))
     return findings
 
 

@@ -4,7 +4,7 @@ Pipeline per run:
 
   1. collect the TU set — translation units named by compile_commands.json
      (when given) plus every header under the scan roots, so facts from
-     header-only types (Frame, Message, AuthShare2) participate;
+     header-only types (Message, AuthShare2) participate;
   2. extract per-TU facts, served from the content-hash cache when the file
      is unchanged, farmed out to a process pool otherwise;
   3. run the three global analyses (analyses.py) over the merged facts;

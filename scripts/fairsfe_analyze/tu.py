@@ -8,7 +8,6 @@ statements. From each TU it extracts a JSON-serializable *facts* dict:
                 receiver calls, sink shapes), Rng fork/draw event streams in
                 program order, and the set of Rng-typed variables;
   kinds         encode_<kind>/decode_<kind> call sites (message-schema pass);
-  classes       per-class field tables (wire/schema cross-check);
   taint_sources TAINT-SOURCE(category) annotations bound to the declaration
                 they precede;
   declassify    DECLASSIFY(reason) markers with their target lines;
@@ -246,7 +245,6 @@ class _Extractor:
             "relpath": relpath,
             "functions": [],
             "kinds": [],
-            "classes": {},
             "taint_sources": [],
             "declassify": [],
             "handles": [],
@@ -563,9 +561,6 @@ class _Extractor:
         if in_class:
             decl = _parse_decl(stmt)
             if decl:
-                cls = self.scopes[-1].name
-                self.facts["classes"].setdefault(cls, []).append(
-                    [decl[1], stmt[0].line])
                 self.scopes[-1].vars[decl[1]] = decl[0]
             return
         # Declarations register into the current scope; control headers
@@ -615,25 +610,18 @@ class _Extractor:
 
         # Assignment target: first ident chain followed by a plain `=`.
         assign_to = None
-        assign_chain = []
         for k in range(n - 1):
             if (toks[k].kind == "ident" and toks[k + 1].kind == "punct"
                     and toks[k + 1].text in ("=", "^=")):
-                assign_to = toks[k].text
-                # member chain (frame.payload = ...)
+                # A member chain (msg.body = ...) assigns to its head.
                 j = k
-                chain = [toks[k].text]
                 while j >= 2 and toks[j - 1].kind == "punct" and \
                         toks[j - 1].text in (".", "->") and toks[j - 2].kind == "ident":
-                    chain.insert(0, toks[j - 2].text)
                     j -= 2
-                assign_chain = chain
-                if len(chain) > 1:
-                    assign_to = chain[0]
+                assign_to = toks[j].text
                 break
         if decl:
             assign_to = decl[1]
-            assign_chain = [decl[1]]
 
         calls = []       # plain call names
         recv_calls = []  # [receiver, method, [arg idents]]
@@ -707,7 +695,7 @@ class _Extractor:
         if fn is None:
             return
         sinks = self._detect_sinks(toks, idents, calls, recv_calls,
-                                   assign_chain, check_msg_idents)
+                                   check_msg_idents)
         fn["stmts"].append({
             "line": toks[0].line,
             "col": toks[0].col,
@@ -720,7 +708,7 @@ class _Extractor:
             "sinks": sinks,
         })
 
-    def _detect_sinks(self, toks, idents, calls, recv_calls, assign_chain,
+    def _detect_sinks(self, toks, idents, calls, recv_calls,
                       check_msg_idents):
         sinks = []
         line, col = toks[0].line, toks[0].col
@@ -735,14 +723,6 @@ class _Extractor:
         if transcriptish:
             sinks.append({"sink": "transcript", "line": line, "col": col,
                           "args": idents})
-        if "encode_frame" in calls or any(m == "encode_frame" for _, m, _ in recv_calls):
-            sinks.append({"sink": "wire", "line": line, "col": col,
-                          "args": idents})
-        if len(assign_chain) > 1 and assign_chain[-1] == "payload":
-            head_typ, _ = self.lookup_var(assign_chain[0])
-            if head_typ == "Frame":
-                sinks.append({"sink": "wire", "line": line, "col": col,
-                              "args": idents})
         if check_msg_idents:
             sinks.append({"sink": "check", "line": line, "col": col,
                           "args": check_msg_idents})

@@ -65,8 +65,8 @@ of that contract machine-checked:
                             src/net. The process's entire network surface must
                             stay auditable from src/net/socket.cpp (its header
                             comment enumerates every raw call site); everything
-                            above it — mesh, daemon, benches, tests — talks
-                            net::Stream / net::*Listener / net::tcp_connect*.
+                            above it — daemon, benches, tests — talks
+                            net::Stream / net::*Listener / net::*_connect.
 
 Escape hatch: a finding is suppressed by `// LINT-ALLOW(rule): reason` on the
 same line or on a comment line directly above it. The reason is mandatory
@@ -333,7 +333,7 @@ class RawSocketAccessRule(RegexRule):
     site); a stray socket()/bind()/connect()/accept()/listen() or a
     <sys/socket.h>-family include elsewhere silently widens that surface.
     Everything above src/net speaks net::Stream / net::*Listener /
-    net::tcp_connect*. An exclusion list, like direct-ot-access, so the rule
+    net::*_connect. An exclusion list, like direct-ot-access, so the rule
     follows new scan roots automatically."""
 
     EXEMPT = ("src/net",)
@@ -342,7 +342,7 @@ class RawSocketAccessRule(RegexRule):
         super().__init__(
             "raw-socket-access", None,
             "raw socket API outside src/net: use net::Stream / "
-            "net::TcpListener / net::UnixListener / net::tcp_connect* "
+            "net::TcpListener / net::UnixListener / net::*_connect "
             "(src/net/socket.h) so the process's network surface stays "
             "auditable in one place",
             [
@@ -353,10 +353,10 @@ class RawSocketAccessRule(RegexRule):
                 r"#\s*include\s*<netdb\.h>",
                 # The call sites. The lookbehind excludes word chars (so
                 # tcp_connect/unix_connect wrappers don't match), member
-                # access `.`/`->` (SeqTracker::accept() callers, listener
-                # methods), and a preceding `:` (so `net::...`/`std::bind`
-                # qualified names only match when the `::`-prefixed
-                # alternative matches from a clean position).
+                # access `.`/`->` (listener methods), and a preceding `:`
+                # (so `net::...`/`std::bind` qualified names only match when
+                # the `::`-prefixed alternative matches from a clean
+                # position).
                 r"(?<![\w.>:])(?:::\s*)?(?:socket|bind|listen|accept|connect)\s*\(",
             ])
 

@@ -24,9 +24,9 @@ void good_wrapper_use() {
   // Qualified names and member calls are someone else's API, not raw
   // syscalls: none of these lines is a finding.
   auto stream = fairsfe::net::tcp_connect("127.0.0.1", 9600);
-  auto retry = fairsfe::net::tcp_connect_retry("127.0.0.1", 9600, 3);
+  auto local = fairsfe::net::unix_connect("/tmp/x.sock");
   auto lis = fairsfe::net::TcpListener::bind("127.0.0.1", 0);
   auto peer = lis.accept();
   auto fn = std::bind(&bad_raw_calls);
-  (void)stream; (void)retry; (void)peer; (void)fn;
+  (void)stream; (void)local; (void)peer; (void)fn;
 }

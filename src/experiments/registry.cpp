@@ -10,6 +10,26 @@ bool ScenarioSpec::has_tag(const std::string& tag) const {
   return std::find(tags.begin(), tags.end(), tag) != tags.end();
 }
 
+rpd::UtilityEstimate estimate_utility(const ScenarioSpec& scenario,
+                                      const rpd::EstimatorOptions& opts) {
+  rpd::EstimatorOptions o = opts;
+  if (!o.fault && scenario.fault) o.fault = *scenario.fault;
+  rpd::EstimationTarget target;
+  target.factory = scenario.attacks.front().factory;
+  target.sliced = scenario.sliced;
+  target.sliced_parties = scenario.sliced_parties;
+  if (scenario.model) return rpd::estimate_utility(target, *scenario.model, o);
+  return rpd::estimate_utility(target, rpd::VectorModel(scenario.gamma), o);
+}
+
+rpd::ProtocolAssessment assess_protocol(const ScenarioSpec& scenario,
+                                        const rpd::EstimatorOptions& opts) {
+  rpd::EstimatorOptions o = opts;
+  if (!o.fault && scenario.fault) o.fault = *scenario.fault;
+  if (scenario.model) return rpd::assess_protocol(scenario.attacks, *scenario.model, o);
+  return rpd::assess_protocol(scenario.attacks, rpd::VectorModel(scenario.gamma), o);
+}
+
 Registry& Registry::instance() {
   static Registry* reg = [] {
     auto* r = new Registry();

@@ -11,8 +11,8 @@
 // experiments::setups.cpp (register_builtin_scenarios) from the scenario
 // translation units in src/experiments/scenarios/, and is consumed by
 //   * bench/fairbench — the single driver CLI (--list / --filter / --runs /
-//     --threads / --json / --baseline) replacing the 18 exp* binaries,
-//   * rpd::estimate_utility / rpd::assess_protocol ScenarioSpec overloads,
+//     --threads / --json) replacing the 18 exp* binaries,
+//   * the estimate_utility / assess_protocol ScenarioSpec overloads below,
 //     so tests and benches provably measure identical configurations,
 //   * tests/test_registry.cpp — per-scenario smoke, determinism, and JSON
 //     schema checks.
@@ -107,7 +107,7 @@ struct ScenarioSpec {
   /// formula.
   std::function<double(const rpd::PayoffVector&, double)> bound;
   std::string bound_note;  ///< human form, e.g. "(g10+g11)/2 + p(g00-g11)/2"
-  /// Canonical named-attack family: what `rpd::assess_protocol(spec, ...)`
+  /// Canonical named-attack family: what `assess_protocol(spec, ...)`
   /// sweeps, and what the registry smoke test estimates. Non-empty for every
   /// registered scenario.
   std::vector<rpd::NamedAttack> attacks;
@@ -132,6 +132,24 @@ struct ScenarioSpec {
   }
   [[nodiscard]] bool has_tag(const std::string& tag) const;
 };
+
+/// Estimate a registered scenario's canonical (first-registered) attack
+/// under the scenario's own payoff model (ScenarioSpec::model when set,
+/// otherwise a VectorModel over ScenarioSpec::gamma). `opts` supplies
+/// runs/seed/threads (start from `scenario.default_options()` for the
+/// registered defaults); when `opts` carries no fault plan the scenario's
+/// default plan applies.
+/// Tests and benches that go through this overload provably measure the
+/// same configuration.
+rpd::UtilityEstimate estimate_utility(const ScenarioSpec& scenario,
+                                      const rpd::EstimatorOptions& opts);
+
+/// Assess a registered scenario's canonical attack family under the
+/// scenario's own payoff model — ScenarioSpec::model when set, otherwise a
+/// VectorModel over ScenarioSpec::gamma (see the ScenarioSpec overload of
+/// estimate_utility for the merge semantics of `opts`).
+rpd::ProtocolAssessment assess_protocol(const ScenarioSpec& scenario,
+                                        const rpd::EstimatorOptions& opts);
 
 /// Process-wide scenario table. Thread-compatible: fully populated on first
 /// access, immutable afterwards except through add() (which callers must

@@ -14,9 +14,6 @@
 
 namespace fairsfe::bench {
 
-namespace {
-
-// Strict unsigned decimal: digits only (no sign, no blanks), no overflow.
 std::optional<std::uint64_t> parse_u64(const char* v) {
   if (!std::isdigit(static_cast<unsigned char>(v[0]))) return std::nullopt;
   char* end = nullptr;
@@ -25,6 +22,8 @@ std::optional<std::uint64_t> parse_u64(const char* v) {
   if (*end != '\0' || errno == ERANGE) return std::nullopt;
   return static_cast<std::uint64_t>(n);
 }
+
+namespace {
 
 [[noreturn]] void reject(const char* prog, const char* flag, const std::string& want,
                          const char* got) {
@@ -59,8 +58,6 @@ Args parse_args(int argc, char** argv) {
       a.runs_set = true;
     } else if (std::strcmp(argv[i], "--filter") == 0 && i + 1 < argc) {
       a.filter = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
-      a.baseline_path = argv[++i];
     } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
       const auto n = parse_u64(argv[++i]);
       if (!n || !rpd::valid_lanes(static_cast<std::size_t>(*n))) {

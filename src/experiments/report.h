@@ -11,7 +11,7 @@
 //
 // CLI accepted by every harness (see bench::parse_args):
 //   fairbench [--list] [--filter <glob>] [runs] [--runs N] [--threads N]
-//             [--json out.json] [--baseline old.json] [--preproc <mode>]
+//             [--json out.json] [--preproc <mode>]
 //             [--lanes {1,64}] [--target-ci <halfwidth>] [--seed S] [--quiet]
 // where [runs] / --runs overrides the Monte-Carlo runs per point, --threads
 // feeds rpd::EstimatorOptions::threads (0 = one per hardware thread), --json
@@ -47,8 +47,7 @@
 //                 "offline": [{"provider": str, "triples": int,
 //                              "seconds": num}]}
 // The section is conditional so the schema — and every historical
-// report, e.g. the committed BENCH_fault.json — stays byte-stable under the
-// defaults.
+// report — stays byte-stable under the defaults.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +67,7 @@ namespace fairsfe::bench {
 
 /// The common experiment-harness CLI, parsed once. Flags every harness
 /// shares: positional [runs] (or --runs N), --threads N, --json <path>.
-/// Driver-level flags (--list, --filter, --baseline) are carried along for
+/// Driver-level flags (--list, --filter) are carried along for
 /// fairbench; anything unrecognized lands in `passthrough` so wrapper
 /// binaries (perf_*) can forward google-benchmark flags.
 struct Args {
@@ -77,8 +76,7 @@ struct Args {
   std::size_t threads = 1;
   std::string json_path;
   bool list = false;
-  std::string filter;         ///< scenario glob for fairbench --filter
-  std::string baseline_path;  ///< fairbench --baseline, fed to bench_diff.py
+  std::string filter;  ///< scenario glob for fairbench --filter
   /// --preproc <mode>: correlated-randomness phase split for every scenario.
   mpc::preproc::PreprocMode preproc = mpc::preproc::PreprocMode::kInline;
   /// --lanes {1,64}: execution lane width (rpd::EstimatorOptions::lanes).
@@ -100,6 +98,10 @@ struct Args {
     return runs_set ? runs : default_runs;
   }
 };
+
+/// Strict unsigned decimal: digits only (no sign, no blanks), no overflow.
+/// The one number parser for every CLI flag (fairbench and fairbenchd).
+std::optional<std::uint64_t> parse_u64(const char* v);
 
 /// Parses the shared harness CLI out of argv. Unknown flags are collected and
 /// a non-numeric positional is passed through; callers decide whether those

@@ -31,7 +31,7 @@ void run(ScenarioContext& ctx) {
     rep.row("Pi1 / " + a.name, a.estimate, "sup = 1.000 (g10)");
   }
 
-  const auto pi2 = rpd::assess_protocol(ctx.spec, rep.opts(10));
+  const auto pi2 = assess_protocol(ctx.spec, rep.opts(10));
   for (const auto& a : pi2.attacks) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "sup = %.3f ((g10+g11)/2)",

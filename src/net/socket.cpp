@@ -25,7 +25,6 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace fairsfe::net {
@@ -53,8 +52,8 @@ sockaddr_in tcp_addr(const std::string& host, std::uint16_t port) {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1) return addr;
-  // Not a dotted quad: resolve it (compose meshes dial peers by service
-  // hostname). IPv4 only — the mesh and daemon bind AF_INET listeners.
+  // Not a dotted quad: resolve it (fairbenchd --host takes a hostname).
+  // IPv4 only — the daemon binds AF_INET listeners.
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
@@ -276,21 +275,6 @@ Stream unix_connect(const std::string& path) {
     }
     if (errno == EINTR) continue;
     throw_errno("connect(" + path + ")");
-  }
-}
-
-ConnectResult tcp_connect_retry(const std::string& host, std::uint16_t port,
-                                int attempts, std::chrono::milliseconds backoff) {
-  std::chrono::milliseconds wait = backoff;
-  const std::chrono::milliseconds cap = backoff * 32;
-  for (int attempt = 0;; ++attempt) {
-    try {
-      return ConnectResult{tcp_connect(host, port), attempt};
-    } catch (const std::runtime_error&) {
-      if (attempt + 1 >= attempts) throw;
-    }
-    std::this_thread::sleep_for(wait);
-    wait = std::min(wait * 2, cap);
   }
 }
 

@@ -3,13 +3,13 @@
 // This directory is the only place in the tree allowed to touch raw socket
 // syscalls — the fairsfe-lint rule `raw-socket-access` confines
 // socket()/bind()/listen()/accept()/connect() and the <sys/socket.h> family
-// of includes to src/net/. Everything above (the fairbenchd service, the
-// fairparty mesh runner) speaks through these wrappers, so auditing the
-// process's network surface means auditing src/net/socket.cpp.
+// of includes to src/net/. Everything above (the fairbenchd service, its
+// tests and perfbench's client) speaks through these wrappers, so auditing
+// the process's network surface means auditing src/net/socket.cpp.
 //
 // Determinism contract: wrappers never consult ambient randomness or
-// wall-clock time; the only clock used is std::chrono::steady_clock, and only
-// for connect/accept timeouts — values that never feed protocol state.
+// clocks; the only timeouts are poll() bounds on accept/read readiness —
+// values that never feed protocol state.
 #pragma once
 
 #include <chrono>
@@ -126,20 +126,5 @@ Stream tcp_connect(const std::string& host, std::uint16_t port);
 
 /// Connect to a unix-domain socket path. Throws on failure.
 Stream unix_connect(const std::string& path);
-
-/// Connect with bounded retry/backoff: up to `attempts` tries, sleeping
-/// `backoff` (doubled each retry, capped at 32×) between failures. Returns
-/// the stream plus how many retries were needed (0 = first try). Throws once
-/// the budget is exhausted. This is the peer-startup race absorber for the
-/// multi-process mesh: party i may connect before party j has bound its
-/// listener.
-struct ConnectResult {
-  Stream stream;
-  int retries = 0;
-};
-ConnectResult tcp_connect_retry(const std::string& host, std::uint16_t port,
-                                int attempts = 40,
-                                std::chrono::milliseconds backoff =
-                                    std::chrono::milliseconds(25));
 
 }  // namespace fairsfe::net

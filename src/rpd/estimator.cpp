@@ -6,7 +6,6 @@
 #include <limits>
 #include <mutex>
 
-#include "experiments/registry.h"
 #include "util/bitmat.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -266,18 +265,6 @@ UtilityEstimate estimate_utility(const SetupFactory& factory, const PayoffVector
   EstimationTarget target;
   target.factory = factory;
   return estimate_utility(target, VectorModel(payoff), opts);
-}
-
-UtilityEstimate estimate_utility(const experiments::ScenarioSpec& scenario,
-                                 const EstimatorOptions& opts) {
-  EstimatorOptions o = opts;
-  if (!o.fault && scenario.fault) o.fault = *scenario.fault;
-  EstimationTarget target;
-  target.factory = scenario.attacks.front().factory;
-  target.sliced = scenario.sliced;
-  target.sliced_parties = scenario.sliced_parties;
-  if (scenario.model) return estimate_utility(target, *scenario.model, o);
-  return estimate_utility(target, VectorModel(scenario.gamma), o);
 }
 
 }  // namespace fairsfe::rpd

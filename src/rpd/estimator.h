@@ -34,10 +34,6 @@
 #include "rpd/payoff_model.h"
 #include "sim/engine.h"
 
-namespace fairsfe::experiments {
-struct ScenarioSpec;
-}  // namespace fairsfe::experiments
-
 namespace fairsfe::rpd {
 
 /// Everything needed to execute one protocol run and classify it.
@@ -264,17 +260,6 @@ UtilityEstimate estimate_utility(const SetupFactory& factory, const PayoffVector
 /// stopping (see EstimationTarget and EstimatorOptions::lanes / target_ci).
 UtilityEstimate estimate_utility(const EstimationTarget& target,
                                  const PayoffVector& payoff,
-                                 const EstimatorOptions& opts);
-
-/// Estimate a registered scenario's canonical (first-registered) attack
-/// under the scenario's own payoff model (ScenarioSpec::model when set,
-/// otherwise a VectorModel over ScenarioSpec::gamma). `opts` supplies
-/// runs/seed/threads
-/// (start from `scenario.default_options()` for the registered defaults);
-/// when `opts` carries no fault plan the scenario's default plan applies.
-/// Tests and benches that go through this overload provably measure the
-/// same configuration.
-UtilityEstimate estimate_utility(const experiments::ScenarioSpec& scenario,
                                  const EstimatorOptions& opts);
 
 /// Run a single execution from a setup (used by tests needing transcripts).

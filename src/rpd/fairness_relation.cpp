@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 
-#include "experiments/registry.h"
 #include "util/thread_pool.h"
 
 namespace fairsfe::rpd {
@@ -57,14 +56,6 @@ ProtocolAssessment assess_protocol(const std::vector<NamedAttack>& attacks,
                                    const PayoffVector& payoff,
                                    const EstimatorOptions& opts) {
   return assess_protocol(attacks, VectorModel(payoff), opts);
-}
-
-ProtocolAssessment assess_protocol(const experiments::ScenarioSpec& scenario,
-                                   const EstimatorOptions& opts) {
-  EstimatorOptions o = opts;
-  if (!o.fault && scenario.fault) o.fault = *scenario.fault;
-  if (scenario.model) return assess_protocol(scenario.attacks, *scenario.model, o);
-  return assess_protocol(scenario.attacks, VectorModel(scenario.gamma), o);
 }
 
 bool at_least_as_fair(const ProtocolAssessment& a, const ProtocolAssessment& b) {

@@ -52,13 +52,6 @@ ProtocolAssessment assess_protocol(const std::vector<NamedAttack>& attacks,
                                    const PayoffVector& payoff,
                                    const EstimatorOptions& opts);
 
-/// Assess a registered scenario's canonical attack family under the
-/// scenario's own payoff model — ScenarioSpec::model when set, otherwise a
-/// VectorModel over ScenarioSpec::gamma (see the ScenarioSpec overload of
-/// estimate_utility for the merge semantics of `opts`).
-ProtocolAssessment assess_protocol(const experiments::ScenarioSpec& scenario,
-                                   const EstimatorOptions& opts);
-
 /// Definition 1, empirically: is `a` at least as fair as `b`? Statistical
 /// noise is absorbed by both margins (the analogue of the negligible slack).
 bool at_least_as_fair(const ProtocolAssessment& a, const ProtocolAssessment& b);

@@ -2,9 +2,9 @@
 // tests pin down (a) the registered table itself (22 unique ids, canonical
 // attack families, smoke tags), (b) the --filter matching semantics the
 // fairbench driver exposes, (c) that every registered scenario estimates
-// through the rpd::ScenarioSpec overloads without error and bit-identically
+// through the ScenarioSpec overloads without error and bit-identically
 // across thread counts, and (d) that the Reporter's JSON rows conform to the
-// schema documented in experiments/report.h (what bench_diff.py consumes).
+// schema documented in experiments/report.h.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -110,7 +110,7 @@ TEST(Registry, EveryScenarioEstimatesWithoutError) {
   // 8 runs through the canonical attack of each registered scenario: the
   // declarative table must be runnable end-to-end, not just printable.
   for (const auto* s : Registry::instance().all()) {
-    const auto est = rpd::estimate_utility(*s, smoke_opts(*s, 1));
+    const auto est = estimate_utility(*s, smoke_opts(*s, 1));
     EXPECT_EQ(est.runs, 8u) << s->id;
     EXPECT_TRUE(std::isfinite(est.utility)) << s->id;
     EXPECT_TRUE(std::isfinite(est.std_error)) << s->id;
@@ -122,8 +122,8 @@ TEST(Registry, EveryScenarioEstimatesWithoutError) {
 
 TEST(Registry, EstimatesAreBitIdenticalAcrossThreadCounts) {
   for (const auto* s : Registry::instance().all()) {
-    const auto one = rpd::estimate_utility(*s, smoke_opts(*s, 1));
-    const auto two = rpd::estimate_utility(*s, smoke_opts(*s, 2));
+    const auto one = estimate_utility(*s, smoke_opts(*s, 1));
+    const auto two = estimate_utility(*s, smoke_opts(*s, 2));
     EXPECT_EQ(one.utility, two.utility) << s->id;
     EXPECT_EQ(one.std_error, two.std_error) << s->id;
     EXPECT_EQ(one.event_freq, two.event_freq) << s->id;
@@ -186,7 +186,7 @@ bool balanced(const std::string& json) {
 TEST(Registry, ReporterJsonObjectMatchesTheDocumentedSchema) {
   // One 8-run row per scenario, rendered through the Reporter fairbench
   // uses; each object must carry every schema key from report.h and be
-  // structurally balanced (what scripts/bench_diff.py parses).
+  // structurally balanced.
   for (const auto* s : Registry::instance().all()) {
     bench::Args args;
     args.runs = 8;
@@ -194,7 +194,7 @@ TEST(Registry, ReporterJsonObjectMatchesTheDocumentedSchema) {
     bench::Reporter rep(args, s->default_runs);
     rep.begin(*s);
     rep.gamma(s->gamma);
-    const auto est = rpd::estimate_utility(*s, smoke_opts(*s, 1));
+    const auto est = estimate_utility(*s, smoke_opts(*s, 1));
     rep.row(s->attacks.front().name, est, "schema probe");
     rep.check(true, "schema probe");
     const std::string json = rep.json_object();
@@ -208,7 +208,7 @@ TEST(Registry, ReporterJsonObjectMatchesTheDocumentedSchema) {
       EXPECT_NE(json.find(key), std::string::npos) << s->id << " missing " << key;
     }
     // The experiment field carries the spec title (what the old binaries
-    // recorded), so BENCH_*.json baselines keep matching.
+    // recorded), so reports from before the registry keep matching.
     EXPECT_EQ(json.find("\"experiment\": \"" + s->title.substr(0, 10)), 4u)
         << s->id << ": experiment field must carry the scenario title";
   }
