@@ -5,6 +5,7 @@
 #include "crypto/chacha20.h"
 #include "crypto/commitment.h"
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "crypto/lamport.h"
 #include "crypto/mac.h"
 #include "crypto/rng.h"
@@ -33,6 +34,21 @@ void BM_HmacSha256(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
 
+// Arg = number of 32-byte messages; 512 is one Lamport key's preimages.
+void BM_Sha256_32Batch(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  Rng rng(10);
+  const Bytes in = rng.bytes(32 * count);
+  Bytes out(32 * count);
+  for (auto _ : state) {
+    crypto_kernels::sha256_32_batch(in.data(), out.data(), count);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Sha256_32Batch)->Arg(16)->Arg(512);
+
 void BM_ChaCha20Keystream(benchmark::State& state) {
   const Bytes key(32, 1);
   const Bytes nonce(12, 2);
@@ -42,7 +58,7 @@ void BM_ChaCha20Keystream(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_ChaCha20Keystream)->Arg(64)->Arg(4096);
+BENCHMARK(BM_ChaCha20Keystream)->Arg(64)->Arg(4096)->Arg(16384);
 
 void BM_FieldMul(benchmark::State& state) {
   Rng rng(1);

@@ -21,8 +21,9 @@
 # 3. ASan+UBSan gate: build the asan-ubsan preset (warnings as errors) and
 #    run the same tier1 label under AddressSanitizer and
 #    UndefinedBehaviorSanitizer, so the unaligned SIMD loads and stores of
-#    the crypto kernels (ChaCha20 batches, SHA-NI lanes) and every other
-#    tier1 path run bounds- and UB-checked.
+#    the crypto kernels (the 4/8/16-block ChaCha20 batches, the SHA-NI
+#    lanes and the 16-lane AVX-512 SHA-256 transposes, on CPUs that have
+#    them) and every other tier1 path run bounds- and UB-checked.
 #
 # 4. Release build (gating): every target (library, tests, benches,
 #    examples) is built with CMAKE_BUILD_TYPE=Release and

@@ -87,13 +87,19 @@ __attribute__((target("avx2"))) inline void quarter_round_avx2(__m256i& a, __m25
 }
 
 /// Whole blocks straight from `state` into out[0..n) while at least four
-/// remain: eight at a time on AVX2, then four with SSE2. Advances the block
-/// counter by the blocks written and returns their byte count. Callers skip
-/// the call below kMinBatch bytes, so short draws never reach it.
+/// remain: sixteen at a time on AVX-512, then eight on AVX2, then four with
+/// SSE2. Advances the block counter by the blocks written and returns their
+/// byte count. Callers skip the call below kMinBatch bytes, so short draws
+/// never reach it.
 std::size_t batch_blocks(std::uint32_t* state, std::uint8_t* out, std::size_t n,
                          bool xor_out) {
   constexpr std::size_t kBlock = ChaCha20::kBlockSize;
   std::size_t done = 0;
+  if (crypto_kernels::cpu_has_avx512()) {
+    for (; n - done >= 16 * kBlock; done += 16 * kBlock, state[12] += 16) {
+      crypto_kernels::chacha20_blocks16_avx512(state, out + done, xor_out);
+    }
+  }
   if (crypto_kernels::cpu_has_avx2()) {
     for (; n - done >= 8 * kBlock; done += 8 * kBlock, state[12] += 8) {
       crypto_kernels::chacha20_blocks8_avx2(state, out + done, xor_out);
@@ -200,14 +206,96 @@ __attribute__((target("avx2"))) void chacha20_blocks8_avx2(const std::uint32_t* 
   }
 }
 
+// GCC 12's avx512fintrin.h passes _mm512_undefined_epi32() as the unused
+// merge source of rotations, unpacks and lane shuffles, which raises
+// -Wuninitialized / -Wmaybe-uninitialized wherever they are inlined (GCC bug
+// 105593). Silenced for the AVX-512 kernel only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+namespace {
+
+__attribute__((target("avx512f"))) inline void quarter_round_avx512(__m512i& a, __m512i& b,
+                                                                    __m512i& c, __m512i& d) {
+  a = _mm512_add_epi32(a, b); d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 16);
+  c = _mm512_add_epi32(c, d); b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 12);
+  a = _mm512_add_epi32(a, b); d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 8);
+  c = _mm512_add_epi32(c, d); b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 7);
+}
+
+}  // namespace
+
+__attribute__((target("avx512f"))) void chacha20_blocks16_avx512(const std::uint32_t* state,
+                                                                 std::uint8_t* out,
+                                                                 bool xor_out) {
+  __m512i s[16], x[16];
+  for (int i = 0; i < 16; ++i) s[i] = _mm512_set1_epi32(static_cast<int>(state[i]));
+  s[12] = _mm512_add_epi32(
+      s[12], _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+  for (int i = 0; i < 16; ++i) x[i] = s[i];
+  for (int round = 0; round < 10; ++round) {
+    quarter_round_avx512(x[0], x[4], x[8], x[12]);
+    quarter_round_avx512(x[1], x[5], x[9], x[13]);
+    quarter_round_avx512(x[2], x[6], x[10], x[14]);
+    quarter_round_avx512(x[3], x[7], x[11], x[15]);
+    quarter_round_avx512(x[0], x[5], x[10], x[15]);
+    quarter_round_avx512(x[1], x[6], x[11], x[12]);
+    quarter_round_avx512(x[2], x[7], x[8], x[13]);
+    quarter_round_avx512(x[3], x[4], x[9], x[14]);
+  }
+  // A 16x16 dword transpose. The unpacks work within 128-bit lanes: after
+  // them, 128-bit lane q of rows[g / 4][j] holds words g..g+3 of block
+  // 4q + j. Two rounds of lane shuffles then put the four word groups of
+  // each block side by side.
+  __m512i rows[4][4];
+  for (int g = 0; g < 16; g += 4) {
+    const __m512i a = _mm512_add_epi32(x[g], s[g]), b = _mm512_add_epi32(x[g + 1], s[g + 1]);
+    const __m512i c = _mm512_add_epi32(x[g + 2], s[g + 2]);
+    const __m512i d = _mm512_add_epi32(x[g + 3], s[g + 3]);
+    const __m512i ab_lo = _mm512_unpacklo_epi32(a, b), cd_lo = _mm512_unpacklo_epi32(c, d);
+    const __m512i ab_hi = _mm512_unpackhi_epi32(a, b), cd_hi = _mm512_unpackhi_epi32(c, d);
+    rows[g / 4][0] = _mm512_unpacklo_epi64(ab_lo, cd_lo);
+    rows[g / 4][1] = _mm512_unpackhi_epi64(ab_lo, cd_lo);
+    rows[g / 4][2] = _mm512_unpacklo_epi64(ab_hi, cd_hi);
+    rows[g / 4][3] = _mm512_unpackhi_epi64(ab_hi, cd_hi);
+  }
+  for (int j = 0; j < 4; ++j) {
+    // t0 = [w0-3 q0, q1 | w4-7 q0, q1], t1 = the same for q2, q3; t2, t3
+    // likewise for words 8-15.
+    const __m512i t0 = _mm512_shuffle_i32x4(rows[0][j], rows[1][j], 0x44);
+    const __m512i t1 = _mm512_shuffle_i32x4(rows[0][j], rows[1][j], 0xEE);
+    const __m512i t2 = _mm512_shuffle_i32x4(rows[2][j], rows[3][j], 0x44);
+    const __m512i t3 = _mm512_shuffle_i32x4(rows[2][j], rows[3][j], 0xEE);
+    const __m512i blocks[4] = {
+        _mm512_shuffle_i32x4(t0, t2, 0x88), _mm512_shuffle_i32x4(t0, t2, 0xDD),
+        _mm512_shuffle_i32x4(t1, t3, 0x88), _mm512_shuffle_i32x4(t1, t3, 0xDD)};
+    for (int q = 0; q < 4; ++q) {
+      std::uint8_t* p = out + 64 * (4 * q + j);
+      __m512i v = blocks[q];
+      if (xor_out) v = _mm512_xor_si512(v, _mm512_loadu_si512(p));
+      _mm512_storeu_si512(p, v);
+    }
+  }
+}
+
+#pragma GCC diagnostic pop
+
 bool cpu_has_avx2() {
   static const bool have = __builtin_cpu_supports("avx2");
+  return have;
+}
+
+bool cpu_has_avx512() {
+  static const bool have =
+      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw");
   return have;
 }
 
 #else
 
 bool cpu_has_avx2() { return false; }
+bool cpu_has_avx512() { return false; }
 
 #endif  // FAIRSFE_X86_KERNELS
 

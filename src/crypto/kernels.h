@@ -3,9 +3,12 @@
 // Not part of the library surface: the public types (ChaCha20, Sha256,
 // HmacSha256, lamport_*) share these kernels inside src/crypto and dispatch
 // by cpuid alone, and every kernel produces exactly the bytes of its scalar
-// reference. Tests include the header to run each kernel against that
-// reference directly, including kernels the dispatcher would not pick on
-// the host. There is no runtime switch: a CPU without a kernel's
+// reference. The widest kernel the CPU runs goes first: ChaCha20 batches
+// take 16 blocks (AVX-512), then 8 (AVX2), then 4 (SSE2); sha256_32_batch
+// takes 16 messages at a time (AVX-512), then pairs and a single one on
+// SHA-NI, or the portable loop. Tests include the header to run each kernel
+// against that reference directly, including kernels the dispatcher would
+// not pick on the host. There is no runtime switch: a CPU without a kernel's
 // instructions never calls it, and its tests skip.
 #pragma once
 
@@ -27,15 +30,20 @@ namespace fairsfe::crypto_kernels {
 void chacha20_block_scalar(const std::uint32_t* state, std::uint8_t* out);
 
 #ifdef FAIRSFE_X86_KERNELS
-/// Blocks with counters state[12] + i (mod 2^32), i = 0..3 (SSE2) or 0..7
-/// (AVX2), written to out[64 i .. 64 i + 64) — or XORed into it when
-/// `xor_out` is set. `state` is not advanced; `out` needs no alignment.
+/// Blocks with counters state[12] + i (mod 2^32), i = 0..3 (SSE2), 0..7
+/// (AVX2) or 0..15 (AVX-512), written to out[64 i .. 64 i + 64) — or XORed
+/// into it when `xor_out` is set. `state` is not advanced; `out` needs no
+/// alignment.
 void chacha20_blocks4_sse2(const std::uint32_t* state, std::uint8_t* out, bool xor_out);
 void chacha20_blocks8_avx2(const std::uint32_t* state, std::uint8_t* out, bool xor_out);
+void chacha20_blocks16_avx512(const std::uint32_t* state, std::uint8_t* out, bool xor_out);
 #endif
 
 /// True when the CPU runs chacha20_blocks8_avx2 (cpuid, probed once).
 bool cpu_has_avx2();
+/// True when the CPU (and OS) run the AVX-512F/BW kernels (cpuid, probed
+/// once).
+bool cpu_has_avx512();
 
 // ------------------------------------------------------------------- SHA-256
 
@@ -69,8 +77,18 @@ void sha256_finish_single_block(const std::uint32_t* midstate, std::uint64_t pre
 
 /// SHA-256 of the 32 bytes at `in` into out[0..32).
 void sha256_32(const std::uint8_t* in, std::uint8_t* out);
-/// Two independent 32-byte hashes, interleaved two-way on SHA-NI.
-void sha256_32x2(const std::uint8_t* in0, const std::uint8_t* in1, std::uint8_t* out0,
-                 std::uint8_t* out1);
+
+/// SHA-256 of each of the `count` contiguous 32-byte messages at `in` into
+/// the contiguous 32-byte digests at `out` (in[32 i..] -> out[32 i..]).
+/// Whole groups of 16 take sha256_32x16_avx512; the rest go two at a time
+/// through SHA-NI, or through the portable loop. `in` and `out` need no
+/// alignment and must not overlap.
+void sha256_32_batch(const std::uint8_t* in, std::uint8_t* out, std::size_t count);
+
+#ifdef FAIRSFE_X86_KERNELS
+/// Sixteen 32-byte messages at in[0..512) hashed lane-parallel, digests to
+/// out[0..512). Requires cpu_has_avx512().
+void sha256_32x16_avx512(const std::uint8_t* in, std::uint8_t* out);
+#endif
 
 }  // namespace fairsfe::crypto_kernels

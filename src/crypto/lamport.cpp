@@ -3,6 +3,7 @@
 #include "crypto/kernels.h"
 #include "crypto/rng.h"
 #include "crypto/sha256.h"
+#include "util/check.h"
 
 namespace fairsfe {
 
@@ -10,6 +11,9 @@ namespace {
 constexpr std::size_t kBits = 256;
 constexpr std::size_t kChunk = 32;
 constexpr std::size_t kKeyBytes = 2 * kBits * kChunk;
+/// Signature chunks hashed per sha256_32_batch call in lamport_verify: one
+/// pass of the 16-lane kernel.
+constexpr std::size_t kVerifyGroup = 16;
 
 inline ByteView slice(ByteView data, std::size_t index) {
   return data.subspan(index * kChunk, kChunk);
@@ -25,15 +29,12 @@ LamportKeyPair lamport_gen(Rng& rng) {
   kp.signing_key.resize(kKeyBytes);
   rng.fill(kp.signing_key);
   kp.verification_key.resize(kKeyBytes);
-  const std::uint8_t* sk = kp.signing_key.data();
-  std::uint8_t* vk = kp.verification_key.data();
-  for (std::size_t off = 0; off < kKeyBytes; off += 2 * kChunk) {
-    crypto_kernels::sha256_32x2(sk + off, sk + off + kChunk, vk + off, vk + off + kChunk);
-  }
+  crypto_kernels::sha256_32_batch(kp.signing_key.data(), kp.verification_key.data(), 2 * kBits);
   return kp;
 }
 
 Bytes lamport_sign(const Bytes& signing_key, ByteView msg) {
+  FAIRSFE_CHECK(signing_key.size() == kKeyBytes, "Lamport signing key must be 2*256*32 bytes");
   const Bytes digest = sha256(msg);
   Bytes sig;
   sig.reserve(kBits * kChunk);
@@ -48,11 +49,10 @@ Bytes lamport_sign(const Bytes& signing_key, ByteView msg) {
 bool lamport_verify(const Bytes& verification_key, ByteView msg, ByteView sig) {
   if (verification_key.size() != kKeyBytes || sig.size() != kBits * kChunk) return false;
   const Bytes digest = sha256(msg);
-  std::uint8_t h[2 * kChunk];
-  for (std::size_t i = 0; i < kBits; i += 2) {
-    crypto_kernels::sha256_32x2(sig.data() + i * kChunk, sig.data() + (i + 1) * kChunk, h,
-                                h + kChunk);
-    for (std::size_t j = 0; j < 2; ++j) {
+  std::uint8_t h[kVerifyGroup * kChunk];
+  for (std::size_t i = 0; i < kBits; i += kVerifyGroup) {
+    crypto_kernels::sha256_32_batch(sig.data() + i * kChunk, h, kVerifyGroup);
+    for (std::size_t j = 0; j < kVerifyGroup; ++j) {
       const std::size_t idx = 2 * (i + j) + static_cast<std::size_t>(msg_bit(digest, i + j));
       if (!ct_equal(ByteView(h + j * kChunk, kChunk), slice(verification_key, idx))) {
         return false;

@@ -161,6 +161,30 @@ __attribute__((target("sha,sse4.1,ssse3"))) void digest_shani_x2(const std::uint
   compress_shani<2>(states, blocks, nullptr, digests);
 }
 
+/// The padding words W[8..15] of a 32-byte message (bit length 256).
+constexpr std::uint32_t kPad32[8] = {0x80000000, 0, 0, 0, 0, 0, 0, 256};
+
+constexpr std::uint32_t ssig0(std::uint32_t x) {
+  return std::rotr(x, 7) ^ std::rotr(x, 18) ^ (x >> 3);
+}
+constexpr std::uint32_t ssig1(std::uint32_t x) {
+  return std::rotr(x, 17) ^ std::rotr(x, 19) ^ (x >> 10);
+}
+
+/// Whether schedule word t of a 32-byte message depends on the message;
+/// W[8..15] are the padding constants.
+constexpr bool message_word(int t) { return t < 8 || t >= 16; }
+
+/// The part of schedule word t >= 16 that only reads padding words.
+constexpr std::uint32_t schedule_constant(int t) {
+  std::uint32_t c = 0;
+  if (!message_word(t - 2)) c += ssig1(kPad32[t - 2 - 8]);
+  if (!message_word(t - 7)) c += kPad32[t - 7 - 8];
+  if (!message_word(t - 15)) c += ssig0(kPad32[t - 15 - 8]);
+  if (!message_word(t - 16)) c += kPad32[t - 16 - 8];
+  return c;
+}
+
 #endif  // FAIRSFE_X86_KERNELS
 
 /// One compression: SHA-NI when the CPU has it, the portable loop otherwise.
@@ -189,6 +213,23 @@ inline void finish_block(const std::uint32_t* midstate, const std::uint8_t* bloc
   put_digest(state, out);
 }
 
+/// Two independent 32-byte hashes, interleaved two-way on SHA-NI: the tail
+/// of sha256_32_batch.
+void sha256_32x2(const std::uint8_t* in0, const std::uint8_t* in1, std::uint8_t* out0,
+                 std::uint8_t* out1) {
+  std::uint8_t block0[Sha256::kBlockSize], block1[Sha256::kBlockSize];
+  pad_32(block0, in0);
+  pad_32(block1, in1);
+#ifdef FAIRSFE_X86_KERNELS
+  if (crypto_kernels::cpu_has_sha_ni()) {
+    digest_shani_x2(block0, block1, out0, out1);
+    return;
+  }
+#endif
+  finish_block(crypto_kernels::kSha256Iv, block0, out0);
+  finish_block(crypto_kernels::kSha256Iv, block1, out1);
+}
+
 }  // namespace
 
 namespace crypto_kernels {
@@ -200,6 +241,127 @@ __attribute__((target("sha,sse4.1,ssse3"))) void sha256_compress_shani(
   const std::uint32_t* const in = state;
   compress_shani<1>(&in, &block, &state, nullptr);
 }
+
+// The 16-lane kernel keeps word w of every message in vector w, one message
+// per 32-bit lane, and runs the portable compression lane-wise. A 32-byte
+// message is one block whose words 8..15 are its constant padding, so those
+// words never occupy a register: their K[t] + W[t] is a broadcast constant,
+// and the schedule terms that read them fold into schedule_constant(t).
+//
+// GCC 12's avx512fintrin.h passes _mm512_undefined_epi32() as the unused
+// merge source of rotations, unpacks and lane shuffles, which raises
+// -Wuninitialized / -Wmaybe-uninitialized wherever they are inlined (GCC bug
+// 105593). Silenced for the AVX-512 kernels only.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+namespace {
+
+__attribute__((target("avx512f"))) inline __m512i xor3(__m512i a, __m512i b, __m512i c) {
+  return _mm512_ternarylogic_epi32(a, b, c, 0x96);
+}
+__attribute__((target("avx512f"))) inline __m512i add(__m512i a, __m512i b) {
+  return _mm512_add_epi32(a, b);
+}
+__attribute__((target("avx512f"))) inline __m512i bcast(std::uint32_t v) {
+  return _mm512_set1_epi32(static_cast<int>(v));
+}
+
+/// 4x4 transpose of the dwords inside each 128-bit lane of r[0..3].
+__attribute__((target("avx512f"))) inline void transpose4_epi32(__m512i* r) {
+  const __m512i ab_lo = _mm512_unpacklo_epi32(r[0], r[1]);
+  const __m512i cd_lo = _mm512_unpacklo_epi32(r[2], r[3]);
+  const __m512i ab_hi = _mm512_unpackhi_epi32(r[0], r[1]);
+  const __m512i cd_hi = _mm512_unpackhi_epi32(r[2], r[3]);
+  r[0] = _mm512_unpacklo_epi64(ab_lo, cd_lo);
+  r[1] = _mm512_unpackhi_epi64(ab_lo, cd_lo);
+  r[2] = _mm512_unpacklo_epi64(ab_hi, cd_hi);
+  r[3] = _mm512_unpackhi_epi64(ab_hi, cd_hi);
+}
+
+}  // namespace
+
+__attribute__((target("avx512f,avx512bw"))) void sha256_32x16_avx512(const std::uint8_t* in,
+                                                                     std::uint8_t* out) {
+  // Byte-swaps each 32-bit word: big-endian message words in, digest out.
+  const __m512i kBswap = _mm512_set4_epi32(0x0c0d0e0f, 0x08090a0b, 0x04050607, 0x00010203);
+
+  // Transpose in: z[k] holds messages 2k, 2k + 1. After the 4x4 dword
+  // transposes, 128-bit lane c of z[4h + j] holds word 4 (c & 1) + j of
+  // messages 8h + (c >> 1) + {0, 2, 4, 6}; one lane shuffle per word then
+  // gathers all sixteen messages (in a fixed lane order the way out undoes).
+  __m512i w[16] = {};
+  {
+    __m512i z[8];
+    for (int k = 0; k < 8; ++k) {
+      z[k] = _mm512_shuffle_epi8(_mm512_loadu_si512(in + 64 * k), kBswap);
+    }
+    transpose4_epi32(z);
+    transpose4_epi32(z + 4);
+    for (int j = 0; j < 4; ++j) {
+      w[j] = _mm512_shuffle_i32x4(z[j], z[4 + j], 0x88);
+      w[4 + j] = _mm512_shuffle_i32x4(z[j], z[4 + j], 0xDD);
+    }
+  }
+
+  __m512i a = bcast(kSha256Iv[0]), b = bcast(kSha256Iv[1]), c = bcast(kSha256Iv[2]);
+  __m512i d = bcast(kSha256Iv[3]), e = bcast(kSha256Iv[4]), f = bcast(kSha256Iv[5]);
+  __m512i g = bcast(kSha256Iv[6]), h = bcast(kSha256Iv[7]);
+#pragma GCC unroll 64
+  for (int t = 0; t < 64; ++t) {
+    if (t >= 16) {
+      __m512i x = bcast(schedule_constant(t));
+      if (message_word(t - 2)) {
+        const __m512i v = w[(t - 2) & 15];
+        x = add(x, xor3(_mm512_ror_epi32(v, 17), _mm512_ror_epi32(v, 19),
+                        _mm512_srli_epi32(v, 10)));
+      }
+      if (message_word(t - 7)) x = add(x, w[(t - 7) & 15]);
+      if (message_word(t - 15)) {
+        const __m512i v = w[(t - 15) & 15];
+        x = add(x, xor3(_mm512_ror_epi32(v, 7), _mm512_ror_epi32(v, 18),
+                        _mm512_srli_epi32(v, 3)));
+      }
+      if (message_word(t - 16)) x = add(x, w[(t - 16) & 15]);
+      w[t & 15] = x;
+    }
+    const __m512i kw =
+        message_word(t) ? add(w[t & 15], bcast(kK[t])) : bcast(kK[t] + kPad32[t - 8]);
+    const __m512i s1 =
+        xor3(_mm512_ror_epi32(e, 6), _mm512_ror_epi32(e, 11), _mm512_ror_epi32(e, 25));
+    const __m512i ch = _mm512_ternarylogic_epi32(e, f, g, 0xCA);  // e ? f : g
+    const __m512i t1 = add(add(h, s1), add(ch, kw));
+    const __m512i s0 =
+        xor3(_mm512_ror_epi32(a, 2), _mm512_ror_epi32(a, 13), _mm512_ror_epi32(a, 22));
+    const __m512i maj = _mm512_ternarylogic_epi32(a, b, c, 0xE8);  // majority
+    h = g;
+    g = f;
+    f = e;
+    e = add(d, t1);
+    d = c;
+    c = b;
+    b = a;
+    a = add(t1, add(s0, maj));
+  }
+
+  // Transpose out: the exact inverse of the way in.
+  const __m512i v[8] = {a, b, c, d, e, f, g, h};
+  __m512i z[8];
+  const __m512i lo = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
+  const __m512i hi = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
+  for (int j = 0; j < 4; ++j) {
+    const __m512i x0 = _mm512_shuffle_epi8(add(v[j], bcast(kSha256Iv[j])), kBswap);
+    const __m512i x1 = _mm512_shuffle_epi8(add(v[4 + j], bcast(kSha256Iv[4 + j])), kBswap);
+    z[j] = _mm512_permutex2var_epi64(x0, lo, x1);
+    z[4 + j] = _mm512_permutex2var_epi64(x0, hi, x1);
+  }
+  transpose4_epi32(z);
+  transpose4_epi32(z + 4);
+  for (int k = 0; k < 8; ++k) _mm512_storeu_si512(out + 64 * k, z[k]);
+}
+
+#pragma GCC diagnostic pop
 
 bool cpu_has_sha_ni() {
   // Function-local so the cpuid probe cannot race static initialization in
@@ -274,20 +436,20 @@ void sha256_32(const std::uint8_t* in, std::uint8_t* out) {
   finish_block(kSha256Iv, block, out);
 }
 
-void sha256_32x2(const std::uint8_t* in0, const std::uint8_t* in1, std::uint8_t* out0,
-                 std::uint8_t* out1) {
-  std::uint8_t block0[Sha256::kBlockSize], block1[Sha256::kBlockSize];
-  pad_32(block0, in0);
-  pad_32(block1, in1);
+void sha256_32_batch(const std::uint8_t* in, std::uint8_t* out, std::size_t count) {
+  constexpr std::size_t kMsg = 32;
+  std::size_t i = 0;
 #ifdef FAIRSFE_X86_KERNELS
-  if (cpu_has_sha_ni()) {
-    digest_shani_x2(block0, block1, out0, out1);
-    return;
+  if (cpu_has_avx512()) {
+    for (; count - i >= 16; i += 16) sha256_32x16_avx512(in + i * kMsg, out + i * kMsg);
   }
 #endif
-  finish_block(kSha256Iv, block0, out0);
-  finish_block(kSha256Iv, block1, out1);
+  for (; count - i >= 2; i += 2) {
+    sha256_32x2(in + i * kMsg, in + (i + 1) * kMsg, out + i * kMsg, out + (i + 1) * kMsg);
+  }
+  if (i < count) sha256_32(in + i * kMsg, out + i * kMsg);
 }
+
 
 }  // namespace crypto_kernels
 

@@ -1,10 +1,13 @@
 // The SIMD crypto kernels against their scalar references. ChaCha20's batch
-// path (4 blocks on SSE2, 8 on AVX2) must reproduce the one-block reference
-// keystream at every length, buffer offset and counter wrap; the SHA-NI
-// compressions (one and two lanes) and the fixed 32-byte entries must
-// reproduce the portable compression; the single-block finishes of sha256()
-// and HMAC must reproduce the generic update/pad pipeline. A kernel the CPU
-// lacks is skipped, never emulated.
+// path (16 blocks on AVX-512, 8 on AVX2, 4 on SSE2) must reproduce the
+// one-block reference keystream at every length through the whole
+// 16 -> 8 -> 4 -> scalar cascade, from every buffer offset and across the
+// counter wrap, and each batch kernel must do so when called directly; the
+// SHA-NI compression, the 16-lane AVX-512 hash of 32-byte messages and the
+// fixed 32-byte entries (sha256_32, sha256_32_batch at every count 0..40)
+// must reproduce the portable compression; the single-block finishes of
+// sha256() and HMAC must reproduce the generic update/pad pipeline. A kernel
+// the CPU lacks is skipped, never emulated.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -59,8 +62,10 @@ Bytes reference_keystream(std::uint32_t counter, std::size_t n) {
 }
 
 TEST(CryptoKernels, ChaChaFillMatchesScalarAtEveryLength) {
-  const Bytes ref = reference_keystream(0, 1100 + 64);
-  for (std::size_t len = 0; len <= 1100; ++len) {
+  // Up to 34 blocks: every mix of 16-, 8- and 4-block batches and a scalar
+  // tail, e.g. 31 blocks = 16 + 8 + 4 + 3.
+  const Bytes ref = reference_keystream(0, 2200 + 64);
+  for (std::size_t len = 0; len <= 2200; ++len) {
     ChaCha20 c(test_key(), test_nonce());
     Bytes out(len + 64);
     c.fill(out.data(), len);
@@ -71,13 +76,15 @@ TEST(CryptoKernels, ChaChaFillMatchesScalarAtEveryLength) {
 }
 
 TEST(CryptoKernels, ChaChaFillMatchesScalarFromEveryBlockOffset) {
-  const Bytes ref = reference_keystream(0, 64 + 1024);
+  // After the buffered block, 31 or 32 whole blocks remain: a 16-block
+  // batch and the narrower ones behind it.
+  const Bytes ref = reference_keystream(0, 64 + 2048);
   for (std::size_t pos = 0; pos <= 64; ++pos) {
     ChaCha20 c(test_key(), test_nonce());
-    Bytes out(pos + 1024);
+    Bytes out(pos + 2048);
     c.fill(out.data(), pos);
-    c.fill(out.data() + pos, 1024);
-    ASSERT_EQ(out, Bytes(ref.begin(), ref.begin() + static_cast<std::ptrdiff_t>(pos + 1024)))
+    c.fill(out.data() + pos, 2048);
+    ASSERT_EQ(out, Bytes(ref.begin(), ref.begin() + static_cast<std::ptrdiff_t>(pos + 2048)))
         << "block_pos " << pos;
   }
 }
@@ -123,7 +130,9 @@ TEST(CryptoKernels, ChaChaXorIntoMatchesProcessAndReference) {
 void expect_batch_kernel(void (*kernel)(const std::uint32_t*, std::uint8_t*, bool),
                          std::size_t blocks) {
   Rng rng(12);
-  for (const std::uint32_t counter : {0u, 1u, 0xFFFFFFF9u, 0xFFFFFFFFu}) {
+  // Counters just below 2^32 wrap inside one call: 2^32 - 1 at every
+  // width, 2^32 - 5 and 2^32 - 7 at 8 and 16 blocks.
+  for (const std::uint32_t counter : {0u, 1u, 0xFFFFFFF9u, 0xFFFFFFFBu, 0xFFFFFFFFu}) {
     const std::array<std::uint32_t, 16> s = test_state(counter);
     const Bytes ref = reference_keystream(counter, blocks * 64);
     Bytes out(blocks * 64 + 1);  // odd offset: the kernels must not need alignment
@@ -147,6 +156,11 @@ TEST(CryptoKernels, ChaChaSse2FourBlocksMatchScalar) {
 TEST(CryptoKernels, ChaChaAvx2EightBlocksMatchScalar) {
   if (!ck::cpu_has_avx2()) GTEST_SKIP() << "no AVX2";
   expect_batch_kernel(ck::chacha20_blocks8_avx2, 8);
+}
+
+TEST(CryptoKernels, ChaChaAvx512SixteenBlocksMatchScalar) {
+  if (!ck::cpu_has_avx512()) GTEST_SKIP() << "no AVX-512";
+  expect_batch_kernel(ck::chacha20_blocks16_avx512, 16);
 }
 
 TEST(CryptoKernels, ShaNiCompressionMatchesPortable) {
@@ -186,12 +200,53 @@ TEST(CryptoKernels, Sha256Fixed32MatchesPortable) {
   for (int trial = 0; trial < 10000; ++trial) {
     const Bytes in = rng.bytes(64);
     const Bytes ref0 = portable_sha256_32(in.data()), ref1 = portable_sha256_32(in.data() + 32);
-    Bytes one(32), two0(32), two1(32);
+    Bytes one(32), two(64);
     ck::sha256_32(in.data(), one.data());
-    ck::sha256_32x2(in.data(), in.data() + 32, two0.data(), two1.data());
+    ck::sha256_32_batch(in.data(), two.data(), 2);
     ASSERT_EQ(one, ref0) << "trial " << trial;
-    ASSERT_EQ(two0, ref0) << "trial " << trial;
-    ASSERT_EQ(two1, ref1) << "trial " << trial;
+    ASSERT_EQ(Bytes(two.begin(), two.begin() + 32), ref0) << "trial " << trial;
+    ASSERT_EQ(Bytes(two.begin() + 32, two.end()), ref1) << "trial " << trial;
+  }
+}
+
+#ifdef FAIRSFE_X86_KERNELS
+
+TEST(CryptoKernels, Sha256Avx512SixteenLanesMatchPortable) {
+  if (!ck::cpu_has_avx512()) GTEST_SKIP() << "no AVX-512";
+  Rng rng(17);
+  for (int trial = 0; trial < 10000 / 16; ++trial) {
+    const Bytes in = rng.bytes(16 * 32 + 1);
+    Bytes out(16 * 32 + 1);  // odd offsets: the kernel must not need alignment
+    ck::sha256_32x16_avx512(in.data() + 1, out.data() + 1);
+    for (std::size_t lane = 0; lane < 16; ++lane) {
+      const auto at = static_cast<std::ptrdiff_t>(1 + 32 * lane);
+      ASSERT_EQ(Bytes(out.begin() + at, out.begin() + at + 32),
+                portable_sha256_32(in.data() + at))
+          << "trial " << trial << " lane " << lane;
+    }
+  }
+}
+
+#endif  // FAIRSFE_X86_KERNELS
+
+TEST(CryptoKernels, Sha256BatchMatchesPortableAtEveryCount) {
+  // Every count 0..40 (zero to two 16-lane groups plus any pair/single
+  // tail), from an unaligned source; the bytes around the output stay put.
+  Rng rng(18);
+  const Bytes in = rng.bytes(1 + 40 * 32);
+  for (std::size_t count = 0; count <= 40; ++count) {
+    Bytes out(2 + 40 * 32, 0xee);
+    ck::sha256_32_batch(in.data() + 1, out.data() + 1, count);
+    ASSERT_EQ(out[0], 0xee) << "count " << count;
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto at = static_cast<std::ptrdiff_t>(1 + 32 * i);
+      ASSERT_EQ(Bytes(out.begin() + at, out.begin() + at + 32),
+                portable_sha256_32(in.data() + at))
+          << "count " << count << " message " << i;
+    }
+    for (std::size_t i = 1 + 32 * count; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], 0xee) << "count " << count << " byte " << i;
+    }
   }
 }
 

@@ -201,5 +201,45 @@ TEST(Lamport, RejectsWrongKeyAndMalformed) {
   EXPECT_FALSE(lamport_verify(bytes_of("short"), msg, lamport_sign(a.signing_key, msg)));
 }
 
+TEST(Lamport, SignRejectsMalformedKey) {
+  // A key of the wrong size is a programmer error, not an input: signing
+  // would read preimages past its end.
+  const Bytes msg = bytes_of("m");
+  EXPECT_DEATH(lamport_sign(bytes_of("short"), msg), "signing key");
+  Rng rng(18);
+  Bytes longer = lamport_gen(rng).signing_key;
+  longer.push_back(0);
+  EXPECT_DEATH(lamport_sign(longer, msg), "signing key");
+}
+
+TEST(Lamport, RejectsFlipInAnyVerifyGroup) {
+  // Verification hashes the signature sixteen chunks at a time; a flipped
+  // byte at either edge of a group, and in the last chunk, must be caught.
+  Rng rng(19);
+  const LamportKeyPair kp = lamport_gen(rng);
+  const Bytes msg = bytes_of("output value y");
+  const Bytes sig = lamport_sign(kp.signing_key, msg);
+  ASSERT_TRUE(lamport_verify(kp.verification_key, msg, sig));
+  for (const std::size_t chunk : {0u, 15u, 16u, 31u, 255u}) {
+    for (const std::size_t byte : {0u, 31u}) {
+      Bytes bad = sig;
+      bad[32 * chunk + byte] ^= 0x80;
+      EXPECT_FALSE(lamport_verify(kp.verification_key, msg, bad))
+          << "chunk " << chunk << " byte " << byte;
+    }
+  }
+}
+
+TEST(Lamport, VerifiesSignatureAtUnalignedOffset) {
+  Rng rng(20);
+  const LamportKeyPair kp = lamport_gen(rng);
+  const Bytes msg = bytes_of("output value y");
+  const Bytes sig = lamport_sign(kp.signing_key, msg);
+  Bytes buffer(1);
+  buffer.insert(buffer.end(), sig.begin(), sig.end());
+  buffer.push_back(0);
+  EXPECT_TRUE(lamport_verify(kp.verification_key, msg, ByteView(buffer).subspan(1, sig.size())));
+}
+
 }  // namespace
 }  // namespace fairsfe
