@@ -95,7 +95,10 @@ void BM_AuthShare2(benchmark::State& state) {
   Rng rng(4);
   const Bytes secret(static_cast<std::size_t>(state.range(0)), 0x33);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(auth_share2(secret, rng));
+    Writer w1, w2;
+    deal_auth_share2(secret, rng, w1, w2);
+    benchmark::DoNotOptimize(w1.bytes().data());
+    benchmark::DoNotOptimize(w2.bytes().data());
   }
 }
 BENCHMARK(BM_AuthShare2)->Arg(8)->Arg(256);
@@ -103,10 +106,13 @@ BENCHMARK(BM_AuthShare2)->Arg(8)->Arg(256);
 void BM_AuthReconstruct2(benchmark::State& state) {
   Rng rng(5);
   const Bytes secret(64, 0x44);
-  const AuthSharing2 sh = auth_share2(secret, rng);
-  const Bytes opening = sh.share2.opening_to_bytes();
+  Writer w1, w2;
+  deal_auth_share2(secret, rng, w1, w2);
+  // Each writer holds blob(share): the share follows its 4-byte length.
+  const AuthShare2 share1 = *AuthShare2::from_bytes(ByteView(w1.bytes()).subspan(4));
+  const Bytes opening = AuthShare2::from_bytes(ByteView(w2.bytes()).subspan(4))->opening_to_bytes();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(auth_reconstruct2(sh.share1, opening));
+    benchmark::DoNotOptimize(auth_reconstruct2(share1, opening));
   }
 }
 BENCHMARK(BM_AuthReconstruct2);

@@ -4,7 +4,8 @@
 // GMW speed ratios measurable: BM_GmwPreprocPhase/{inline,offline_ideal}
 // (the online phase vs inline OT-hybrid execution) and
 // BM_GmwLanesEstimation/{1,64} (scalar vs bit-sliced estimation).
-// BM_UtilityEstimationThreads/{1,2,4,8} shows thread scaling. The shared
+// BM_UtilityEstimationThreads/{1,2,4,8} shows thread scaling, and
+// BM_GkDeal/{4,8} times GK's ShareGen dealing at the p = 4 and p = 8 caps. The shared
 // main (benchmark_main.cpp) forwards --json/--filter onto google-benchmark.
 #include <benchmark/benchmark.h>
 
@@ -165,6 +166,23 @@ void BM_GkProtocolRun(benchmark::State& state) {
   state.counters["rounds"] = static_cast<double>(2 * params.cap());
 }
 BENCHMARK(BM_GkProtocolRun)->Arg(2)->Arg(4)->Arg(8);
+
+void BM_GkDeal(benchmark::State& state) {
+  // ShareGen's dealing alone: deal_auth_streams at GK's round cap for
+  // p = 4 / 8 on AND (|Y| = 2), i.e. 2·cap authenticated sharings of 1-byte
+  // values into the two party bodies per iteration.
+  const fair::GkParams params = fair::make_gk_and_params(static_cast<std::size_t>(state.range(0)));
+  const std::size_t cap = params.cap();
+  Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  const Bytes y{1};
+  const auto fake = [&rng] { return Bytes{static_cast<std::uint8_t>(rng.bit())}; };
+  for (auto _ : state) {
+    const std::size_t i_star = 1 + static_cast<std::size_t>(rng.below(cap));
+    benchmark::DoNotOptimize(fair::deal_auth_streams(cap, i_star, y, fake, fake, rng));
+  }
+  state.counters["sharings"] = static_cast<double>(2 * cap);
+}
+BENCHMARK(BM_GkDeal)->Arg(4)->Arg(8);
 
 void BM_UtilityEstimation(benchmark::State& state) {
   // Cost of one full Monte-Carlo utility point (100 runs).

@@ -21,6 +21,14 @@ namespace fairsfe {
 
 class Rng;
 
+/// A share read in place: views into its wire form or into an AuthShare2.
+// TAINT-SOURCE(share): a party's authenticated summand+tag, borrowed
+struct AuthShare2View {
+  ByteView summand;
+  ByteView summand_tag;
+  MacKey key;
+};
+
 /// One party's share of an authenticated 2-of-2 sharing.
 // TAINT-SOURCE(share): a party's authenticated summand+tag; leaking it collapses the 2-party hiding property
 struct AuthShare2 {
@@ -33,31 +41,29 @@ struct AuthShare2 {
 
   [[nodiscard]] Bytes to_bytes() const;
   static std::optional<AuthShare2> from_bytes(ByteView data);
-
-  /// Append blob(to_bytes()) to `w` without building the intermediate.
-  void write_blob(Writer& w) const;
+  /// from_bytes without the copies: the views borrow `data`.
+  static std::optional<AuthShare2View> parse(ByteView data);
   /// True iff from_bytes(data) would succeed; allocation-free.
-  static bool well_formed(ByteView data);
-  /// Bytes write_blob emits for a sharing (auth_share2) of an n-byte secret:
+  static bool well_formed(ByteView data) { return parse(data).has_value(); }
+  /// Bytes deal_auth_share2 appends per share of an n-byte secret, blob(share):
   /// the payload is n + 28 bytes (three framed fields, two 8-byte tags), and
   /// the share frames payload, an 8-byte tag and a 16-byte key (+36), plus
   /// its own 4-byte length.
   static constexpr std::size_t blob_size(std::size_t secret_size) { return secret_size + 68; }
 };
 
-// TAINT-SOURCE(share): both halves of an authenticated sharing — strictly more secret than either share
-struct AuthSharing2 {
-  AuthShare2 share1;  ///< held by p₁
-  AuthShare2 share2;  ///< held by p₂
-};
-
-/// Create an authenticated sharing of `secret`.
-// TAINT-SOURCE(share): produces the full sharing of `secret`
-AuthSharing2 auth_share2(ByteView secret, Rng& rng);
+/// Deal an authenticated sharing of `secret` straight into two bodies:
+/// append blob(⟨s⟩₁) (to_bytes framed as a blob) to w1 and blob(⟨s⟩₂) to w2.
+/// The Rng draws are k₁, k₂, then s₁ (s₂ = payload ⊕ s₁). Nothing is
+/// allocated beyond the writers' growth for a secret of up to 100 bytes.
+/// Precondition: &w1 != &w2.
+// TAINT-SOURCE(share): writes the full sharing of `secret`
+void deal_auth_share2(ByteView secret, Rng& rng, Writer& w1, Writer& w2);
 
 /// Reconstruct towards the holder of `mine`, given the other party's opening
 /// message (wire format of AuthShare2::opening_to_bytes). Returns the secret,
 /// or std::nullopt if either MAC check fails (⇒ the receiver aborts).
+std::optional<Bytes> auth_reconstruct2(const AuthShare2View& mine, ByteView other_opening);
 std::optional<Bytes> auth_reconstruct2(const AuthShare2& mine, ByteView other_opening);
 
 }  // namespace fairsfe

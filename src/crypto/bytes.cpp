@@ -69,14 +69,14 @@ Writer& Writer::u8(std::uint8_t v) {
 
 Writer& Writer::u32(std::uint32_t v) {
   std::uint8_t b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  write_le32(b, v);
   buf_.insert(buf_.end(), b, b + 4);
   return *this;
 }
 
 Writer& Writer::u64(std::uint64_t v) {
   std::uint8_t b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  write_le64(b, v);
   buf_.insert(buf_.end(), b, b + 8);
   return *this;
 }
@@ -89,6 +89,12 @@ Writer& Writer::blob(ByteView data) {
 Writer& Writer::raw(ByteView data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
   return *this;
+}
+
+std::span<std::uint8_t> Writer::extend(std::size_t n) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + n);
+  return std::span<std::uint8_t>(buf_).subspan(at);
 }
 
 Writer& Writer::str(std::string_view s) {
@@ -104,16 +110,14 @@ std::optional<std::uint8_t> Reader::u8() {
 
 std::optional<std::uint32_t> Reader::u32() {
   if (remaining() < 4) return std::nullopt;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
+  const std::uint32_t v = read_le32(data_.data() + pos_);
   pos_ += 4;
   return v;
 }
 
 std::optional<std::uint64_t> Reader::u64() {
   if (remaining() < 8) return std::nullopt;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
+  const std::uint64_t v = read_le64(data_.data() + pos_);
   pos_ += 8;
   return v;
 }

@@ -7,6 +7,7 @@
 // across platforms.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -38,6 +39,43 @@ Bytes xor_bytes(ByteView a, ByteView b);
 /// Constant-time equality (length leak only).
 bool ct_equal(ByteView a, ByteView b);
 
+/// Little-endian fixed-width words at a raw position: the integer layout of
+/// Writer and Reader, for code that frames a record in place.
+inline void write_le32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+inline void write_le64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+inline std::uint32_t read_le32(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  return v;
+}
+inline std::uint64_t read_le64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+/// A temporary byte buffer of run-time size: on the stack up to N bytes, on
+/// the heap above. It starts zeroed; keep N small, since every construction
+/// clears the inline bytes.
+template <std::size_t N>
+class ScratchBytes {
+ public:
+  explicit ScratchBytes(std::size_t size) : size_(size) {
+    if (size > N) heap_.resize(size);
+  }
+  [[nodiscard]] std::uint8_t* data() { return size_ > N ? heap_.data() : inline_.data(); }
+  [[nodiscard]] std::span<std::uint8_t> span() { return {data(), size_}; }
+
+ private:
+  std::size_t size_ = 0;
+  std::array<std::uint8_t, N> inline_{};
+  Bytes heap_;
+};
+
 /// Append-only encoder for the canonical wire format.
 class Writer {
  public:
@@ -58,6 +96,9 @@ class Writer {
   Writer& blob(ByteView data);
   /// Raw bytes, no length prefix (caller knows the framing).
   Writer& raw(ByteView data);
+  /// Append n zero bytes and return them, for a record the caller frames in
+  /// place. The span is valid until the next write to this Writer.
+  std::span<std::uint8_t> extend(std::size_t n);
   Writer& str(std::string_view s);
 
   [[nodiscard]] const Bytes& bytes() const { return buf_; }

@@ -4,18 +4,6 @@
 
 namespace fairsfe {
 
-Fp operator*(Fp a, Fp b) {
-  const unsigned __int128 prod =
-      static_cast<unsigned __int128>(a.v_) * static_cast<unsigned __int128>(b.v_);
-  // prod < 2^122; split at bit 61 and fold (2^61 ≡ 1 mod p).
-  const std::uint64_t lo = static_cast<std::uint64_t>(prod & Fp::kP);
-  const std::uint64_t hi = static_cast<std::uint64_t>(prod >> 61);
-  std::uint64_t s = lo + (hi & Fp::kP) + (hi >> 61);
-  s = (s & Fp::kP) + (s >> 61);
-  if (s >= Fp::kP) s -= Fp::kP;
-  return Fp::from_reduced(s);
-}
-
 Fp Fp::pow(std::uint64_t e) const {
   Fp base = *this;
   Fp acc(1);

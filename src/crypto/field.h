@@ -2,7 +2,8 @@
 //
 // Backs the information-theoretic one-time MAC and Shamir secret sharing.
 // The Mersenne modulus admits branch-light reduction; multiplication goes
-// through unsigned __int128.
+// through unsigned __int128 and is defined inline (the MAC folds call it per
+// 7-byte chunk).
 #pragma once
 
 #include <cstdint>
@@ -35,7 +36,17 @@ class Fp {
     if (s >= kP) s -= kP;
     return from_reduced(s);
   }
-  friend Fp operator*(Fp a, Fp b);
+  friend Fp operator*(Fp a, Fp b) {
+    const unsigned __int128 prod =
+        static_cast<unsigned __int128>(a.v_) * static_cast<unsigned __int128>(b.v_);
+    // prod < 2^122; split at bit 61 and fold (2^61 ≡ 1 mod p).
+    const std::uint64_t lo = static_cast<std::uint64_t>(prod & kP);
+    const std::uint64_t hi = static_cast<std::uint64_t>(prod >> 61);
+    std::uint64_t s = lo + (hi & kP) + (hi >> 61);
+    s = (s & kP) + (s >> 61);
+    if (s >= kP) s -= kP;
+    return from_reduced(s);
+  }
   friend constexpr bool operator==(Fp a, Fp b) { return a.v_ == b.v_; }
   friend constexpr bool operator!=(Fp a, Fp b) { return a.v_ != b.v_; }
 

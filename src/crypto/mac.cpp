@@ -1,5 +1,8 @@
 #include "crypto/mac.h"
 
+#include <bit>
+#include <cstring>
+
 #include "crypto/rng.h"
 
 namespace fairsfe {
@@ -23,22 +26,34 @@ std::optional<MacKey> MacKey::from_bytes(ByteView data) {
 }
 
 namespace {
-// b + Σ a^i·m_i over the bytes_to_field sequence (the length element, then
-// 7-byte little-endian chunks), folded as the elements are formed.
-Fp mac_fold(const MacKey& key, ByteView msg) {
-  Fp apow = key.a;
-  Fp acc = key.b + apow * Fp(static_cast<std::uint64_t>(msg.size()));
-  for (std::size_t off = 0; off < msg.size(); off += 7) {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 7 && off + i < msg.size(); ++i) {
-      v |= static_cast<std::uint64_t>(msg[off + i]) << (8 * i);
+// Element k + 2 of the bytes_to_field sequence: the 7-byte little-endian
+// chunk at offset 7k (shorter at the end).
+std::uint64_t chunk_at(ByteView msg, std::size_t off) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (off + 8 <= msg.size()) {
+      std::uint64_t v = 0;
+      std::memcpy(&v, msg.data() + off, 8);
+      return v & 0x00ff'ffff'ffff'ffffULL;
     }
-    apow *= key.a;
-    acc += apow * Fp(v);
   }
-  return acc;
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 7 && off + i < msg.size(); ++i) {
+    v |= static_cast<std::uint64_t>(msg[off + i]) << (8 * i);
+  }
+  return v;
 }
 }  // namespace
+
+Fp mac_fold(const MacKey& key, ByteView msg) {
+  // Horner from the last chunk down to the length element:
+  // b + a·(m_1 + a·(m_2 + … + a·m_ℓ)), one multiply per element.
+  Fp acc;
+  for (std::size_t k = (msg.size() + 6) / 7; k-- > 0;) {
+    acc = (acc + Fp(chunk_at(msg, 7 * k))) * key.a;
+  }
+  acc = (acc + Fp(static_cast<std::uint64_t>(msg.size()))) * key.a;
+  return key.b + acc;
+}
 
 Bytes mac_tag(const MacKey& key, ByteView msg) {
   return fp_to_bytes(mac_fold(key, msg));

@@ -35,6 +35,11 @@ struct MacKey {
   static std::optional<MacKey> from_bytes(ByteView data);
 };
 
+/// The tag of `msg` under `key` as a field element: b + Σ a^i·m_i over the
+/// bytes_to_field sequence of msg. Its value, as 8 little-endian bytes, is
+/// the tag; dealers write it with Writer::u64 directly.
+Fp mac_fold(const MacKey& key, ByteView msg);
+
 /// Compute the one-time MAC tag of `msg` under `key` (8 bytes).
 Bytes mac_tag(const MacKey& key, ByteView msg);
 

@@ -1,31 +1,30 @@
 #include "crypto/secret_sharing.h"
 
+#include <algorithm>
+
 #include "crypto/rng.h"
 #include "util/check.h"
 
 namespace fairsfe {
 
-std::vector<Bytes> xor_share(ByteView secret, std::size_t n, Rng& rng) {
-  FAIRSFE_CHECK(n >= 1, "xor_share needs at least one share");
-  std::vector<Bytes> shares;
-  shares.reserve(n);
-  Bytes acc(secret.begin(), secret.end());
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    Bytes r = rng.bytes(secret.size());
-    acc = xor_bytes(acc, r);
-    shares.push_back(std::move(r));
+void xor_share(ByteView secret, std::span<const std::span<std::uint8_t>> shares, Rng& rng) {
+  FAIRSFE_CHECK(!shares.empty(), "xor_share needs at least one share");
+  const std::span<std::uint8_t> last = shares.back();
+  FAIRSFE_CHECK(last.size() == secret.size(), "xor_share: share length mismatch");
+  std::ranges::copy(secret, last.begin());
+  for (const std::span<std::uint8_t> s : shares.first(shares.size() - 1)) {
+    FAIRSFE_CHECK(s.size() == secret.size(), "xor_share: share length mismatch");
+    rng.fill(s);
+    for (std::size_t i = 0; i < s.size(); ++i) last[i] ^= s[i];
   }
-  shares.push_back(std::move(acc));
-  return shares;
 }
 
-Bytes xor_reconstruct(const std::vector<Bytes>& shares) {
+Bytes xor_reconstruct(std::span<const ByteView> shares) {
   FAIRSFE_CHECK(!shares.empty(), "xor_reconstruct over zero shares");
-  Bytes acc = shares.front();
-  for (std::size_t i = 1; i < shares.size(); ++i) {
-    FAIRSFE_CHECK(shares[i].size() == acc.size(),
-                  "xor_reconstruct: share length mismatch");
-    acc = xor_bytes(acc, shares[i]);
+  Bytes acc(shares.front().begin(), shares.front().end());
+  for (const ByteView s : shares.subspan(1)) {
+    FAIRSFE_CHECK(s.size() == acc.size(), "xor_reconstruct: share length mismatch");
+    for (std::size_t i = 0; i < acc.size(); ++i) acc[i] ^= s[i];
   }
   return acc;
 }

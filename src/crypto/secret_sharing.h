@@ -14,11 +14,13 @@ namespace fairsfe {
 
 class Rng;
 
-/// Split `secret` into `n` XOR-additive shares. Precondition: n >= 1.
-std::vector<Bytes> xor_share(ByteView secret, std::size_t n, Rng& rng);
+/// Split `secret` into shares.size() XOR-additive shares, written into the
+/// caller's buffers of secret.size() bytes each: shares 0..n-2 are drawn from
+/// `rng` in order, the last holds secret ⊕ the rest. Precondition: n >= 1.
+void xor_share(ByteView secret, std::span<const std::span<std::uint8_t>> shares, Rng& rng);
 
 /// Recombine XOR-additive shares. Precondition: all same length, non-empty.
-Bytes xor_reconstruct(const std::vector<Bytes>& shares);
+Bytes xor_reconstruct(std::span<const ByteView> shares);
 
 /// Split a field element into `n` additive shares over F_p.
 std::vector<Fp> additive_share(Fp secret, std::size_t n, Rng& rng);

@@ -484,7 +484,7 @@ Sha256& Sha256::update(ByteView data) {
   return *this;
 }
 
-Bytes Sha256::finish() {
+void Sha256::finish(std::uint8_t* out) {
   const std::uint64_t bit_len = total_len_ * 8;
   // One 0x80 byte, then zeros up to offset 56 of the final block (one extra
   // block when fewer than 8 bytes remain for the length field).
@@ -495,27 +495,33 @@ Bytes Sha256::finish() {
   std::uint8_t len_be[8];
   for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
   std::memcpy(buf_.data() + 56, len_be, 8);
+  finish_block(state_.data(), buf_.data(), out);
+}
 
+Bytes Sha256::finish() {
   Bytes out(kDigestSize);
-  finish_block(state_.data(), buf_.data(), out.data());
+  finish(out.data());
   return out;
 }
 
-Bytes sha256(ByteView data) {
-  // Short messages (every fork label, Lamport message and commitment
-  // opening) finish in one stack-padded block; a 32-byte one (a digest
-  // hashed again) takes the fixed entry, whose padding needs no byte stores.
-  if (data.size() <= crypto_kernels::kSha256MaxSingleBlockTail) {
-    Bytes out(Sha256::kDigestSize);
-    if (data.size() == 32) {
-      crypto_kernels::sha256_32(data.data(), out.data());
-    } else {
-      crypto_kernels::sha256_finish_single_block(crypto_kernels::kSha256Iv, 0, data,
-                                                 out.data());
-    }
-    return out;
+void sha256(ByteView data, std::uint8_t* out) {
+  // Short messages (every fork label, Lamport message, commitment opening
+  // and GK share hash) finish in one stack-padded block; a 32-byte one (a
+  // digest hashed again) takes the fixed entry, whose padding needs no byte
+  // stores.
+  if (data.size() == 32) {
+    crypto_kernels::sha256_32(data.data(), out);
+  } else if (data.size() <= crypto_kernels::kSha256MaxSingleBlockTail) {
+    crypto_kernels::sha256_finish_single_block(crypto_kernels::kSha256Iv, 0, data, out);
+  } else {
+    Sha256().update(data).finish(out);
   }
-  return Sha256().update(data).finish();
+}
+
+Bytes sha256(ByteView data) {
+  Bytes out(Sha256::kDigestSize);
+  sha256(data, out.data());
+  return out;
 }
 
 Bytes sha256_labeled(std::string_view label, ByteView data) {

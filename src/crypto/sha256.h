@@ -21,6 +21,8 @@ class Sha256 {
   Sha256& update(ByteView data);
   /// Finalizes and returns the digest. The object must not be reused after.
   Bytes finish();
+  /// finish() into out[0..kDigestSize).
+  void finish(std::uint8_t* out);
 
  private:
   /// HMAC finishes from the cached ipad/opad midstates (state_) directly.
@@ -36,6 +38,8 @@ class Sha256 {
 
 /// One-shot SHA-256.
 Bytes sha256(ByteView data);
+/// One-shot SHA-256 into out[0..32), without allocating.
+void sha256(ByteView data, std::uint8_t* out);
 
 /// Domain-separated hash: SHA-256(label_len || label || data).
 Bytes sha256_labeled(std::string_view label, ByteView data);

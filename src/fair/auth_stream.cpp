@@ -1,6 +1,7 @@
 #include "fair/auth_stream.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 namespace fairsfe::fair {
@@ -13,17 +14,21 @@ constexpr std::uint8_t kTagGkOpening = 60;
 }  // namespace
 
 Bytes encode_gk_opening(std::size_t j, ByteView opening) {
-  Writer w;
-  w.u8(kTagGkOpening).u32(static_cast<std::uint32_t>(j)).blob(opening);
-  return w.take();
+  // u8 tag ‖ u32 j ‖ blob(opening), in one allocation.
+  Bytes out(9 + opening.size());
+  out[0] = kTagGkOpening;
+  write_le32(out.data() + 1, static_cast<std::uint32_t>(j));
+  write_le32(out.data() + 5, static_cast<std::uint32_t>(opening.size()));
+  if (!opening.empty()) std::memcpy(out.data() + 9, opening.data(), opening.size());
+  return out;
 }
 
-std::optional<std::pair<std::size_t, Bytes>> decode_gk_opening(ByteView payload) {
+std::optional<std::pair<std::size_t, ByteView>> decode_gk_opening(ByteView payload) {
   Reader r(payload);
   const auto tag = r.u8();
   if (!tag || *tag != kTagGkOpening) return std::nullopt;
   const auto j = r.u32();
-  const auto body = r.blob();
+  const auto body = r.blob_view();
   if (!j || !body || !r.at_end()) return std::nullopt;
   return std::make_pair(static_cast<std::size_t>(*j), *body);
 }
@@ -38,14 +43,15 @@ std::vector<Bytes> deal_auth_streams(std::size_t rounds, std::size_t i_star, con
   w1.reserve(size).u32(static_cast<std::uint32_t>(rounds)).blob(fake_a());  // a_0 for p1
   w2.reserve(size).u32(static_cast<std::uint32_t>(rounds)).blob(fake_b());  // b_0 for p2
   for (std::size_t j = 1; j <= rounds; ++j) {
-    const Bytes a_j = (j < i_star) ? fake_a() : y;
-    const Bytes b_j = (j < i_star) ? fake_b() : y;
-    const AuthSharing2 sa = auth_share2(a_j, rng);
-    const AuthSharing2 sb = auth_share2(b_j, rng);
-    sa.share1.write_blob(w1);
-    sb.share1.write_blob(w1);
-    sa.share2.write_blob(w2);
-    sb.share2.write_blob(w2);
+    if (j < i_star) {
+      const Bytes a_j = fake_a();
+      const Bytes b_j = fake_b();
+      deal_auth_share2(a_j, rng, w1, w2);
+      deal_auth_share2(b_j, rng, w1, w2);
+    } else {
+      deal_auth_share2(y, rng, w1, w2);
+      deal_auth_share2(y, rng, w1, w2);
+    }
   }
   std::vector<Bytes> bodies;
   bodies.push_back(w1.take());
@@ -86,17 +92,23 @@ Bytes AuthStreams::fallback() const {
   return Bytes(v.begin(), v.end());
 }
 
-AuthShare2 AuthStreams::share(std::size_t j, bool incoming) const {
+ByteView AuthStreams::record(std::size_t j, bool incoming) const {
   // p1 reads the a-stream and opens the b-stream; p2 vice versa.
   const bool a_stream = incoming == (id_ == 0);
   Reader r = body_.at(2 * j - (a_stream ? 1 : 0));
-  return *AuthShare2::from_bytes(*r.blob_view());
+  return *r.blob_view();
 }
 
 std::vector<Message> AuthStreams::opening(std::size_t j) const {
   if (j == 0 || j > rounds()) return {};
-  return {Message{id_, static_cast<sim::PartyId>(1 - id_),
-                  encode_gk_opening(j, share(j, /*incoming=*/false).opening_to_bytes())}};
+  // A record starts with blob(summand) ‖ blob(tag): the opening's wire
+  // format (AuthShare2::opening_to_bytes), framed straight from the body.
+  // Its length words were validated at receipt.
+  const ByteView rec = record(j, /*incoming=*/false);
+  const std::size_t summand_size = read_le32(rec.data());
+  const std::size_t tag_size = read_le32(rec.data() + 4 + summand_size);
+  const ByteView opening = rec.first(8 + summand_size + tag_size);
+  return {Message{id_, static_cast<sim::PartyId>(1 - id_), encode_gk_opening(j, opening)}};
 }
 
 std::optional<Bytes> AuthStreams::reconstruct(std::size_t j, MsgView in) const {
@@ -105,7 +117,7 @@ std::optional<Bytes> AuthStreams::reconstruct(std::size_t j, MsgView in) const {
     if (m.from != 1 - id_) continue;
     const auto dec = decode_gk_opening(m.payload);
     if (dec && dec->first == j) {
-      return auth_reconstruct2(share(j, /*incoming=*/true), dec->second);
+      return auth_reconstruct2(*AuthShare2::parse(record(j, /*incoming=*/true)), dec->second);
     }
   }
   return std::nullopt;

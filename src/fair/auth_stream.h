@@ -5,17 +5,17 @@
 // The two-party dealer fixes two value streams,
 //     a_j = fake for j < i*, a_j = y for j ≥ i*   (reconstructed by p1),
 //     b_j = fake for j < i*, b_j = y for j ≥ i*   (reconstructed by p2),
-// shares every value with auth_share2 (crypto/auth_share.h) and sends party i
-// the body
+// shares every value with deal_auth_share2 (crypto/auth_share.h), which
+// writes each share record in place, and sends party i the body
 //     u32 r ‖ blob(fallback) ‖ for j = 1..r: blob(⟨a_j⟩ᵢ) ‖ blob(⟨b_j⟩ᵢ).
 //
 // Eager validation, lazy parse: a receiving party checks the whole body once,
 // at receipt and without allocating, so a malformed body is rejected exactly
 // where a full parse would reject it. It then keeps the body behind a
-// shared_ptr with a table of record offsets (DealtBody) and rebuilds the
-// round-j AuthShare2 only when it opens or reconstructs round j. A party's
-// clone() — one per adversary probe — copies two pointers instead of 2·r
-// parsed shares.
+// shared_ptr with a table of record offsets (DealtBody) and reads round j's
+// share as views into the body (AuthShare2::parse) only when it opens or
+// reconstructs round j. A party's clone() — one per adversary probe — copies
+// two pointers instead of 2·r parsed shares.
 #pragma once
 
 #include <functional>
@@ -78,15 +78,17 @@ class AuthStreams {
 
  private:
   AuthStreams(DealtBody body, sim::PartyId id) : body_(std::move(body)), id_(id) {}
-  [[nodiscard]] AuthShare2 share(std::size_t j, bool incoming) const;
+  /// The record of round j of my incoming or outgoing stream.
+  [[nodiscard]] ByteView record(std::size_t j, bool incoming) const;
 
   DealtBody body_;  ///< records: the fallback, then ⟨a_j⟩, ⟨b_j⟩ for j = 1..r
   sim::PartyId id_ = 0;
 };
 
-/// Opening wire format: (iteration j, the AuthShare2 opening bytes).
+/// Opening wire format: (iteration j, the AuthShare2 opening bytes). The
+/// decoded opening is a view into `payload`.
 Bytes encode_gk_opening(std::size_t j, ByteView opening);
-std::optional<std::pair<std::size_t, Bytes>> decode_gk_opening(ByteView payload);
+std::optional<std::pair<std::size_t, ByteView>> decode_gk_opening(ByteView payload);
 
 /// What the two-party stream parties (GkParty, Partial1pParty) share: send the
 /// input to ShareGen, receive the streams (a malformed body ends the run with

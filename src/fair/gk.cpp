@@ -52,13 +52,19 @@ std::vector<Message> ShareGenFunc::on_round(sim::FuncContext& ctx, int /*round*/
     }
 
     const bool range = params_.variant == GkParams::Variant::kPolyRange;
+    // f(x1, ŷ) and f(x̂, x2) through one reused argument vector.
+    std::vector<Bytes> args = xs;
     auto fake_a = [&] {
       if (range) return params_.sample_range(rng);
-      return params_.spec.eval({xs[0], params_.sample_x2(rng)});
+      args[0] = xs[0];
+      args[1] = params_.sample_x2(rng);
+      return params_.spec.eval(args);
     };
     auto fake_b = [&] {
       if (range) return params_.sample_range(rng);
-      return params_.spec.eval({params_.sample_x1(rng), xs[1]});
+      args[0] = params_.sample_x1(rng);
+      args[1] = xs[1];
+      return params_.spec.eval(args);
     };
     return deal_auth_streams(cap, i_star, y, fake_a, fake_b, rng);
   });

@@ -1,6 +1,7 @@
 #include "fair/gk_multi.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "crypto/secret_sharing.h"
@@ -15,6 +16,9 @@ namespace {
 constexpr std::uint8_t kTagMultiShare = 65;
 constexpr std::size_t kNonceSize = 16;
 constexpr std::size_t kHashSize = 32;
+/// Share-hash inputs (44 bytes of framing, nonce and label plus the summand)
+/// held on the stack.
+constexpr std::size_t kInlineScratch = 128;
 
 // Validate a ShareGen payload for an n-party run. Record 0 is the fallback
 // blob; record j (1..r, r >= 1) is the summand, nonce and n commitment blobs.
@@ -69,16 +73,29 @@ std::optional<GkMultiShare> decode_gk_multi_share(ByteView payload) {
   const auto tag = r.u8();
   if (!tag || *tag != kTagMultiShare) return std::nullopt;
   const auto j = r.u32();
-  const auto summand = r.blob();
-  const auto nonce = r.blob();
+  const auto summand = r.blob_view();
+  const auto nonce = r.blob_view();
   if (!j || !summand || !nonce || !r.at_end()) return std::nullopt;
   return GkMultiShare{static_cast<std::size_t>(*j), *summand, *nonce};
 }
 
-Bytes gk_multi_share_hash(std::size_t j, ByteView nonce, ByteView summand) {
-  Writer w;
-  w.u64(j).blob(nonce).blob(summand);
-  return sha256_labeled("gk-multi", w.bytes());
+void gk_multi_share_hash(std::size_t j, ByteView nonce, ByteView summand, std::uint8_t* out) {
+  // sha256_labeled's input: str("gk-multi") ‖ u64 j ‖ blob(nonce) ‖ blob(summand).
+  static constexpr char kLabel[] = "gk-multi";
+  constexpr std::size_t kLabelSize = sizeof(kLabel) - 1;
+  ScratchBytes<kInlineScratch> in(4 + kLabelSize + 8 + 4 + nonce.size() + 4 + summand.size());
+  std::uint8_t* p = in.data();
+  write_le32(p, kLabelSize);
+  std::memcpy(p + 4, kLabel, kLabelSize);
+  p += 4 + kLabelSize;
+  write_le64(p, j);
+  write_le32(p + 8, static_cast<std::uint32_t>(nonce.size()));
+  p += 12;
+  if (!nonce.empty()) std::memcpy(p, nonce.data(), nonce.size());
+  p += nonce.size();
+  write_le32(p, static_cast<std::uint32_t>(summand.size()));
+  if (!summand.empty()) std::memcpy(p + 4, summand.data(), summand.size());
+  sha256(in.span(), out);
 }
 
 MultiShareGenFunc::MultiShareGenFunc(GkMultiParams params, mpc::NotesPtr notes)
@@ -105,26 +122,44 @@ std::vector<Message> MultiShareGenFunc::on_round(sim::FuncContext& ctx, int /*ro
 
     auto fake = [&]() { return params_.spec.eval(params_.sample_inputs(rng)); };
 
-    // Per-party bodies, sized for values as long as y.
-    const std::size_t round_size = 4 + y.size() + 4 + kNonceSize + n * (4 + kHashSize);
+    // Per-party bodies, sized for values as long as y. Party p's round-j
+    // record is blob(summand_p) ‖ blob(nonce_p) ‖ blob(hash_0) … blob(hash_{n-1}).
+    const std::size_t hashes_size = n * (4 + kHashSize);
+    const std::size_t round_size = 4 + y.size() + 4 + kNonceSize + hashes_size;
     std::vector<Writer> blobs(n);
     for (std::size_t p = 0; p < n; ++p) {
       blobs[p].reserve(8 + y.size() + cap * round_size);
       blobs[p].u32(static_cast<std::uint32_t>(cap));
       blobs[p].blob(fake());  // independent v_0 fallback per party
     }
+    std::vector<std::uint8_t*> recs(n);
+    std::vector<std::span<std::uint8_t>> summands(n);
     for (std::size_t j = 1; j <= cap; ++j) {
-      const Bytes v = (j < i_star) ? fake() : y;
-      const auto summands = xor_share(v, n, rng);
-      std::vector<Bytes> nonces(n);
-      std::vector<Bytes> hashes(n);
+      const Bytes fake_v = (j < i_star) ? fake() : Bytes();
+      const ByteView v = (j < i_star) ? ByteView(fake_v) : ByteView(y);
+      const std::size_t m = v.size();
       for (std::size_t p = 0; p < n; ++p) {
-        nonces[p] = rng.bytes(kNonceSize);
-        hashes[p] = gk_multi_share_hash(j, nonces[p], summands[p]);
+        recs[p] = blobs[p].extend(4 + m + 4 + kNonceSize + hashes_size).data();
+        write_le32(recs[p], static_cast<std::uint32_t>(m));
+        summands[p] = {recs[p] + 4, m};
       }
+      xor_share(v, summands, rng);
+      // Nonces in party order, then every party's hash into party 0's
+      // record, copied to the others.
       for (std::size_t p = 0; p < n; ++p) {
-        blobs[p].blob(summands[p]).blob(nonces[p]);
-        for (const Bytes& h : hashes) blobs[p].blob(h);
+        std::uint8_t* nonce = recs[p] + 4 + m;
+        write_le32(nonce, kNonceSize);
+        rng.fill({nonce + 4, kNonceSize});
+      }
+      std::uint8_t* hashes = recs[0] + 4 + m + 4 + kNonceSize;
+      for (std::size_t p = 0; p < n; ++p) {
+        const std::uint8_t* rec = recs[p];
+        std::uint8_t* h = hashes + p * (4 + kHashSize);
+        write_le32(h, kHashSize);
+        gk_multi_share_hash(j, {rec + 4 + m + 4, kNonceSize}, {rec + 4, m}, h + 4);
+      }
+      for (std::size_t p = 1; p < n; ++p) {
+        std::memcpy(recs[p] + 4 + m + 4 + kNonceSize, hashes, hashes_size);
       }
     }
     std::vector<Bytes> bodies;
@@ -178,18 +213,25 @@ std::vector<Message> GkMultiParty::on_round(int /*round*/, MsgView in) {
     }
     case Step::kIterate: {
       // Collect everyone's round-j_ summands (my own broadcast loops back).
-      std::vector<std::optional<Bytes>> summands(n);
+      Reader r = body_.at(j_);
+      (void)r.blob_view();  // my summand
+      (void)r.blob_view();  // its nonce
+      std::vector<ByteView> commitments(n);
+      for (ByteView& c : commitments) c = *r.blob_view();  // validated at receipt
+      std::vector<std::optional<ByteView>> verified(n);
       for (const Message& m : in) {
         if (m.from < 0 || m.from >= static_cast<sim::PartyId>(n)) continue;
         const auto sh = decode_gk_multi_share(m.payload);
         if (!sh || sh->j != j_) continue;
         const std::size_t p = static_cast<std::size_t>(m.from);
-        const Bytes h = gk_multi_share_hash(j_, sh->nonce, sh->summand);
-        if (!std::ranges::equal(h, field(j_, 2 + p))) continue;
-        if (!summands[p]) summands[p] = sh->summand;
+        std::uint8_t h[kHashSize] = {};
+        gk_multi_share_hash(j_, sh->nonce, sh->summand, h);
+        if (!std::ranges::equal(ByteView(h), commitments[p])) continue;
+        if (!verified[p]) verified[p] = sh->summand;
       }
-      std::vector<Bytes> pool;
-      for (const auto& s : summands) {
+      std::vector<ByteView> pool;
+      pool.reserve(n);
+      for (const auto& s : verified) {
         if (s) pool.push_back(*s);
       }
       if (pool.size() != n) {

@@ -87,15 +87,19 @@ class GkMultiParty final : public sim::PartyBase<GkMultiParty> {
 std::vector<std::unique_ptr<sim::IParty>> make_gk_multi_parties(
     const GkMultiParams& params, const std::vector<Bytes>& inputs, Rng& rng);
 
-/// Round-j summand broadcast wire format.
+/// Round-j summand broadcast wire format. The decoded summand and nonce are
+/// views into `payload`.
 Bytes encode_gk_multi_share(std::size_t j, ByteView summand, ByteView nonce);
 struct GkMultiShare {
   std::size_t j = 0;
-  Bytes summand;
-  Bytes nonce;
+  ByteView summand;
+  ByteView nonce;
 };
 std::optional<GkMultiShare> decode_gk_multi_share(ByteView payload);
-/// The commitment binding a summand: H("gk-multi" ‖ j ‖ nonce ‖ summand).
-Bytes gk_multi_share_hash(std::size_t j, ByteView nonce, ByteView summand);
+/// The commitment binding a summand, H("gk-multi" ‖ j ‖ nonce ‖ summand) =
+/// sha256_labeled("gk-multi", u64 j ‖ blob(nonce) ‖ blob(summand)), into
+/// out[0..32). The input is built on the stack; with a 16-byte nonce and a
+/// summand of up to 11 bytes it is one SHA-256 block.
+void gk_multi_share_hash(std::size_t j, ByteView nonce, ByteView summand, std::uint8_t* out);
 
 }  // namespace fairsfe::fair

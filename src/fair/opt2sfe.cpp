@@ -1,5 +1,7 @@
 #include "fair/opt2sfe.h"
 
+#include <array>
+
 namespace fairsfe::fair {
 
 using sim::Message;
@@ -61,22 +63,18 @@ std::vector<Message> Opt2ShareFunc::on_round(sim::FuncContext& ctx, int /*round*
   }
 
   const Bytes y = spec_.eval({*inputs[0], *inputs[1]});
-  const AuthSharing2 sharing = auth_share2(y, ctx.rng());
+  // Party i's output: blob(⟨y⟩ᵢ) ‖ u8 î.
+  std::array<Writer, 2> w;
+  deal_auth_share2(y, ctx.rng(), w[0], w[1]);
   const auto i_hat = static_cast<sim::PartyId>(ctx.rng().below(2));
   if (notes_) {
     notes_->blobs["y"] = y;
     notes_->vals["i_hat"] = static_cast<std::uint64_t>(i_hat);
   }
-
-  auto encode_out = [i_hat](const AuthShare2& share) {
-    Writer w;
-    share.write_blob(w);
-    w.u8(static_cast<std::uint8_t>(i_hat));
-    return sim::encode_func_output(w.bytes());
-  };
+  for (Writer& wi : w) wi.u8(static_cast<std::uint8_t>(i_hat));
   std::vector<Message> deliveries = {
-      Message{sim::kFunc, 0, encode_out(sharing.share1)},
-      Message{sim::kFunc, 1, encode_out(sharing.share2)},
+      Message{sim::kFunc, 0, sim::encode_func_output(w[0].bytes())},
+      Message{sim::kFunc, 1, sim::encode_func_output(w[1].bytes())},
   };
 
   std::vector<Message> corrupted_outputs;

@@ -146,6 +146,26 @@ TEST(Mac, KeySerializationRoundTrip) {
   EXPECT_EQ(k2->b, k.b);
 }
 
+TEST(Mac, FoldIsTheFieldSequenceSum) {
+  // mac_fold (Horner, 8-byte chunk loads) against the definition
+  // b + Σ a^i·m_i over bytes_to_field, at every length up to five chunks
+  // and from an unaligned start.
+  Rng rng(31);
+  const Bytes buf = rng.bytes(41);
+  for (std::size_t len = 0; len <= 40; ++len) {
+    const MacKey k = MacKey::random(rng);
+    const ByteView msg = ByteView(buf).subspan(1, len);
+    Fp expect = k.b;
+    Fp apow = k.a;
+    for (const Fp m : bytes_to_field(msg)) {
+      expect += apow * m;
+      apow *= k.a;
+    }
+    EXPECT_EQ(mac_fold(k, msg), expect) << "len " << len;
+    EXPECT_EQ(mac_tag(k, msg), fp_to_bytes(expect)) << "len " << len;
+  }
+}
+
 TEST(Commitment, OpensCorrectly) {
   Rng rng(8);
   const Bytes msg = bytes_of("the contract");

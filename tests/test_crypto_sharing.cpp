@@ -2,6 +2,7 @@
 // Lamport signatures.
 #include <gtest/gtest.h>
 
+#include "auth_share_util.h"
 #include "crypto/auth_share.h"
 #include "crypto/lamport.h"
 #include "crypto/rng.h"
@@ -11,20 +12,32 @@
 namespace fairsfe {
 namespace {
 
+// xor_share into n fresh buffers, and xor_reconstruct over them.
+std::vector<Bytes> xor_share_n(ByteView secret, std::size_t n, Rng& rng) {
+  std::vector<Bytes> shares(n, Bytes(secret.size()));
+  const std::vector<std::span<std::uint8_t>> out(shares.begin(), shares.end());
+  xor_share(secret, out, rng);
+  return shares;
+}
+Bytes xor_reconstruct_n(const std::vector<Bytes>& shares) {
+  const std::vector<ByteView> in(shares.begin(), shares.end());
+  return xor_reconstruct(in);
+}
+
 TEST(XorSharing, RoundTrip) {
   Rng rng(1);
   const Bytes secret = bytes_of("top secret payload");
   for (std::size_t n : {1u, 2u, 3u, 7u}) {
-    const auto shares = xor_share(secret, n, rng);
+    const auto shares = xor_share_n(secret, n, rng);
     ASSERT_EQ(shares.size(), n);
-    EXPECT_EQ(xor_reconstruct(shares), secret);
+    EXPECT_EQ(xor_reconstruct_n(shares), secret);
   }
 }
 
 TEST(XorSharing, SingleShareIsSecret) {
   Rng rng(2);
   const Bytes secret = bytes_of("x");
-  EXPECT_EQ(xor_share(secret, 1, rng)[0], secret);
+  EXPECT_EQ(xor_share_n(secret, 1, rng)[0], secret);
 }
 
 TEST(XorSharing, SharesLookIndependentOfSecret) {
@@ -33,7 +46,7 @@ TEST(XorSharing, SharesLookIndependentOfSecret) {
   Rng rng(3);
   const Bytes secret = {0x00};
   std::set<std::uint8_t> seen;
-  for (int i = 0; i < 256; ++i) seen.insert(xor_share(secret, 2, rng)[0][0]);
+  for (int i = 0; i < 256; ++i) seen.insert(xor_share_n(secret, 2, rng)[0][0]);
   EXPECT_GT(seen.size(), 100u);
 }
 
@@ -119,14 +132,14 @@ TEST(Shamir, ShareSerializationRoundTrip) {
 TEST(AuthShare, ReconstructBothDirections) {
   Rng rng(9);
   const Bytes secret = bytes_of("the signed contract");
-  const AuthSharing2 sh = auth_share2(secret, rng);
+  const AuthSharing2 sh = deal_shares(secret, rng);
   EXPECT_EQ(auth_reconstruct2(sh.share1, sh.share2.opening_to_bytes()), secret);
   EXPECT_EQ(auth_reconstruct2(sh.share2, sh.share1.opening_to_bytes()), secret);
 }
 
 TEST(AuthShare, TamperedSummandDetected) {
   Rng rng(10);
-  const AuthSharing2 sh = auth_share2(bytes_of("secret"), rng);
+  const AuthSharing2 sh = deal_shares(bytes_of("secret"), rng);
   AuthShare2 evil = sh.share2;
   evil.summand[0] ^= 1;
   EXPECT_EQ(auth_reconstruct2(sh.share1, evil.opening_to_bytes()), std::nullopt);
@@ -134,7 +147,7 @@ TEST(AuthShare, TamperedSummandDetected) {
 
 TEST(AuthShare, TamperedTagDetected) {
   Rng rng(11);
-  const AuthSharing2 sh = auth_share2(bytes_of("secret"), rng);
+  const AuthSharing2 sh = deal_shares(bytes_of("secret"), rng);
   AuthShare2 evil = sh.share2;
   evil.summand_tag[0] ^= 1;
   EXPECT_EQ(auth_reconstruct2(sh.share1, evil.opening_to_bytes()), std::nullopt);
@@ -142,7 +155,7 @@ TEST(AuthShare, TamperedTagDetected) {
 
 TEST(AuthShare, GarbageOpeningRejected) {
   Rng rng(12);
-  const AuthSharing2 sh = auth_share2(bytes_of("secret"), rng);
+  const AuthSharing2 sh = deal_shares(bytes_of("secret"), rng);
   EXPECT_EQ(auth_reconstruct2(sh.share1, bytes_of("garbage")), std::nullopt);
   EXPECT_EQ(auth_reconstruct2(sh.share1, Bytes{}), std::nullopt);
 }
@@ -153,19 +166,62 @@ TEST(AuthShare, SingleShareHidesSecret) {
   std::set<std::string> seen;
   for (int i = 0; i < 32; ++i) {
     Rng rng(static_cast<std::uint64_t>(2000 + i));
-    seen.insert(to_hex(auth_share2(bytes_of("fixed"), rng).share1.summand));
+    seen.insert(to_hex(deal_shares(bytes_of("fixed"), rng).share1.summand));
   }
   EXPECT_EQ(seen.size(), 32u);
 }
 
 TEST(AuthShare, ShareSerializationRoundTrip) {
   Rng rng(13);
-  const AuthSharing2 sh = auth_share2(bytes_of("s"), rng);
+  const AuthSharing2 sh = deal_shares(bytes_of("s"), rng);
   const auto back = AuthShare2::from_bytes(sh.share1.to_bytes());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->summand, sh.share1.summand);
   EXPECT_EQ(back->summand_tag, sh.share1.summand_tag);
   EXPECT_EQ(auth_reconstruct2(*back, sh.share2.opening_to_bytes()), bytes_of("s"));
+}
+
+// The dealer before it wrote records in place: payload through a Writer, the
+// tags as fp_to_bytes round trips, s₁ from rng.bytes, s₂ from xor_bytes.
+AuthSharing2 share_field_by_field(ByteView secret, Rng& rng) {
+  AuthSharing2 out;
+  out.share1.key = MacKey::random(rng);
+  out.share2.key = MacKey::random(rng);
+  Writer pw;
+  pw.blob(secret).blob(mac_tag(out.share1.key, secret)).blob(mac_tag(out.share2.key, secret));
+  const Bytes payload = pw.take();
+  out.share1.summand = rng.bytes(payload.size());
+  out.share2.summand = xor_bytes(payload, out.share1.summand);
+  out.share1.summand_tag = mac_tag(out.share2.key, out.share1.summand);
+  out.share2.summand_tag = mac_tag(out.share1.key, out.share2.summand);
+  return out;
+}
+
+TEST(AuthShare, DealInPlaceMatchesShareThenWrite) {
+  // Secret lengths run past the 100-byte stack payload into the heap path;
+  // the writers already hold bytes, as a dealt body does after its header.
+  for (std::size_t len = 0; len <= 300; ++len) {
+    Rng seed_rng(4000 + len);
+    const Bytes secret = seed_rng.bytes(len);
+    Rng in_place(len), reference(len);
+    Writer w1, w2;
+    w1.u32(7);
+    w2.u8(9);
+    deal_auth_share2(secret, in_place, w1, w2);
+
+    const AuthSharing2 ref = share_field_by_field(secret, reference);
+    Writer r1, r2;
+    r1.u32(7);
+    r2.u8(9);
+    r1.blob(ref.share1.to_bytes());
+    r2.blob(ref.share2.to_bytes());
+    EXPECT_EQ(w1.bytes(), r1.bytes()) << "len " << len;
+    EXPECT_EQ(w2.bytes(), r2.bytes()) << "len " << len;
+    ASSERT_EQ(w1.bytes().size(), 4 + AuthShare2::blob_size(len));
+
+    EXPECT_EQ(reference.u64(), in_place.u64()) << "len " << len;
+    EXPECT_EQ(auth_reconstruct2(ref.share1, ref.share2.opening_to_bytes()), secret);
+  }
 }
 
 TEST(Lamport, SignVerify) {

@@ -3,6 +3,7 @@
 // randomized-abort guarantee.
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.h"
 #include "experiments/setups.h"
 #include "fair/gk_multi.h"
 
@@ -38,6 +39,24 @@ TEST_P(GkMultiHonestTest, HonestAllGetAndOutput) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PartySweep, GkMultiHonestTest, ::testing::Values(2, 3, 4, 6));
+
+TEST(GkMulti, ShareHashIsTheLabeledHash) {
+  // The stack-built input against sha256_labeled over a Writer, across the
+  // one-block, multi-block and heap-buffer sizes.
+  Rng rng(41);
+  for (const std::size_t nonce_len : {0u, 16u, 100u}) {
+    for (std::size_t len = 0; len <= 200; len += (len < 64 ? 1 : 17)) {
+      const Bytes nonce = rng.bytes(nonce_len);
+      const Bytes summand = rng.bytes(len);
+      const std::size_t j = len * 1000 + nonce_len;
+      Writer w;
+      w.u64(j).blob(nonce).blob(summand);
+      Bytes h(32);
+      gk_multi_share_hash(j, nonce, summand, h.data());
+      EXPECT_EQ(h, sha256_labeled("gk-multi", w.bytes())) << nonce_len << "/" << len;
+    }
+  }
+}
 
 TEST(GkMulti, CoalitionBoundHoldsAcrossT) {
   const rpd::PayoffVector pf = rpd::PayoffVector::partial_fairness();

@@ -3,6 +3,7 @@
 // mis-parse), and protocol parties must survive adversarial junk messages.
 #include <gtest/gtest.h>
 
+#include "auth_share_util.h"
 #include "crypto/auth_share.h"
 #include "crypto/shamir.h"
 #include "fair/gk.h"
@@ -60,7 +61,7 @@ TEST(DecoderRobustness, TruncationsOfValidMessagesRejected) {
     Bytes data;
     std::function<bool(ByteView)> decodes;
   };
-  const AuthSharing2 sh = auth_share2(bytes_of("secret"), rng);
+  const AuthSharing2 sh = deal_shares(bytes_of("secret"), rng);
   const std::vector<Frame> frames = {
       {sim::encode_func_input(bytes_of("payload")),
        [](ByteView b) { return sim::decode_func_input(b).has_value(); }},
@@ -91,7 +92,7 @@ TEST(DecoderRobustness, CorruptedInFlightFramesRejectedOrSafe) {
   // unlike random junk these are well-formed up to a few bits, so they probe
   // the "almost valid" corner the pure-garbage fuzz cannot reach.
   Rng rng(31);
-  const AuthSharing2 sh = auth_share2(bytes_of("secret"), rng);
+  const AuthSharing2 sh = deal_shares(bytes_of("secret"), rng);
   const std::vector<Bytes> frames = {
       sim::encode_func_input(bytes_of("payload")),
       sim::encode_func_output(bytes_of("payload")),
@@ -123,7 +124,7 @@ TEST(DecoderRobustness, CorruptedOpeningNeverReconstructsWrongValue) {
   Rng rng(32);
   const Bytes secret = bytes_of("the true y");
   for (int trial = 0; trial < 300; ++trial) {
-    const AuthSharing2 sh = auth_share2(secret, rng);
+    const AuthSharing2 sh = deal_shares(secret, rng);
     Bytes opening = sh.share2.opening_to_bytes();
     sim::fault::corrupt_in_flight(opening, rng);
     const auto y = auth_reconstruct2(sh.share1, opening);
@@ -329,6 +330,220 @@ TEST(DealtStreamRobustness, GkPartyRejectsMalformedShareGenBody) {
 
 TEST(DealtStreamRobustness, Partial1pPartyRejectsMalformedShareGenBody) {
   expect_default_on_malformed_body<fair::Partial1pParty>(fair::make_partial_1p_and_params(2));
+}
+
+// An independent copy of the AuthShare2 record walk: the reference the
+// receipt check must agree with everywhere.
+bool reference_well_formed(ByteView data) {
+  Reader r(data);
+  const auto summand = r.blob_view();
+  const auto tag = r.blob_view();
+  const auto key_bytes = r.blob_view();
+  return summand && tag && key_bytes && r.at_end() && MacKey::from_bytes(*key_bytes);
+}
+
+// AuthStreams::receive's walk over a raw body, with the reference records.
+bool reference_accepts(const Bytes& body) {
+  Reader r(body);
+  const auto rounds = r.u32();
+  if (!rounds) return false;
+  for (std::size_t k = 0; k < 2 * std::size_t{*rounds} + 1; ++k) {
+    const auto record = r.blob_view();
+    if (!record || (k > 0 && !reference_well_formed(*record))) return false;
+  }
+  return true;
+}
+
+void put_u64(Bytes& b, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+Bytes share_record(ByteView summand, ByteView tag, ByteView key) {
+  Writer w;
+  w.blob(summand).blob(tag).blob(key);
+  return w.take();
+}
+
+// Mutants of one share record: every truncation, each length word at ±1, 0
+// and 0xffffffff, tags of 0, 7 and 9 bytes, each key word at kP − 1, kP and
+// 2^64 − 1, and re-framed summands and keys one byte off.
+std::vector<std::pair<std::string, Bytes>> record_mutants(const Bytes& rec) {
+  const std::uint32_t summand_len = read_le32(rec.data());
+  const std::size_t tag_at = 4 + summand_len;  // the tag's length word
+  const std::size_t key_at = tag_at + 12;      // the key's length word
+  const ByteView summand = ByteView(rec).subspan(4, summand_len);
+  const ByteView tag = ByteView(rec).subspan(tag_at + 4, 8);
+  const ByteView key = ByteView(rec).subspan(key_at + 4, MacKey::kSize);
+  std::vector<std::pair<std::string, Bytes>> out;
+  for (std::size_t cut = 0; cut < rec.size(); ++cut) {
+    out.emplace_back("truncated to " + std::to_string(cut), Bytes(rec.begin(), rec.begin() + cut));
+  }
+  for (const auto& [name, at] : {std::pair<const char*, std::size_t>{"summand", 0},
+                                 {"tag", tag_at},
+                                 {"key", key_at}}) {
+    const std::uint32_t orig = read_le32(rec.data() + at);
+    for (const std::uint32_t v : {orig - 1, orig + 1, 0u, 0xffffffffu}) {
+      Bytes m = rec;
+      put_u32(m, at, v);
+      out.emplace_back(std::string(name) + " length " + std::to_string(v), m);
+    }
+  }
+  for (const std::size_t len : {0u, 7u, 9u}) {
+    Bytes t(tag.begin(), tag.end());
+    t.resize(len, 0x5a);
+    out.emplace_back("tag of " + std::to_string(len) + " bytes", share_record(summand, t, key));
+  }
+  for (const std::size_t word : {0u, 8u}) {
+    for (const std::uint64_t v : {Fp::kP - 1, Fp::kP, ~std::uint64_t{0}}) {
+      Bytes m = rec;
+      put_u64(m, key_at + 4 + word, v);
+      out.emplace_back("key word " + std::to_string(word / 8) + " = " + std::to_string(v), m);
+    }
+  }
+  Bytes longer(summand.begin(), summand.end());
+  longer.push_back(3);
+  out.emplace_back("summand one byte longer", share_record(longer, tag, key));
+  out.emplace_back("summand one byte shorter", share_record(summand.first(summand.size() - 1), tag, key));
+  Bytes long_key(key.begin(), key.end());
+  long_key.push_back(0);
+  out.emplace_back("key of 17 bytes", share_record(summand, tag, long_key));
+  out.emplace_back("key of 15 bytes", share_record(summand, tag, key.first(15)));
+  return out;
+}
+
+TEST(DealtStreamRobustness, ReceiptMatchesFieldWalkOnMutants) {
+  for (const Bytes& good : dealt_bodies()) {
+    const std::size_t last = last_share(good);
+    const Bytes rec(good.begin() + static_cast<std::ptrdiff_t>(last) + 4, good.end());
+    ASSERT_TRUE(reference_well_formed(rec));
+    const auto receives = [](const Bytes& body, sim::PartyId id) {
+      return fair::AuthStreams::receive(sim::encode_func_output(body), id).has_value();
+    };
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (const auto& [what, mutant] : record_mutants(rec)) {
+      const bool ok = reference_well_formed(mutant);
+      EXPECT_EQ(AuthShare2::well_formed(mutant), ok) << what;
+      EXPECT_EQ(AuthShare2::from_bytes(mutant).has_value(), ok) << what;
+      // The mutant as the body's last record, under a matching outer length.
+      Writer w;
+      w.raw(ByteView(good).first(last)).blob(mutant);
+      const Bytes body = w.take();
+      ASSERT_EQ(reference_accepts(body), ok) << what;
+      for (const sim::PartyId id : {0, 1}) EXPECT_EQ(receives(body, id), ok) << what;
+      // A key word is a field element: below kP only.
+      if (what.starts_with("key word")) {
+        EXPECT_EQ(ok, what.ends_with("= " + std::to_string(Fp::kP - 1))) << what;
+      }
+      ++(ok ? accepted : rejected);
+    }
+    // Both verdicts occur: a 7- or 9-byte tag, a 17-byte key and a key word
+    // of kP − 1 still parse.
+    EXPECT_GE(accepted, 5u);
+    EXPECT_GE(rejected, rec.size());
+    // The body cut anywhere inside its last record, and the record's outer
+    // length word rewritten.
+    for (std::size_t cut = last; cut < good.size(); ++cut) {
+      const Bytes body(good.begin(), good.begin() + static_cast<std::ptrdiff_t>(cut));
+      EXPECT_FALSE(receives(body, 0)) << "body cut at " << cut;
+    }
+    const std::uint32_t outer = read_le32(good.data() + last);
+    for (const std::uint32_t v : {outer - 1, outer + 1, 0u, 0xffffffffu}) {
+      Bytes body = good;
+      put_u32(body, last, v);
+      EXPECT_EQ(receives(body, 0), reference_accepts(body)) << "outer length " << v;
+      EXPECT_EQ(receives(body, 1), reference_accepts(body)) << "outer length " << v;
+    }
+  }
+}
+
+// Reconstruction as it read before the view-based path: the by-value share,
+// the opening copied out of the message, the first opening of round j from
+// the peer wins.
+std::optional<Bytes> reference_reconstruct(const AuthShare2& mine, std::size_t j,
+                                           sim::PartyId peer,
+                                           const std::vector<sim::Message>& in) {
+  for (const sim::Message& m : in) {
+    if (m.from != peer) continue;
+    const auto dec = fair::decode_gk_opening(m.payload);
+    if (dec && dec->first == j) {
+      return auth_reconstruct2(mine, Bytes(dec->second.begin(), dec->second.end()));
+    }
+  }
+  return std::nullopt;
+}
+
+// Record k of a dealt body, parsed by value.
+AuthShare2 body_share(const Bytes& body, std::size_t k) {
+  Reader r(body);
+  (void)r.u32();
+  for (std::size_t i = 0; i < k; ++i) (void)r.blob_view();
+  return *AuthShare2::from_bytes(*r.blob_view());
+}
+
+TEST(DealtStreamRobustness, ReconstructFromViewsMatchesByValue) {
+  const std::vector<Bytes> bodies = dealt_bodies();
+  for (const sim::PartyId id : {0, 1}) {
+    const sim::PartyId peer = 1 - id;
+    const auto me = fair::AuthStreams::receive(sim::encode_func_output(bodies[id]), id);
+    const auto them = fair::AuthStreams::receive(sim::encode_func_output(bodies[peer]), peer);
+    ASSERT_TRUE(me && them);
+    for (std::size_t j = 1; j <= kDealtRounds; ++j) {
+      // p1 reconstructs the a-stream (record 2j − 1), p2 the b-stream (2j).
+      const AuthShare2 mine = body_share(bodies[id], id == 0 ? 2 * j - 1 : 2 * j);
+      const AuthShare2 theirs = body_share(bodies[peer], id == 0 ? 2 * j - 1 : 2 * j);
+      const std::vector<sim::Message> opened = them->opening(j);
+      ASSERT_EQ(opened.size(), 1u);
+      const sim::Message& open = opened[0];
+      EXPECT_EQ(open.payload, fair::encode_gk_opening(j, theirs.opening_to_bytes()));
+      const std::size_t other_j = j % kDealtRounds + 1;
+
+      std::vector<std::pair<std::string, std::vector<sim::Message>>> inboxes;
+      inboxes.emplace_back("valid", std::vector<sim::Message>{open});
+      for (std::size_t at = 0; at < open.payload.size(); ++at) {
+        for (const int mask : {0x01, 0x80}) {
+          sim::Message m = open;
+          m.payload[at] = static_cast<std::uint8_t>(m.payload[at] ^ mask);
+          inboxes.emplace_back("flip " + std::to_string(at) + "/" + std::to_string(mask),
+                               std::vector<sim::Message>{m});
+          inboxes.emplace_back("flip then valid " + std::to_string(at),
+                               std::vector<sim::Message>{m, open});
+          inboxes.emplace_back("valid then flip " + std::to_string(at),
+                               std::vector<sim::Message>{open, m});
+        }
+      }
+      inboxes.emplace_back("wrong j", them->opening(other_j));
+      sim::Message from_self = open;
+      from_self.from = id;
+      sim::Message from_third = open;
+      from_third.from = 2;
+      inboxes.emplace_back("from myself", std::vector<sim::Message>{from_self});
+      inboxes.emplace_back("from party 2", std::vector<sim::Message>{from_third});
+      inboxes.emplace_back("wrong sender then valid",
+                           std::vector<sim::Message>{from_self, from_third, open});
+      sim::Message trailing = open;
+      trailing.payload.push_back(0);
+      inboxes.emplace_back("trailing byte", std::vector<sim::Message>{trailing});
+      Bytes long_opening = theirs.opening_to_bytes();
+      long_opening.push_back(0);
+      inboxes.emplace_back(
+          "trailing byte in the opening",
+          std::vector<sim::Message>{sim::Message{peer, id, fair::encode_gk_opening(j, long_opening)}});
+      std::vector<sim::Message> two = them->opening(other_j);
+      two.push_back(open);
+      inboxes.emplace_back("wrong j then valid", two);
+      inboxes.emplace_back("two valid", std::vector<sim::Message>{open, open});
+
+      const auto expect_valid = reference_reconstruct(mine, j, peer, {open});
+      ASSERT_TRUE(expect_valid.has_value());
+      for (const auto& [what, in] : inboxes) {
+        EXPECT_EQ(me->reconstruct(j, in), reference_reconstruct(mine, j, peer, in))
+            << what << ", p" << id << " j " << j;
+      }
+      EXPECT_EQ(me->reconstruct(0, {open}), std::nullopt);
+      EXPECT_EQ(me->reconstruct(kDealtRounds + 1, {open}), std::nullopt);
+    }
+  }
 }
 
 // Clones share the dealt body and the parameters with the original; driving
