@@ -49,6 +49,27 @@ void BM_Sha256_32Batch(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_32Batch)->Arg(16)->Arg(512);
 
+// Arg = number of 45-byte messages, the size of an n-party GK share hash
+// input for a 1-byte value, through Sha256Batch.
+void BM_Sha256OneBlockBatch(benchmark::State& state) {
+  constexpr std::size_t kLen = 45;
+  const auto count = static_cast<std::size_t>(state.range(0));
+  Rng rng(11);
+  const Bytes in = rng.bytes(kLen * count);
+  Bytes out(32 * count);
+  for (auto _ : state) {
+    Sha256Batch batch;
+    for (std::size_t i = 0; i < count; ++i) {
+      batch.add({in.data() + kLen * i, kLen}, out.data() + 32 * i);
+    }
+    batch.flush();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Sha256OneBlockBatch)->Arg(16)->Arg(512);
+
 void BM_ChaCha20Keystream(benchmark::State& state) {
   const Bytes key(32, 1);
   const Bytes nonce(12, 2);
@@ -59,6 +80,23 @@ void BM_ChaCha20Keystream(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_ChaCha20Keystream)->Arg(64)->Arg(4096)->Arg(16384);
+
+// One long-lived stream drawing 62-byte pieces, about what a GK dealer
+// draws per sharing: past its first four blocks it refills 16 at a time.
+void BM_ChaCha20ShortDraws(benchmark::State& state) {
+  constexpr std::size_t kPiece = 62;
+  const Bytes key(32, 1);
+  const Bytes nonce(12, 2);
+  ChaCha20 c(key, nonce);
+  std::uint8_t out[kPiece];
+  for (auto _ : state) {
+    c.fill(out, kPiece);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kPiece);
+}
+BENCHMARK(BM_ChaCha20ShortDraws);
 
 void BM_FieldMul(benchmark::State& state) {
   Rng rng(1);

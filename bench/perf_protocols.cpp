@@ -5,12 +5,14 @@
 // (the online phase vs inline OT-hybrid execution) and
 // BM_GmwLanesEstimation/{1,64} (scalar vs bit-sliced estimation).
 // BM_UtilityEstimationThreads/{1,2,4,8} shows thread scaling, and
-// BM_GkDeal/{4,8} times GK's ShareGen dealing at the p = 4 and p = 8 caps. The shared
+// BM_GkDeal/{4,8} times GK's ShareGen dealing at the p = 4 and p = 8 caps, and
+// BM_GkMultiDeal/{3,8} the n-party dealer for n = 3 and 8 parties. The shared
 // main (benchmark_main.cpp) forwards --json/--filter onto google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include "circuit/builder.h"
 #include "experiments/setups.h"
+#include "fair/gk_multi.h"
 #include "fair/mixed.h"
 #include "fair/opt2_compiled.h"
 #include "fair/opt2sfe.h"
@@ -183,6 +185,42 @@ void BM_GkDeal(benchmark::State& state) {
   state.counters["sharings"] = static_cast<double>(2 * cap);
 }
 BENCHMARK(BM_GkDeal)->Arg(4)->Arg(8);
+
+// A dealer context with no corrupted party, so the abort gate never fires.
+class DealerContext final : public sim::FuncContext {
+ public:
+  DealerContext(int n, std::uint64_t seed) : n_(n), rng_(seed) {}
+  [[nodiscard]] int n() const override { return n_; }
+  Rng& rng() override { return rng_; }
+  [[nodiscard]] const std::set<sim::PartyId>& corrupted() const override { return none_; }
+  bool adversary_abort_gate(const std::vector<sim::Message>& /*outputs*/) override {
+    return false;
+  }
+
+ private:
+  int n_;
+  Rng rng_;
+  std::set<sim::PartyId> none_;
+};
+
+void BM_GkMultiDeal(benchmark::State& state) {
+  // The n-party ShareGen of E16 on AND at p = 4: cap = 65 rounds, each an
+  // n-way XOR sharing with n nonces and n share hashes, per iteration.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const fair::GkMultiParams params = fair::make_gk_multi_and_params(n, 4);
+  DealerContext ctx(static_cast<int>(n), n);
+  std::vector<sim::Message> in;
+  for (std::size_t p = 0; p < n; ++p) {
+    in.push_back(sim::Message{static_cast<sim::PartyId>(p), sim::kFunc,
+                              sim::encode_func_input(Bytes{1})});
+  }
+  for (auto _ : state) {
+    fair::MultiShareGenFunc dealer(params);
+    benchmark::DoNotOptimize(dealer.on_round(ctx, 1, in));
+  }
+  state.counters["hashes"] = static_cast<double>(n * params.cap());
+}
+BENCHMARK(BM_GkMultiDeal)->Arg(3)->Arg(8);
 
 void BM_UtilityEstimation(benchmark::State& state) {
   // Cost of one full Monte-Carlo utility point (100 runs).

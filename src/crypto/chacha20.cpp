@@ -314,28 +314,38 @@ ChaCha20::ChaCha20(ByteView key, ByteView nonce, std::uint32_t counter) {
 }
 
 void ChaCha20::refill() {
+  block_pos_ = 0;
+#ifdef FAIRSFE_X86_KERNELS
+  if (scalar_refills_ == kScalarRefills) {
+    if (wide_.empty()) wide_.resize(kWideSize);
+    batch_blocks(state_.data(), wide_.data(), kWideSize, false);
+    return;
+  }
+#endif
+  ++scalar_refills_;
   crypto_kernels::chacha20_block_scalar(state_.data(), block_.data());
   state_[12] += 1;  // block counter
-  block_pos_ = 0;
 }
 
-// Both loops below hand whole blocks to the batch kernels once the buffered
-// block is used up, and leave short draws and tails to refill(): the
-// keystream is the same, block for block, as the scalar path alone.
+// Both loops below hand whole blocks to the batch kernels once the buffer is
+// used up, and leave short draws and tails to refill(). The buffer holds the
+// blocks that follow the last ones drawn, whether it is one scalar block or
+// a wide refill, so the keystream is the same, block for block, as the
+// scalar path alone.
 
 void ChaCha20::fill(std::uint8_t* out, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {
-    if (block_pos_ == kBlockSize) {
+    if (block_pos_ >= buffered_size()) {
       if (n - done >= kMinBatch) {
         done += batch_blocks(state_.data(), out + done, n - done, false);
         if (done == n) break;
       }
       refill();
     }
-    const std::size_t take = std::min(kBlockSize - block_pos_, n - done);
-    std::memcpy(out + done, block_.data() + block_pos_, take);
-    block_pos_ += take;
+    const std::size_t take = std::min(buffered_size() - block_pos_, n - done);
+    std::memcpy(out + done, buffered() + block_pos_, take);
+    block_pos_ += static_cast<std::uint32_t>(take);
     done += take;
   }
 }
@@ -344,18 +354,23 @@ void ChaCha20::xor_into(std::span<std::uint8_t> data) {
   std::size_t done = 0;
   const std::size_t n = data.size();
   while (done < n) {
-    if (block_pos_ == kBlockSize) {
+    if (block_pos_ >= buffered_size()) {
       if (n - done >= kMinBatch) {
         done += batch_blocks(state_.data(), data.data() + done, n - done, true);
         if (done == n) break;
       }
       refill();
     }
-    const std::size_t take = std::min(kBlockSize - block_pos_, n - done);
-    for (std::size_t i = 0; i < take; ++i) data[done + i] ^= block_[block_pos_ + i];
-    block_pos_ += take;
+    const std::size_t take = std::min(buffered_size() - block_pos_, n - done);
+    const std::uint8_t* ks = buffered() + block_pos_;
+    for (std::size_t i = 0; i < take; ++i) data[done + i] ^= ks[i];
+    block_pos_ += static_cast<std::uint32_t>(take);
     done += take;
   }
+}
+
+void ChaCha20::key(std::uint8_t* out) const {
+  for (int i = 0; i < 8; ++i) write_le32(out + 4 * i, state_[4 + i]);
 }
 
 Bytes ChaCha20::keystream(std::size_t n) {

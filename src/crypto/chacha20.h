@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "crypto/bytes.h"
 
@@ -35,12 +36,31 @@ class ChaCha20 {
   /// XOR `data` with keystream (allocating; encrypt == decrypt).
   Bytes process(ByteView data);
 
+  /// The 32-byte key the stream was built from, into out[0..32).
+  void key(std::uint8_t* out) const;
+
  private:
+  /// Scalar one-block refills a stream makes before it widens: the many leaf
+  /// streams that draw a few hundred bytes never pay for a wide buffer.
+  static constexpr std::uint32_t kScalarRefills = 4;
+  /// A widened stream refills 16 blocks at a time.
+  static constexpr std::size_t kWideSize = 16 * kBlockSize;
+
   void refill();
+  [[nodiscard]] const std::uint8_t* buffered() const {
+    return wide_.empty() ? block_.data() : wide_.data();
+  }
+  [[nodiscard]] std::size_t buffered_size() const {
+    return wide_.empty() ? kBlockSize : kWideSize;
+  }
 
   std::array<std::uint32_t, 16> state_{};
   std::array<std::uint8_t, kBlockSize> block_{};
-  std::size_t block_pos_ = kBlockSize;  // forces refill on first use
+  /// The 16-block buffer, allocated when the stream widens and copied with
+  /// the stream; empty before that.
+  std::vector<std::uint8_t> wide_;
+  std::uint32_t block_pos_ = kBlockSize;  // forces refill on first use
+  std::uint32_t scalar_refills_ = 0;
 };
 
 }  // namespace fairsfe

@@ -8,9 +8,12 @@
 namespace fairsfe {
 
 HmacSha256::HmacSha256(ByteView key) {
-  Bytes k(key.begin(), key.end());
-  if (k.size() > Sha256::kBlockSize) k = sha256(k);
-  k.resize(Sha256::kBlockSize, 0x00);
+  std::uint8_t k[Sha256::kBlockSize] = {};
+  if (key.size() > Sha256::kBlockSize) {
+    sha256(key, k);
+  } else if (!key.empty()) {
+    std::memcpy(k, key.data(), key.size());
+  }
 
   std::uint8_t ipad[Sha256::kBlockSize], opad[Sha256::kBlockSize];
   for (std::size_t i = 0; i < Sha256::kBlockSize; ++i) {
@@ -21,7 +24,7 @@ HmacSha256::HmacSha256(ByteView key) {
   outer_.update(opad);
 }
 
-Bytes HmacSha256::mac(ByteView msg) const {
+void HmacSha256::mac(ByteView msg, std::uint8_t* out) const {
   // Both hashes resume from a midstate one block in. The inner one finishes
   // in a single padded block whenever the message fits (every fork label
   // does); the outer one always does, since its input is a 32-byte digest.
@@ -31,12 +34,14 @@ Bytes HmacSha256::mac(ByteView msg) const {
     sha256_finish_single_block(inner_.state_.data(), Sha256::kBlockSize, msg, inner_digest);
   } else {
     Sha256 inner = inner_;
-    const Bytes digest = inner.update(msg).finish();
-    std::memcpy(inner_digest, digest.data(), sizeof(inner_digest));
+    inner.update(msg).finish(inner_digest);
   }
+  sha256_finish_single_block(outer_.state_.data(), Sha256::kBlockSize, inner_digest, out);
+}
+
+Bytes HmacSha256::mac(ByteView msg) const {
   Bytes out(Sha256::kDigestSize);
-  sha256_finish_single_block(outer_.state_.data(), Sha256::kBlockSize, inner_digest,
-                             out.data());
+  mac(msg, out.data());
   return out;
 }
 

@@ -22,6 +22,8 @@ class HmacSha256 {
   explicit HmacSha256(ByteView key);
 
   [[nodiscard]] Bytes mac(ByteView msg) const;
+  /// mac(msg) into out[0..32), without allocating.
+  void mac(ByteView msg, std::uint8_t* out) const;
 
  private:
   Sha256 inner_;  ///< state after the ipad block

@@ -6,9 +6,10 @@
 // reference. The widest kernel the CPU runs goes first: ChaCha20 batches
 // take 16 blocks (AVX-512), then 8 (AVX2), then 4 (SSE2); sha256_32_batch
 // takes 16 messages at a time (AVX-512), then pairs and a single one on
-// SHA-NI, or the portable loop. Tests include the header to run each kernel
-// against that reference directly, including kernels the dispatcher would
-// not pick on the host. There is no runtime switch: a CPU without a kernel's
+// SHA-NI, or the portable loop; Sha256Batch hashes sixteen one-block
+// messages at a time on AVX-512 and each one on its own otherwise. Tests
+// include the header to run each kernel against that reference directly,
+// including kernels the dispatcher would not pick on the host. There is no runtime switch: a CPU without a kernel's
 // instructions never calls it, and its tests skip.
 #pragma once
 
@@ -89,6 +90,11 @@ void sha256_32_batch(const std::uint8_t* in, std::uint8_t* out, std::size_t coun
 /// Sixteen 32-byte messages at in[0..512) hashed lane-parallel, digests to
 /// out[0..512). Requires cpu_has_avx512().
 void sha256_32x16_avx512(const std::uint8_t* in, std::uint8_t* out);
+/// Sixteen final blocks, already padded, at blocks[0..1024) (block i at
+/// 64 i) each compressed from the IV lane-parallel, digest i to
+/// out[32 i .. 32 i + 32): the SHA-256 of sixteen one-block messages.
+/// Requires cpu_has_avx512().
+void sha256_blocks16_avx512(const std::uint8_t* blocks, std::uint8_t* out);
 #endif
 
 }  // namespace fairsfe::crypto_kernels

@@ -11,25 +11,31 @@ Bytes expand_seed(std::uint64_t seed) {
   w.str("fairsfe-rng-seed").u64(seed);
   return sha256(w.bytes());
 }
-
-Bytes zero_nonce() {
-  return Bytes(ChaCha20::kNonceSize, 0);
-}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) : Rng(expand_seed(seed)) {}
 
-Rng::Rng(const Bytes& key) : key_(key), stream_(key, zero_nonce()) {}
+Rng::Rng(const Bytes& key) : Rng(ByteView(key)) {}
 
 Rng Rng::fork(std::string_view label) {
   return fork_at(label, fork_counter_++);
 }
 
 Rng Rng::fork_at(std::string_view label, std::uint64_t index) const {
-  if (!hmac_) hmac_ = std::make_shared<const HmacSha256>(key_);
-  Writer w;
-  w.str(label).u64(index);
-  return Rng(hmac_->mac(w.bytes()));
+  if (!hmac_) {
+    std::uint8_t key[ChaCha20::kKeySize];
+    stream_.key(key);
+    hmac_ = std::make_shared<const HmacSha256>(ByteView(key));
+  }
+  // The Writer encoding str(label) ‖ u64(index), framed on the stack.
+  ScratchBytes<64> msg(4 + label.size() + 8);
+  std::uint8_t* p = msg.data();
+  write_le32(p, static_cast<std::uint32_t>(label.size()));
+  if (!label.empty()) std::memcpy(p + 4, label.data(), label.size());
+  write_le64(p + 4 + label.size(), index);
+  std::uint8_t child[ChaCha20::kKeySize];
+  hmac_->mac(msg.span(), child);
+  return Rng(ByteView(child));
 }
 
 std::uint64_t Rng::u64() {

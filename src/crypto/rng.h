@@ -52,7 +52,11 @@ class Rng {
   double uniform();
 
  private:
-  Bytes key_;
+  explicit Rng(ByteView key) : stream_(key, kZeroNonce) {}
+
+  static constexpr std::uint8_t kZeroNonce[ChaCha20::kNonceSize] = {};
+
+  /// Also holds the key: fork_at() reads it back from the stream.
   ChaCha20 stream_;
   std::uint64_t fork_counter_ = 0;
   /// HMAC key schedule (ipad/opad midstates), built on the first fork and

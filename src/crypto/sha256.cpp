@@ -171,17 +171,22 @@ constexpr std::uint32_t ssig1(std::uint32_t x) {
   return std::rotr(x, 17) ^ std::rotr(x, 19) ^ (x >> 10);
 }
 
-/// Whether schedule word t of a 32-byte message depends on the message;
-/// W[8..15] are the padding constants.
-constexpr bool message_word(int t) { return t < 8 || t >= 16; }
+/// Whether schedule word t depends on the message. For a 32-byte message
+/// (kFixed32), W[8..15] are the padding constants; in a pre-padded block every
+/// word is read from the block.
+template <bool kFixed32>
+constexpr bool message_word(int t) {
+  return !kFixed32 || t < 8 || t >= 16;
+}
 
 /// The part of schedule word t >= 16 that only reads padding words.
+template <bool kFixed32>
 constexpr std::uint32_t schedule_constant(int t) {
   std::uint32_t c = 0;
-  if (!message_word(t - 2)) c += ssig1(kPad32[t - 2 - 8]);
-  if (!message_word(t - 7)) c += kPad32[t - 7 - 8];
-  if (!message_word(t - 15)) c += ssig0(kPad32[t - 15 - 8]);
-  if (!message_word(t - 16)) c += kPad32[t - 16 - 8];
+  if (!message_word<kFixed32>(t - 2)) c += ssig1(kPad32[t - 2 - 8]);
+  if (!message_word<kFixed32>(t - 7)) c += kPad32[t - 7 - 8];
+  if (!message_word<kFixed32>(t - 15)) c += ssig0(kPad32[t - 15 - 8]);
+  if (!message_word<kFixed32>(t - 16)) c += kPad32[t - 16 - 8];
   return c;
 }
 
@@ -242,8 +247,9 @@ __attribute__((target("sha,sse4.1,ssse3"))) void sha256_compress_shani(
   compress_shani<1>(&in, &block, &state, nullptr);
 }
 
-// The 16-lane kernel keeps word w of every message in vector w, one message
-// per 32-bit lane, and runs the portable compression lane-wise. A 32-byte
+// The 16-lane kernels keep word w of every message in vector w, one message
+// per 32-bit lane, and run the portable compression lane-wise. One body
+// serves both: a pre-padded block loads all sixteen words, while a 32-byte
 // message is one block whose words 8..15 are its constant padding, so those
 // words never occupy a register: their K[t] + W[t] is a broadcast constant,
 // and the schedule terms that read them fold into schedule_constant(t).
@@ -280,19 +286,24 @@ __attribute__((target("avx512f"))) inline void transpose4_epi32(__m512i* r) {
   r[3] = _mm512_unpackhi_epi64(ab_hi, cd_hi);
 }
 
-}  // namespace
-
-__attribute__((target("avx512f,avx512bw"))) void sha256_32x16_avx512(const std::uint8_t* in,
-                                                                     std::uint8_t* out) {
+/// Sixteen lanes of SHA-256 from the IV: the 32-byte messages at
+/// in[0..512) (kFixed32) or the pre-padded blocks at in[0..1024), digests to
+/// out[0..512). The two differ only in how the message words are loaded.
+template <bool kFixed32>
+__attribute__((target("avx512f,avx512bw"), always_inline)) inline void sha256_x16(
+    const std::uint8_t* in, std::uint8_t* out) {
   // Byte-swaps each 32-bit word: big-endian message words in, digest out.
   const __m512i kBswap = _mm512_set4_epi32(0x0c0d0e0f, 0x08090a0b, 0x04050607, 0x00010203);
 
-  // Transpose in: z[k] holds messages 2k, 2k + 1. After the 4x4 dword
-  // transposes, 128-bit lane c of z[4h + j] holds word 4 (c & 1) + j of
-  // messages 8h + (c >> 1) + {0, 2, 4, 6}; one lane shuffle per word then
-  // gathers all sixteen messages (in a fixed lane order the way out undoes).
+  // Both ways in leave word t of message kLane[i] in dword i of w[t], the
+  // fixed lane order the way out undoes.
+  static constexpr int kLane[16] = {0, 2, 4, 6, 1, 3, 5, 7, 8, 10, 12, 14, 9, 11, 13, 15};
   __m512i w[16] = {};
-  {
+  if constexpr (kFixed32) {
+    // z[k] holds messages 2k, 2k + 1. After the 4x4 dword transposes,
+    // 128-bit lane c of z[4h + j] holds word 4 (c & 1) + j of messages
+    // 8h + (c >> 1) + {0, 2, 4, 6}; one lane shuffle per word then gathers
+    // all sixteen messages.
     __m512i z[8];
     for (int k = 0; k < 8; ++k) {
       z[k] = _mm512_shuffle_epi8(_mm512_loadu_si512(in + 64 * k), kBswap);
@@ -303,6 +314,25 @@ __attribute__((target("avx512f,avx512bw"))) void sha256_32x16_avx512(const std::
       w[j] = _mm512_shuffle_i32x4(z[j], z[4 + j], 0x88);
       w[4 + j] = _mm512_shuffle_i32x4(z[j], z[4 + j], 0xDD);
     }
+  } else {
+    // z[i] holds block kLane[i]. After the 4x4 dword transposes, 128-bit
+    // lane c of z[4q + j] holds word 4c + j of the blocks in z[4q..4q+3];
+    // two rounds of lane shuffles gather word 4c + j of all sixteen.
+    __m512i z[16];
+    for (int i = 0; i < 16; ++i) {
+      z[i] = _mm512_shuffle_epi8(_mm512_loadu_si512(in + 64 * kLane[i]), kBswap);
+    }
+    for (int q = 0; q < 16; q += 4) transpose4_epi32(z + q);
+    for (int j = 0; j < 4; ++j) {
+      const __m512i ab_lo = _mm512_shuffle_i32x4(z[j], z[4 + j], 0x44);
+      const __m512i ab_hi = _mm512_shuffle_i32x4(z[j], z[4 + j], 0xEE);
+      const __m512i cd_lo = _mm512_shuffle_i32x4(z[8 + j], z[12 + j], 0x44);
+      const __m512i cd_hi = _mm512_shuffle_i32x4(z[8 + j], z[12 + j], 0xEE);
+      w[j] = _mm512_shuffle_i32x4(ab_lo, cd_lo, 0x88);
+      w[4 + j] = _mm512_shuffle_i32x4(ab_lo, cd_lo, 0xDD);
+      w[8 + j] = _mm512_shuffle_i32x4(ab_hi, cd_hi, 0x88);
+      w[12 + j] = _mm512_shuffle_i32x4(ab_hi, cd_hi, 0xDD);
+    }
   }
 
   __m512i a = bcast(kSha256Iv[0]), b = bcast(kSha256Iv[1]), c = bcast(kSha256Iv[2]);
@@ -311,23 +341,23 @@ __attribute__((target("avx512f,avx512bw"))) void sha256_32x16_avx512(const std::
 #pragma GCC unroll 64
   for (int t = 0; t < 64; ++t) {
     if (t >= 16) {
-      __m512i x = bcast(schedule_constant(t));
-      if (message_word(t - 2)) {
+      __m512i x = bcast(schedule_constant<kFixed32>(t));
+      if (message_word<kFixed32>(t - 2)) {
         const __m512i v = w[(t - 2) & 15];
         x = add(x, xor3(_mm512_ror_epi32(v, 17), _mm512_ror_epi32(v, 19),
                         _mm512_srli_epi32(v, 10)));
       }
-      if (message_word(t - 7)) x = add(x, w[(t - 7) & 15]);
-      if (message_word(t - 15)) {
+      if (message_word<kFixed32>(t - 7)) x = add(x, w[(t - 7) & 15]);
+      if (message_word<kFixed32>(t - 15)) {
         const __m512i v = w[(t - 15) & 15];
         x = add(x, xor3(_mm512_ror_epi32(v, 7), _mm512_ror_epi32(v, 18),
                         _mm512_srli_epi32(v, 3)));
       }
-      if (message_word(t - 16)) x = add(x, w[(t - 16) & 15]);
+      if (message_word<kFixed32>(t - 16)) x = add(x, w[(t - 16) & 15]);
       w[t & 15] = x;
     }
-    const __m512i kw =
-        message_word(t) ? add(w[t & 15], bcast(kK[t])) : bcast(kK[t] + kPad32[t - 8]);
+    const __m512i kw = message_word<kFixed32>(t) ? add(w[t & 15], bcast(kK[t]))
+                                                 : bcast(kK[t] + kPad32[t - 8]);
     const __m512i s1 =
         xor3(_mm512_ror_epi32(e, 6), _mm512_ror_epi32(e, 11), _mm512_ror_epi32(e, 25));
     const __m512i ch = _mm512_ternarylogic_epi32(e, f, g, 0xCA);  // e ? f : g
@@ -345,7 +375,7 @@ __attribute__((target("avx512f,avx512bw"))) void sha256_32x16_avx512(const std::
     a = add(t1, add(s0, maj));
   }
 
-  // Transpose out: the exact inverse of the way in.
+  // Transpose out: the exact inverse of the 32-byte way in.
   const __m512i v[8] = {a, b, c, d, e, f, g, h};
   __m512i z[8];
   const __m512i lo = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
@@ -359,6 +389,18 @@ __attribute__((target("avx512f,avx512bw"))) void sha256_32x16_avx512(const std::
   transpose4_epi32(z);
   transpose4_epi32(z + 4);
   for (int k = 0; k < 8; ++k) _mm512_storeu_si512(out + 64 * k, z[k]);
+}
+
+}  // namespace
+
+__attribute__((target("avx512f,avx512bw"))) void sha256_32x16_avx512(const std::uint8_t* in,
+                                                                     std::uint8_t* out) {
+  sha256_x16<true>(in, out);
+}
+
+__attribute__((target("avx512f,avx512bw"))) void sha256_blocks16_avx512(
+    const std::uint8_t* blocks, std::uint8_t* out) {
+  sha256_x16<false>(blocks, out);
 }
 
 #pragma GCC diagnostic pop
@@ -522,6 +564,35 @@ Bytes sha256(ByteView data) {
   Bytes out(Sha256::kDigestSize);
   sha256(data, out.data());
   return out;
+}
+
+void Sha256Batch::add(ByteView msg, std::uint8_t* out) {
+  if (msg.size() > crypto_kernels::kSha256MaxSingleBlockTail ||
+      !crypto_kernels::cpu_has_avx512()) {
+    sha256(msg, out);
+    return;
+  }
+  pad_single_block(blocks_ + queued_ * Sha256::kBlockSize, 0, msg);
+  outs_[queued_++] = out;
+  if (queued_ == kLanes) flush();
+}
+
+void Sha256Batch::flush() {
+#ifdef FAIRSFE_X86_KERNELS
+  if (queued_ == kLanes) {
+    std::uint8_t digests[kLanes * Sha256::kDigestSize];
+    crypto_kernels::sha256_blocks16_avx512(blocks_, digests);
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      std::memcpy(outs_[i], digests + i * Sha256::kDigestSize, Sha256::kDigestSize);
+    }
+    queued_ = 0;
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < queued_; ++i) {
+    finish_block(crypto_kernels::kSha256Iv, blocks_ + i * Sha256::kBlockSize, outs_[i]);
+  }
+  queued_ = 0;
 }
 
 Bytes sha256_labeled(std::string_view label, ByteView data) {

@@ -79,8 +79,11 @@ std::optional<GkMultiShare> decode_gk_multi_share(ByteView payload) {
   return GkMultiShare{static_cast<std::size_t>(*j), *summand, *nonce};
 }
 
-void gk_multi_share_hash(std::size_t j, ByteView nonce, ByteView summand, std::uint8_t* out) {
-  // sha256_labeled's input: str("gk-multi") ‖ u64 j ‖ blob(nonce) ‖ blob(summand).
+namespace {
+/// sha256_labeled's input for a share hash:
+/// str("gk-multi") ‖ u64 j ‖ blob(nonce) ‖ blob(summand).
+ScratchBytes<kInlineScratch> share_hash_input(std::size_t j, ByteView nonce,
+                                              ByteView summand) {
   static constexpr char kLabel[] = "gk-multi";
   constexpr std::size_t kLabelSize = sizeof(kLabel) - 1;
   ScratchBytes<kInlineScratch> in(4 + kLabelSize + 8 + 4 + nonce.size() + 4 + summand.size());
@@ -95,7 +98,13 @@ void gk_multi_share_hash(std::size_t j, ByteView nonce, ByteView summand, std::u
   p += nonce.size();
   write_le32(p, static_cast<std::uint32_t>(summand.size()));
   if (!summand.empty()) std::memcpy(p + 4, summand.data(), summand.size());
-  sha256(in.span(), out);
+  return in;
+}
+}  // namespace
+
+void gk_multi_share_hash(std::size_t j, ByteView nonce, ByteView summand, std::uint8_t* out) {
+  auto input = share_hash_input(j, nonce, summand);
+  sha256(input.span(), out);
 }
 
 MultiShareGenFunc::MultiShareGenFunc(GkMultiParams params, mpc::NotesPtr notes)
@@ -144,27 +153,45 @@ std::vector<Message> MultiShareGenFunc::on_round(sim::FuncContext& ctx, int /*ro
         summands[p] = {recs[p] + 4, m};
       }
       xor_share(v, summands, rng);
-      // Nonces in party order, then every party's hash into party 0's
-      // record, copied to the others.
       for (std::size_t p = 0; p < n; ++p) {
         std::uint8_t* nonce = recs[p] + 4 + m;
         write_le32(nonce, kNonceSize);
         rng.fill({nonce + 4, kNonceSize});
       }
-      std::uint8_t* hashes = recs[0] + 4 + m + 4 + kNonceSize;
-      for (std::size_t p = 0; p < n; ++p) {
-        const std::uint8_t* rec = recs[p];
-        std::uint8_t* h = hashes + p * (4 + kHashSize);
-        write_le32(h, kHashSize);
-        gk_multi_share_hash(j, {rec + 4 + m + 4, kNonceSize}, {rec + 4, m}, h + 4);
-      }
-      for (std::size_t p = 1; p < n; ++p) {
-        std::memcpy(recs[p] + 4 + m + 4 + kNonceSize, hashes, hashes_size);
-      }
     }
     std::vector<Bytes> bodies;
     bodies.reserve(n);
     for (Writer& w : blobs) bodies.push_back(w.take());
+
+    // The share hashes draw no randomness, so they run after the draws, 16
+    // at a time: every party's round-j hash goes into party 0's record, and
+    // is then copied to the others. Round j's record sits at the same offset
+    // past the fallback blob in every body.
+    std::vector<std::size_t> first(n);
+    for (std::size_t p = 0; p < n; ++p) first[p] = 8 + read_le32(bodies[p].data() + 4);
+    Sha256Batch batch;
+    for (std::size_t j = 1, at = 0; j <= cap; ++j) {
+      const std::size_t m = read_le32(bodies[0].data() + first[0] + at);
+      std::uint8_t* hashes = bodies[0].data() + first[0] + at + 4 + m + 4 + kNonceSize;
+      for (std::size_t p = 0; p < n; ++p) {
+        const std::uint8_t* rec = bodies[p].data() + first[p] + at;
+        std::uint8_t* h = hashes + p * (4 + kHashSize);
+        write_le32(h, kHashSize);
+        auto input = share_hash_input(j, {rec + 4 + m + 4, kNonceSize}, {rec + 4, m});
+        batch.add(input.span(), h + 4);
+      }
+      at += 4 + m + 4 + kNonceSize + hashes_size;
+    }
+    batch.flush();
+    for (std::size_t j = 1, at = 0; j <= cap; ++j) {
+      const std::size_t m = read_le32(bodies[0].data() + first[0] + at);
+      const std::size_t hashes_at = at + 4 + m + 4 + kNonceSize;
+      for (std::size_t p = 1; p < n; ++p) {
+        std::memcpy(bodies[p].data() + first[p] + hashes_at,
+                    bodies[0].data() + first[0] + hashes_at, hashes_size);
+      }
+      at = hashes_at + hashes_size;
+    }
     return bodies;
   });
 }

@@ -2,15 +2,19 @@
 // path (16 blocks on AVX-512, 8 on AVX2, 4 on SSE2) must reproduce the
 // one-block reference keystream at every length through the whole
 // 16 -> 8 -> 4 -> scalar cascade, from every buffer offset and across the
-// counter wrap, and each batch kernel must do so when called directly; the
-// SHA-NI compression, the 16-lane AVX-512 hash of 32-byte messages and the
-// fixed 32-byte entries (sha256_32, sha256_32_batch at every count 0..40)
-// must reproduce the portable compression; the single-block finishes of
-// sha256() and HMAC must reproduce the generic update/pad pipeline. A kernel
-// the CPU lacks is skipped, never emulated.
+// counter wrap, and each batch kernel must do so when called directly; so
+// must a long stream of short draws, which widens to 16-block refills, and
+// its copies. The SHA-NI compression, the 16-lane AVX-512 hashes of 32-byte
+// messages and of padded blocks, the fixed 32-byte entries (sha256_32,
+// sha256_32_batch at every count 0..40) and Sha256Batch (every one-block
+// length at every count 0..40) must reproduce the portable compression; the
+// single-block finishes of sha256() and HMAC must reproduce the generic
+// update/pad pipeline. A kernel the CPU lacks is skipped, never emulated.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "crypto/chacha20.h"
 #include "crypto/hmac.h"
@@ -36,9 +40,10 @@ Bytes test_nonce() {
   return n;
 }
 
-/// The RFC 8439 state ChaCha20(test_key(), test_nonce(), counter) starts from.
-std::array<std::uint32_t, 16> test_state(std::uint32_t counter) {
-  const Bytes key = test_key(), nonce = test_nonce();
+/// The RFC 8439 state ChaCha20(test_key(), nonce, counter) starts from.
+std::array<std::uint32_t, 16> test_state(std::uint32_t counter,
+                                         const Bytes& nonce = test_nonce()) {
+  const Bytes key = test_key();
   const auto le32 = [](const std::uint8_t* p) {
     return static_cast<std::uint32_t>(p[0] | p[1] << 8 | p[2] << 16) |
            static_cast<std::uint32_t>(p[3]) << 24;
@@ -51,8 +56,9 @@ std::array<std::uint32_t, 16> test_state(std::uint32_t counter) {
 }
 
 /// n keystream bytes from the one-block scalar reference alone.
-Bytes reference_keystream(std::uint32_t counter, std::size_t n) {
-  std::array<std::uint32_t, 16> s = test_state(counter);
+Bytes reference_keystream(std::uint32_t counter, std::size_t n,
+                          const Bytes& nonce = test_nonce()) {
+  std::array<std::uint32_t, 16> s = test_state(counter, nonce);
   Bytes out((n + ChaCha20::kBlockSize - 1) / ChaCha20::kBlockSize * ChaCha20::kBlockSize);
   for (std::size_t off = 0; off < out.size(); off += ChaCha20::kBlockSize, ++s[12]) {
     ck::chacha20_block_scalar(s.data(), out.data() + off);
@@ -125,6 +131,91 @@ TEST(CryptoKernels, ChaChaXorIntoMatchesProcessAndReference) {
   }
 }
 
+/// Draws `n` keystream bytes from `c` in pieces of 1..300 bytes, each taken
+/// by fill, by xor_into over zeros, or as the 8- and 1-byte fills behind
+/// Rng::u64 and Rng::bit, in an order `pick` chooses.
+Bytes draw_mixed(ChaCha20& c, std::size_t n, Rng& pick) {
+  Bytes out(n);
+  for (std::size_t done = 0; done < n;) {
+    std::size_t piece = 1 + pick.below(300);
+    switch (pick.below(4)) {
+      case 0: break;
+      case 1: piece = 8; break;
+      case 2: piece = 1; break;
+      default: {
+        piece = std::min(piece, n - done);
+        c.xor_into({out.data() + done, piece});  // out is still zero here
+        done += piece;
+        continue;
+      }
+    }
+    piece = std::min(piece, n - done);
+    c.fill(out.data() + done, piece);
+    done += piece;
+  }
+  return out;
+}
+
+TEST(CryptoKernels, ChaChaWidenedRefillMatchesScalarUnderMixedDraws) {
+  // Short draws widen a stream to 16-block refills after its fourth scalar
+  // refill; the whole-block path runs only once a refill is used up.
+  const std::size_t n = 80 * 1024;
+  const Bytes ref = reference_keystream(0, n);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    Rng pick(100 + seed);
+    ChaCha20 c(test_key(), test_nonce());
+    ASSERT_EQ(draw_mixed(c, n, pick), ref) << "seed " << seed;
+  }
+}
+
+TEST(CryptoKernels, ChaChaWidenedRefillWrapsLikeScalar) {
+  // Starting 20 to 1 blocks before 2^32, the counter wraps inside one of
+  // the first wide refills.
+  for (std::uint32_t back = 1; back <= 20; ++back) {
+    const std::uint32_t start = 0u - back;
+    const Bytes ref = reference_keystream(start, 8 * 1024);
+    Rng pick(200 + back);
+    ChaCha20 c(test_key(), test_nonce(), start);
+    ASSERT_EQ(draw_mixed(c, ref.size(), pick), ref) << "start 2^32 - " << back;
+  }
+}
+
+TEST(CryptoKernels, CopiesOfAWidenedStreamContinueIndependently) {
+  // 700 bytes in 7-byte draws: the copy is made 444 bytes into the first
+  // wide refill, and each stream then draws on with its own piece sizes.
+  const Bytes ref = reference_keystream(0, 8 * 1024);
+  ChaCha20 c(test_key(), test_nonce());
+  Bytes head(700);
+  for (std::size_t i = 0; i < head.size(); i += 7) c.fill(head.data() + i, 7);
+  ASSERT_EQ(head, Bytes(ref.begin(), ref.begin() + 700));
+  ChaCha20 copy = c;
+  Rng pick_a(300), pick_b(301);
+  const Bytes a = draw_mixed(c, 5000, pick_a);
+  const Bytes b = draw_mixed(copy, 7000, pick_b);
+  EXPECT_EQ(a, Bytes(ref.begin() + 700, ref.begin() + 5700));
+  EXPECT_EQ(b, Bytes(ref.begin() + 700, ref.begin() + 7700));
+
+  // An Rng keys ChaCha20 with its seed under the zero nonce. Its u64 and
+  // bit draws are the next 8 and 1 keystream bytes.
+  const Bytes zero_nonce(ChaCha20::kNonceSize, 0);
+  const Bytes rng_ref = reference_keystream(0, 4096, zero_nonce);
+  Rng r(test_key());
+  std::size_t at = 0;
+  for (; at < 700; at += 8) {
+    std::uint64_t want = 0;
+    for (int i = 0; i < 8; ++i) want |= std::uint64_t{rng_ref[at + i]} << (8 * i);
+    ASSERT_EQ(r.u64(), want) << "offset " << at;
+  }
+  Rng r_copy = r;
+  for (std::size_t i = at; i < at + 300; ++i) {
+    ASSERT_EQ(r.bit(), (rng_ref[i] & 1) != 0) << "offset " << i;
+  }
+  EXPECT_EQ(r.bytes(1000), Bytes(rng_ref.begin() + static_cast<std::ptrdiff_t>(at + 300),
+                                 rng_ref.begin() + static_cast<std::ptrdiff_t>(at + 1300)));
+  EXPECT_EQ(r_copy.bytes(2000), Bytes(rng_ref.begin() + static_cast<std::ptrdiff_t>(at),
+                                      rng_ref.begin() + static_cast<std::ptrdiff_t>(at + 2000)));
+}
+
 #ifdef FAIRSFE_X86_KERNELS
 
 void expect_batch_kernel(void (*kernel)(const std::uint32_t*, std::uint8_t*, bool),
@@ -179,21 +270,27 @@ TEST(CryptoKernels, ShaNiCompressionMatchesPortable) {
 
 #endif  // FAIRSFE_X86_KERNELS
 
-/// SHA-256 of 32 bytes through the portable compression alone.
-Bytes portable_sha256_32(const std::uint8_t* in) {
-  std::uint8_t block[64] = {};
-  std::memcpy(block, in, 32);
-  block[32] = 0x80;
-  block[62] = 0x01;  // bit length 256, big-endian
+/// SHA-256 of `msg` through the portable compression alone.
+Bytes portable_sha256(ByteView msg) {
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  for (int b = 7; b >= 0; --b) {
+    padded.push_back(static_cast<std::uint8_t>((msg.size() * 8) >> (8 * b)));
+  }
   std::uint32_t state[8];
   std::memcpy(state, ck::kSha256Iv, sizeof(state));
-  ck::sha256_compress_portable(state, block);
+  for (std::size_t off = 0; off < padded.size(); off += 64) {
+    ck::sha256_compress_portable(state, padded.data() + off);
+  }
   Bytes out(32);
   for (int i = 0; i < 8; ++i) {
     for (int b = 0; b < 4; ++b) out[4 * i + b] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * b));
   }
   return out;
 }
+
+Bytes portable_sha256_32(const std::uint8_t* in) { return portable_sha256({in, 32}); }
 
 TEST(CryptoKernels, Sha256Fixed32MatchesPortable) {
   Rng rng(14);
@@ -227,6 +324,30 @@ TEST(CryptoKernels, Sha256Avx512SixteenLanesMatchPortable) {
   }
 }
 
+TEST(CryptoKernels, Sha256Avx512SixteenBlocksMatchPortable) {
+  // Arbitrary blocks, not only padded ones: every word of every lane is a
+  // message word.
+  if (!ck::cpu_has_avx512()) GTEST_SKIP() << "no AVX-512";
+  Rng rng(19);
+  for (int trial = 0; trial < 10000 / 16; ++trial) {
+    const Bytes in = rng.bytes(16 * 64 + 1);
+    Bytes out(16 * 32 + 1);  // odd offsets: the kernel must not need alignment
+    ck::sha256_blocks16_avx512(in.data() + 1, out.data() + 1);
+    for (std::size_t lane = 0; lane < 16; ++lane) {
+      std::uint32_t state[8];
+      std::memcpy(state, ck::kSha256Iv, sizeof(state));
+      ck::sha256_compress_portable(state, in.data() + 1 + 64 * lane);
+      for (int i = 0; i < 8; ++i) {
+        for (int b = 0; b < 4; ++b) {
+          ASSERT_EQ(out[1 + 32 * lane + 4 * i + b],
+                    static_cast<std::uint8_t>(state[i] >> (24 - 8 * b)))
+              << "trial " << trial << " lane " << lane;
+        }
+      }
+    }
+  }
+}
+
 #endif  // FAIRSFE_X86_KERNELS
 
 TEST(CryptoKernels, Sha256BatchMatchesPortableAtEveryCount) {
@@ -246,6 +367,38 @@ TEST(CryptoKernels, Sha256BatchMatchesPortableAtEveryCount) {
     }
     for (std::size_t i = 1 + 32 * count; i < out.size(); ++i) {
       ASSERT_EQ(out[i], 0xee) << "count " << count << " byte " << i;
+    }
+  }
+}
+
+TEST(CryptoKernels, Sha256BatchMatchesPortableAtEveryLengthAndCount) {
+  // Every one-block length 0..55 and a few longer ones that add() hashes
+  // itself, at every count 0..40 (up to two 16-lane groups and a tail),
+  // from an unaligned source into an unaligned output whose other bytes
+  // stay put.
+  Rng rng(20);
+  const Bytes in = rng.bytes(1 + 40 * 120);
+  std::vector<std::size_t> lengths(56);
+  for (std::size_t len = 0; len < lengths.size(); ++len) lengths[len] = len;
+  lengths.insert(lengths.end(), {56, 64, 119});
+  for (const std::size_t len : lengths) {
+    for (std::size_t count = 0; count <= 40; ++count) {
+      Bytes out(2 + 40 * 32, 0xee);
+      Sha256Batch batch;
+      for (std::size_t i = 0; i < count; ++i) {
+        batch.add({in.data() + 1 + len * i, len}, out.data() + 1 + 32 * i);
+      }
+      batch.flush();
+      ASSERT_EQ(out[0], 0xee) << "len " << len << " count " << count;
+      for (std::size_t i = 0; i < count; ++i) {
+        const auto at = static_cast<std::ptrdiff_t>(1 + 32 * i);
+        ASSERT_EQ(Bytes(out.begin() + at, out.begin() + at + 32),
+                  portable_sha256({in.data() + 1 + len * i, len}))
+            << "len " << len << " count " << count << " message " << i;
+      }
+      for (std::size_t i = 1 + 32 * count; i < out.size(); ++i) {
+        ASSERT_EQ(out[i], 0xee) << "len " << len << " count " << count << " byte " << i;
+      }
     }
   }
 }
