@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # CI gates, in order:
 #
-# 1. Static analysis (gating): scripts/lint.sh runs the fairsfe-lint fixture
-#    self-test plus the determinism-contract lint over the whole tree, then
-#    the fairsfe-analyze fixture self-test plus the cross-TU dataflow pass
-#    (Rng stream lineage, secret-flow taint, message-schema conformance —
-#    DESIGN.md §14; warm facts cache keeps the analyze stage well under 10 s),
-#    and clang-tidy when installed. Any finding fails the build before a
-#    single TU is compiled under TSan.
+# 1. Static analysis (gating): scripts/lint.sh runs the fairsfe-analyze
+#    fixture self-test, then fairsfe-analyze over the whole tree (the
+#    determinism-contract token rules plus the cross-TU passes: Rng stream
+#    lineage, secret-flow taint, message-schema conformance — DESIGN.md §14;
+#    warm facts cache keeps the stage well under 10 s), and clang-tidy when
+#    installed. Any finding fails the build before a single TU is compiled
+#    under TSan.
 #
 # 2. TSan gate for the parallel Monte-Carlo estimation engine: build the tsan
 # preset and run the tier1 ctest label — the scheduling-independence suites

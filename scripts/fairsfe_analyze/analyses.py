@@ -1,6 +1,6 @@
 """Global analyses over merged per-TU facts.
 
-Three analyses, each a pure function from a list of TU facts dicts
+Four analyses, each a pure function from a list of TU facts dicts
 (tu.extract_facts output) to findings:
 
   lineage     Rng stream lineage: the global fork-label graph, duplicate
@@ -10,24 +10,27 @@ Three analyses, each a pure function from a list of TU facts dicts
               declarations to transcript/log/check sinks, untainted by
               masking XOR or DECLASSIFY;
   schema      message-schema conformance: kinds encoded but never decoded
-              (and vice versa).
+              (and vice versa);
+  token rules the per-TU findings of rules.py, carried in the facts, plus
+              unordered-iteration, which joins a TU's iteration sites with
+              the unordered declarations of the headers it includes.
 
 A finding is {"rule", "path", "line", "col", "message"}. LINT-ALLOW
 filtering and unused-allow detection live in driver.py so both text and
 SARIF output see the same post-suppression stream.
 """
 
-# Layer scopes (relpath prefixes). The lineage draw-after-fork rule and the
-# taint rules only fire in the layers whose determinism/secrecy contracts the
-# estimates rest on; fixtures are mapped under src/ by the self-test harness.
-PROTOCOL_DIRS = ("src/sim/", "src/mpc/", "src/fair/", "src/adversary/")
-TAINT_DIRS = ("src/",)
+import posixpath
+
+import rules
 
 # Kinds whose decode side is a Reader loop rather than a decode_<kind>()
 # helper get an `// ANALYZE-HANDLES(kind)` annotation at the parse site; the
 # annotation is the structured equivalent of a decode call.
 
-RULES = [
+# Every rule the tool reports, as (name, description, scope): --list-rules
+# and the SARIF rules table both read this one list.
+RULES = [(r.name, r.message, r.scope) for r in rules.RULES] + [
     ("rng-label-collision",
      "two fork sites derive the same (parent, label[, index]) stream",
      "src"),
@@ -52,6 +55,12 @@ RULES = [
     ("unused-declassify",
      "DECLASSIFY marker on a line with no tainted sink",
      "src"),
+    ("unused-allow",
+     "LINT-ALLOW that suppresses nothing, or names no known rule",
+     "everywhere"),
+    ("allow-missing-reason",
+     "LINT-ALLOW without a reason",
+     "everywhere"),
 ]
 RULE_NAMES = {r[0] for r in RULES}
 
@@ -59,10 +68,6 @@ RULE_NAMES = {r[0] for r in RULES}
 def _finding(rule, path, line, col, message):
     return {"rule": rule, "path": path, "line": line, "col": col,
             "message": message}
-
-
-def _in_dirs(path, dirs):
-    return any(path.startswith(d) for d in dirs)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +174,7 @@ def analyze_lineage(facts_list):
             # Draws from a parent after a child fork (protocol layers): the
             # parent's draw stream and its children interleave, so reordering
             # the fork silently reshuffles every downstream sample.
-            if not _in_dirs(path, PROTOCOL_DIRS):
+            if not rules.under(path, rules.PROTOCOL_DIRS):
                 continue
             first_fork = {}
             for fk in fn["forks"]:
@@ -214,7 +219,7 @@ def analyze_taint(facts_list):
     types, funcs, members = _collect_sources(facts_list)
     for facts in facts_list:
         path = facts["relpath"]
-        if not _in_dirs(path, TAINT_DIRS):
+        if not rules.under(path, ("src",)):
             continue
         declassified = {d["target"]: d for d in facts["declassify"]}
         declassify_used = set()
@@ -342,8 +347,43 @@ def analyze_schema(facts_list):
     return findings
 
 
+# ---------------------------------------------------------------------------
+# 4. Token rules and unordered iteration
+# ---------------------------------------------------------------------------
+
+def analyze_unordered_iteration(facts_list):
+    """Iteration sites whose source was declared as an unordered container in
+    the TU itself or in an in-repo header it includes directly (resolved
+    under src/ first, then beside the TU)."""
+    findings = []
+    by_rel = {f["relpath"]: f for f in facts_list}
+    for facts in facts_list:
+        if not facts["unordered_iters"]:
+            continue
+        path = facts["relpath"]
+        names = set(facts["unordered_decls"])
+        for inc in facts["includes"]:
+            for cand in ("src/" + inc, posixpath.normpath(
+                    posixpath.join(posixpath.dirname(path), inc))):
+                if cand in by_rel:
+                    names.update(by_rel[cand]["unordered_decls"])
+                    break
+        seen = set()
+        for name, line, col in facts["unordered_iters"]:
+            if name in names and line not in seen:
+                seen.add(line)
+                findings.append(_finding(
+                    "unordered-iteration", path, line, col,
+                    "%s (iterates `%s`)"
+                    % (rules.MESSAGES["unordered-iteration"], name)))
+    return findings
+
+
 def run_all(facts_list):
     findings = []
+    for facts in facts_list:
+        findings.extend(facts["findings"])
+    findings.extend(analyze_unordered_iteration(facts_list))
     findings.extend(analyze_lineage(facts_list))
     findings.extend(analyze_taint(facts_list))
     findings.extend(analyze_schema(facts_list))

@@ -7,9 +7,10 @@ Pipeline per run:
      header-only types (Message, AuthShare2) participate;
   2. extract per-TU facts, served from the content-hash cache when the file
      is unchanged, farmed out to a process pool otherwise;
-  3. run the three global analyses (analyses.py) over the merged facts;
-  4. apply LINT-ALLOW suppressions (analyzer rules only — fairsfe-lint owns
-     its own), emit unused-allow / allow-missing-reason findings;
+  3. run the global analyses (analyses.py) over the merged facts, which
+     carry each TU's token-rule findings (rules.py);
+  4. apply LINT-ALLOW suppressions, emit unused-allow (also for an allow
+     naming no known rule) and allow-missing-reason findings;
   5. render text / json / sarif.
 
 Exit status: 0 clean, 1 findings, 2 usage/environment errors.
@@ -32,7 +33,7 @@ from cache import FactsCache, key_for  # noqa: E402
 
 CPP_EXTENSIONS = (".h", ".hh", ".hpp", ".cc", ".cpp", ".cxx")
 SCAN_ROOTS = ("src", "bench", "examples", "tests")
-FIXTURE_SUBDIR = os.path.join("scripts", "lint_fixtures", "analyze")
+FIXTURE_SUBDIR = os.path.join("scripts", "lint_fixtures")
 
 
 def collect_files(root, compile_commands):
@@ -105,16 +106,14 @@ def extract_all(root, rels, cache, jobs):
 
 
 def apply_allows(findings, facts_list):
-    """Suppress findings covered by LINT-ALLOW(analyzer-rule): reason, then
-    report unused/naked allows. Lint-rule allows are left to fairsfe-lint."""
+    """Suppress findings covered by LINT-ALLOW(rule): reason, then report
+    unused, unknown and reasonless allows."""
     allow_map = {}  # (path, line, rule) -> entry {used, reason, line}
     entries = []
     for facts in facts_list:
         path = facts["relpath"]
         for target, lst in facts["allows"].items():
             for rule, reason, lineno in lst:
-                if rule not in analyses.RULE_NAMES:
-                    continue
                 e = {"path": path, "target": int(target), "rule": rule,
                      "reason": reason, "line": lineno, "used": False}
                 allow_map[(path, int(target), rule)] = e
@@ -127,7 +126,12 @@ def apply_allows(findings, facts_list):
             continue
         kept.append(f)
     for e in entries:
-        if not e["reason"]:
+        if e["rule"] not in analyses.RULE_NAMES:
+            kept.append({"rule": "unused-allow", "path": e["path"],
+                         "line": e["line"], "col": 1,
+                         "message": "LINT-ALLOW names unknown rule `%s`"
+                                    % e["rule"]})
+        elif not e["reason"]:
             kept.append({"rule": "allow-missing-reason", "path": e["path"],
                          "line": e["line"], "col": 1,
                          "message": "LINT-ALLOW(%s) must carry a reason "
@@ -182,9 +186,9 @@ def changed_files(root):
 # ---------------------------------------------------------------------------
 
 def run_self_test(root):
-    """Each immediate subdirectory of scripts/lint_fixtures/analyze/ is one
+    """Each immediate subdirectory of scripts/lint_fixtures/ is one
     analysis universe; file paths inside it are mapped under src/ so layer
-    scoping applies (analyze/loop_fork/mpc/a.cc analyzes as src/mpc/a.cc).
+    scoping applies (loop_fork/mpc/a.cc analyzes as src/mpc/a.cc).
     Findings must equal the EXPECT(rule) markers exactly."""
     import re
     expect_re = re.compile(r"EXPECT\((?P<rule>[a-z-]+)\)")
@@ -271,7 +275,7 @@ def main(argv=None):
                     help="report findings only for files changed vs. the "
                          "merge-base (facts still come from the whole tree)")
     ap.add_argument("--self-test", action="store_true",
-                    help="run the analyze fixture corpus")
+                    help="run the fixture corpus under scripts/lint_fixtures/")
     ap.add_argument("--list-rules", action="store_true")
     ap.add_argument("files", nargs="*",
                     help="report findings only for these files")

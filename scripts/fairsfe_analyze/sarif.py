@@ -1,8 +1,6 @@
-"""Shared machine-readable output: SARIF 2.1.0 and plain JSON.
+"""Machine-readable output: SARIF 2.1.0 and plain JSON.
 
-Used by both fairsfe-analyze (driver.py) and fairsfe-lint (--format) so CI
-consumers see one schema. Findings are dicts with rule/path/line/col/message
-(col optional for the linter's legacy rules).
+Findings are dicts with rule/path/line/col/message (col optional).
 """
 
 import json

@@ -89,6 +89,21 @@ class TokenizerTest(unittest.TestCase):
         idents = [t.text for t in toks if t.kind == "ident"]
         self.assertEqual(idents, ["int", "x"])
 
+    def test_directive_comments_are_comment_tokens(self):
+        src = "#include <cassert>  // LINT-ALLOW(bare-assert): why\n" \
+              "#define N /* a\n b */ 2\nint x;"
+        toks = tokenizer.tokenize(src)
+        pps = [t for t in toks if t.kind == "pp"]
+        self.assertEqual(pps[0].text, "#include <cassert>")
+        self.assertEqual(pps[1].text, "#define N     \n      2")
+        comments = [(t.text, t.line, t.col) for t in toks
+                    if t.kind == "comment"]
+        self.assertEqual(comments, [
+            ("// LINT-ALLOW(bare-assert): why", 1, 21),
+            ("/* a\n b */", 2, 11)])
+        self.assertEqual([t.text for t in toks if t.kind == "ident"],
+                         ["int", "x"])
+
     def test_positions_are_one_based(self):
         toks = tokenizer.tokenize("ab\n  cd")
         self.assertEqual((toks[0].line, toks[0].col), (1, 1))

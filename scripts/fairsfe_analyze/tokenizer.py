@@ -12,6 +12,7 @@ lexical constructs that defeat line-regex tools:
   * pp-numbers with digit separators (1'000'000, 0xFF'FFu, 1.5e-3);
   * preprocessor directives, folded (with line continuations) into a single
     `pp` token so `#include <sys/socket.h>` never reads as template syntax;
+    their comments come out as `comment` tokens, blanked from the `pp` text;
   * maximal-munch punctuation (`>>=`, `<=>`, `::`, `->*`, ...) — template
     closers like `vector<vector<int>>` come out as `>` handling left to the
     (rare) consumer, exactly like the C++ grammar itself.
@@ -124,6 +125,50 @@ def _scan_number_end(text, i):
     return j
 
 
+def _scan_directive(cur):
+    """cur sits at the `#` of a directive. Returns the `pp` token (comments
+    blanked out of its text) followed by the directive's comment tokens, and
+    leaves cur at the newline that ends the logical line."""
+    text = cur.text
+    start, line, col = cur.i, cur.line, cur.col
+    parts = []
+    comments = []
+    j = start
+    seg = start  # start of the code run not yet copied into parts
+    while j < cur.n:
+        c = text[j]
+        if c == "\n":
+            if text[seg:j].rstrip().endswith("\\"):
+                j += 1
+                continue
+            break
+        if c in "\"'":
+            # An unterminated literal (`#error don't`) ends at the newline.
+            e = _scan_string_end(text, j, c)
+            nl = text.find("\n", j, e)
+            j = e if nl == -1 else nl
+            continue
+        if c == "/" and text.startswith(("//", "/*"), j):
+            if text[j + 1] == "/":
+                e = text.find("\n", j)
+                e = cur.n if e == -1 else e
+            else:
+                e = text.find("*/", j + 2)
+                e = cur.n if e == -1 else e + 2
+            parts.append(text[seg:j])
+            # Blank the comment but keep its newlines, so every byte of the
+            # directive's text stays at its source position.
+            parts.append("".join(ch if ch == "\n" else " " for ch in text[j:e]))
+            cur.advance(j - cur.i)
+            comments.append(Token("comment", text[j:e], cur.line, cur.col))
+            j = seg = e
+            continue
+        j += 1
+    parts.append(text[seg:j])
+    cur.advance(j - cur.i)
+    return [Token("pp", "".join(parts).rstrip(), line, col)] + comments
+
+
 def tokenize(text):
     """Tokenize C++ source into a list of Token."""
     tokens = []
@@ -157,20 +202,9 @@ def tokenize(text):
             continue
 
         # Preprocessor directive: fold the whole logical line (with \ splices)
-        # into one token.
+        # into one token; its comments become comment tokens of their own.
         if c == "#" and at_line_start:
-            j = cur.i
-            while j < cur.n:
-                e = cur.text.find("\n", j)
-                e = cur.n if e == -1 else e
-                stripped = cur.text[j:e].rstrip()
-                if stripped.endswith("\\") and e < cur.n:
-                    j = e + 1
-                    continue
-                j = e
-                break
-            tokens.append(Token("pp", cur.text[cur.i:j], line, col))
-            cur.advance(j - cur.i)
+            tokens.extend(_scan_directive(cur))
             continue
 
         at_line_start = False

@@ -12,7 +12,10 @@ statements. From each TU it extracts a JSON-serializable *facts* dict:
                 they precede;
   declassify    DECLASSIFY(reason) markers with their target lines;
   handles       ANALYZE-HANDLES(kind) markers for hand-rolled decoders;
-  allows        LINT-ALLOW(rule): reason markers (same grammar as fairsfe-lint).
+  allows        LINT-ALLOW(rule): reason markers;
+  findings      the token rules' findings (rules.py), plus the unordered
+                declarations, quoted includes and iteration sites that the
+                cross-file unordered-iteration join reads.
 
 The pass is deliberately lightweight — no templates instantiated, no
 overload resolution — but it is *structural*: scopes nest correctly, raw
@@ -25,6 +28,7 @@ extraction out to worker processes.
 
 import re
 
+import rules
 from tokenizer import tokenize, string_value
 
 RNG_DRAW_METHODS = {"u64", "below", "bit", "bytes", "fill", "uniform"}
@@ -240,7 +244,13 @@ class _Extractor:
         self.relpath = relpath
         self.all_tokens = tokenize(text)
         self.tokens = [t for t in self.all_tokens if t.kind not in ("comment", "pp")]
+        self.pp_tokens = [t for t in self.all_tokens if t.kind == "pp"]
+        # Lines holding code or a directive: a comment there is trailing, so
+        # its annotation targets its own line rather than the next one.
         self.code_lines = {t.line for t in self.tokens}
+        for t in self.pp_tokens:
+            self.code_lines.update(range(t.line, t.line + t.text.count("\n") + 1))
+        self.member_stmts = []  # statement token slices directly in a class
         self.facts = {
             "relpath": relpath,
             "functions": [],
@@ -559,6 +569,7 @@ class _Extractor:
             return
         in_class = self.scopes[-1].kind == "class"
         if in_class:
+            self.member_stmts.append(stmt)
             decl = _parse_decl(stmt)
             if decl:
                 self.scopes[-1].vars[decl[1]] = decl[0]
@@ -733,4 +744,8 @@ def extract_facts(relpath, text):
     """Public entry: facts dict for one TU."""
     ex = _Extractor(relpath, text)
     ex.parse_annotations(text.split("\n"))
-    return ex.run()
+    facts = ex.run()
+    (facts["findings"], facts["unordered_decls"], facts["includes"],
+     facts["unordered_iters"]) = rules.check_tu(relpath, ex.tokens,
+                                                ex.pp_tokens, ex.member_stmts)
+    return facts

@@ -1,9 +1,9 @@
 // Known-bad corpus for the `nondeterminism` rule: every flagged line carries
-// an EXPECT marker naming the rule; scripts/fairsfe_lint.py --self-test fails
-// if a marked line is missed or an unmarked line is flagged.
+// an EXPECT marker naming the rule; the analyzer's --self-test fails if a
+// marked line is missed or an unmarked line is flagged.
 //
 // Mentioning std::random_device or srand in prose (like this line) is fine:
-// rules run on comment-stripped text.
+// rules read code tokens, never comments or literals.
 #include <chrono>
 #include <cstdlib>
 #include <ctime>

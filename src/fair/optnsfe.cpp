@@ -85,8 +85,8 @@ std::vector<Message> PrivOutputFunc::on_round(sim::FuncContext& ctx, int /*round
   });
 }
 
-OptNParty::OptNParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng)
-    : PartyBase(id), spec_(std::move(spec)), input_(std::move(input)), rng_(std::move(rng)) {}
+OptNParty::OptNParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input)
+    : PartyBase(id), spec_(std::move(spec)), input_(std::move(input)) {}
 
 std::vector<Message> OptNParty::on_round(int /*round*/, MsgView in) {
   switch (step_) {
@@ -148,8 +148,9 @@ std::vector<std::unique_ptr<sim::IParty>> make_optn_parties(const mpc::SfeSpec& 
   std::vector<std::unique_ptr<sim::IParty>> parties;
   parties.reserve(inputs.size());
   for (std::size_t p = 0; p < inputs.size(); ++p) {
-    parties.push_back(std::make_unique<OptNParty>(static_cast<sim::PartyId>(p), spec,
-                                                  inputs[p], rng.fork("optn-party")));  // LINT-ALLOW(rng-fork-in-loop): fork counter is the party index (parent enters at 0); callers fork this parent afterwards, so re-indexing would re-seed pinned goldens
+    (void)rng.fork("optn-party");  // LINT-ALLOW(rng-fork-in-loop): a party keeps no stream, but callers fork this parent afterwards, so its fork counter must still advance once per party or pinned goldens re-seed
+    parties.push_back(
+        std::make_unique<OptNParty>(static_cast<sim::PartyId>(p), spec, inputs[p]));
   }
   return parties;
 }

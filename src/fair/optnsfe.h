@@ -42,7 +42,7 @@ class PrivOutputFunc final : public sim::IFunctionality {
 
 class OptNParty final : public sim::PartyBase<OptNParty> {
  public:
-  OptNParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng);
+  OptNParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input);
 
   std::vector<sim::Message> on_round(int round, sim::MsgView in) override;
   void on_abort() override;
@@ -52,7 +52,6 @@ class OptNParty final : public sim::PartyBase<OptNParty> {
 
   mpc::SfeSpec spec_;
   Bytes input_;
-  Rng rng_;
 
   Step step_ = Step::kSendInput;
   Bytes vk_;

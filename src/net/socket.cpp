@@ -1,4 +1,4 @@
-// Raw-socket audit (enforced by fairsfe-lint rule `raw-socket-access`):
+// Raw-socket audit (enforced by fairsfe-analyze rule `raw-socket-access`):
 // this translation unit is the complete list of raw socket call sites in the
 // repository. Everything else goes through the wrappers it defines.
 //

@@ -1,7 +1,7 @@
 // Thin RAII wrappers over the POSIX socket API.
 //
 // This directory is the only place in the tree allowed to touch raw socket
-// syscalls — the fairsfe-lint rule `raw-socket-access` confines
+// syscalls — the fairsfe-analyze rule `raw-socket-access` confines
 // socket()/bind()/listen()/accept()/connect() and the <sys/socket.h> family
 // of includes to src/net/. Everything above (the fairbenchd service, its
 // tests and perfbench's client) speaks through these wrappers, so auditing

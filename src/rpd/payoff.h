@@ -61,7 +61,7 @@ struct PayoffVector {
 /// Named Γ presets — the single definition point for every γ the experiment
 /// and bench layers use. Scenario TUs reference these by name; raw
 /// `PayoffVector{...}` brace-literals outside src/rpd and tests are banned by
-/// the fairsfe-lint `gamma-literal` rule, so a vector's value can never drift
+/// the fairsfe-analyze `gamma-literal` rule, so a vector's value can never drift
 /// between the TUs that share it.
 namespace payoff {
 

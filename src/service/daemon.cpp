@@ -283,17 +283,25 @@ void Daemon::handle_estimate(const JsonValue& req,
     return reject("\"lanes\" must be 1 or " + std::to_string(util::kLaneWidth));
   }
   args.lanes = static_cast<std::size_t>(*lanes);
-  args.target_ci = req.get_number("target_ci", 0.0);
-  if (!(args.target_ci >= 0.0) || !std::isfinite(args.target_ci)) {
-    return reject("\"target_ci\" must be a non-negative number (0 = off)");
+  // A field present with the wrong JSON type is rejected like a bad value,
+  // never read as absent.
+  if (const JsonValue* v = req.find("target_ci"); v != nullptr) {
+    if (v->type() != JsonValue::Type::kNumber || !(v->as_number() >= 0.0) ||
+        !std::isfinite(v->as_number())) {
+      return reject("\"target_ci\" must be a non-negative number (0 = off)");
+    }
+    args.target_ci = v->as_number();
   }
-  const std::string preproc = req.get_string("preproc", "inline");
-  const auto mode = mpc::preproc::parse_preproc_mode(preproc);
-  if (!mode) {
-    return reject("unknown preproc mode '" + preproc +
-                  "' (expected inline|offline_ideal|offline_ot)");
+  const JsonValue* preproc = req.find("preproc");
+  if (preproc != nullptr) {
+    const auto mode = preproc->type() == JsonValue::Type::kString
+                          ? mpc::preproc::parse_preproc_mode(preproc->as_string())
+                          : std::nullopt;
+    if (!mode) {
+      return reject("\"preproc\" must be one of inline|offline_ideal|offline_ot");
+    }
+    args.preproc = *mode;
   }
-  args.preproc = *mode;
 
   {
     std::lock_guard<std::mutex> lock(conn->mu);

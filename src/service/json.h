@@ -8,7 +8,7 @@
 //
 // Determinism contract: object members are an ORDERED vector of pairs, not a
 // hash map, so iteration order equals document order and re-serialization is
-// reproducible (fairsfe-lint bans unordered containers for the same reason
+// reproducible (fairsfe-analyze bans unordered containers for the same reason
 // in protocol code).
 #pragma once
 

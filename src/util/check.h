@@ -18,7 +18,7 @@
 //
 // Unlike assert(), FAIRSFE_CHECK never silently compiles away, and DCHECK's
 // on/off status is controlled by an explicit flag rather than whatever
-// NDEBUG happens to be in a given preset. scripts/fairsfe_lint.py bans bare
+// NDEBUG happens to be in a given preset. fairsfe-analyze bans bare
 // assert() in src/ (rule bare-assert) to keep this the only invariant layer.
 #pragma once
 

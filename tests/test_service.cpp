@@ -317,7 +317,9 @@ TEST(Service, MalformedAndUnknownRequestsGetErrorEvents) {
            {"\"seed\":1e30", "seed"},
            {"\"seed\":18446744073709551616", "seed"},
            {"\"seed\":-1", "seed"},
-           {"\"target_ci\":-1", "target_ci"}}) {
+           {"\"target_ci\":-1", "target_ci"},
+           {"\"target_ci\":\"0.05\"", "target_ci"},
+           {"\"preproc\":1", "preproc"}}) {
     c.send(std::string("{\"verb\":\"estimate\",\"scenario\":\"") + kScenario +
            "\"," + fields + ",\"id\":\"cap\"}");
     const std::string error = c.read_until_event("error");
