@@ -20,7 +20,6 @@
 #include <string>
 
 #include "experiments/report.h"
-#include "rpd/estimator.h"
 #include "service/daemon.h"
 #include "service/signals.h"
 
@@ -50,17 +49,6 @@ void print_usage() {
       "  {\"verb\":\"list\"} | {\"verb\":\"status\"} | {\"verb\":\"shutdown\"}\n");
 }
 
-// An integer in [0, max] or exit 2, as fairbench rejects a malformed value.
-std::uint64_t parse_bounded(const char* flag, const char* v, std::uint64_t max) {
-  const auto n = bench::parse_u64(v);
-  if (!n || *n > max) {
-    std::fprintf(stderr, "fairbenchd: %s must be an integer in [0, %llu], got '%s'\n",
-                 flag, static_cast<unsigned long long>(max), v);
-    std::exit(2);
-  }
-  return *n;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -77,10 +65,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--host" && has_value) {
       cfg.tcp_host = argv[++i];
     } else if (arg == "--port" && has_value) {
-      cfg.tcp_port = static_cast<std::uint16_t>(parse_bounded("--port", argv[++i], 65535));
+      cfg.tcp_port = static_cast<std::uint16_t>(
+          bench::parse_bounded("fairbenchd", arg, argv[++i], 65535));
     } else if (arg == "--workers" && has_value) {
-      cfg.workers =
-          static_cast<std::size_t>(parse_bounded("--workers", argv[++i], rpd::kMaxThreads));
+      // Worker threads take the values of a request's "threads" field.
+      bench::Args workers;
+      bench::apply_flag("fairbenchd", arg, *bench::find_field("threads"), argv[++i], workers);
+      cfg.workers = workers.threads;
     } else if (arg == "--quiet") {
       cfg.quiet = true;
     } else {

@@ -5,6 +5,10 @@ baked into the key (not checked at load time) so an upgraded analyzer simply
 misses and re-extracts — stale facts can never be served. Values are the JSON
 facts dicts from tu.extract_facts, one file per key, written atomically so a
 crashed run never leaves a truncated entry behind.
+
+Every run extracts facts for the whole tree, so the keys a run reads or
+writes are exactly the live ones; evict_stale() then deletes every other
+entry, and the cache holds one entry per TU instead of one per TU version.
 """
 
 import hashlib
@@ -33,6 +37,7 @@ class FactsCache:
         self.dir = cache_dir
         self.hits = 0
         self.misses = 0
+        self.live = set()  # keys this run read or wrote
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
 
@@ -46,6 +51,7 @@ class FactsCache:
             with open(self._path(key), encoding="utf-8") as f:
                 facts = json.load(f)
             self.hits += 1
+            self.live.add(key)
             return facts
         except (OSError, ValueError):
             self.misses += 1
@@ -61,8 +67,27 @@ class FactsCache:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
                 json.dump(facts, f, separators=(",", ":"))
             os.replace(tmp, path)
+            self.live.add(key)
         except OSError:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
+
+    def evict_stale(self):
+        """Delete every entry this run neither read nor wrote; returns the
+        number deleted."""
+        if not self.dir:
+            return 0
+        evicted = 0
+        for dirpath, _dirnames, filenames in os.walk(self.dir):
+            for name in filenames:
+                key, ext = os.path.splitext(name)
+                if ext != ".json" or key in self.live:
+                    continue
+                try:
+                    os.unlink(os.path.join(dirpath, name))
+                    evicted += 1
+                except OSError:
+                    pass
+        return evicted

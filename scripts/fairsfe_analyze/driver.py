@@ -149,6 +149,7 @@ def apply_allows(findings, facts_list):
 def run_analysis(root, compile_commands, cache, jobs, only_files=None):
     rels = collect_files(root, compile_commands)
     facts_list = extract_all(root, rels, cache, jobs)
+    cache.evict_stale()
     findings = apply_allows(analyses.run_all(facts_list), facts_list)
     if only_files is not None:
         keep = {f.replace(os.sep, "/") for f in only_files}

@@ -7,14 +7,18 @@ Run directly:  python3 scripts/fairsfe_analyze/test_analyzer.py
 """
 
 import os
+import shutil
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import analyses  # noqa: E402
+import driver  # noqa: E402
 import tokenizer  # noqa: E402
 import tu  # noqa: E402
+from cache import FactsCache  # noqa: E402
 
 
 def kinds_texts(tokens):
@@ -209,6 +213,41 @@ class ForkGraphTest(unittest.TestCase):
         """, relpath="tests/test_rng.cpp")
         self.assertEqual(g["collisions"], [])
 
+
+class CacheEvictionTest(unittest.TestCase):
+    """A run deletes every cache entry it neither read nor wrote."""
+
+    def setUp(self):
+        self.root = tempfile.mkdtemp(prefix="fairsfe-analyze-test-")
+        self.addCleanup(shutil.rmtree, self.root)
+        os.makedirs(os.path.join(self.root, "src"))
+        for name in ("a.cpp", "b.cpp"):
+            with open(os.path.join(self.root, "src", name), "w") as f:
+                f.write("int %s() { return 1; }\n" % name[0])
+        self.cache_dir = os.path.join(self.root, "cache")
+
+    def entries(self):
+        return sorted(name for _dirpath, _dirnames, names in os.walk(self.cache_dir)
+                      for name in names if name.endswith(".json"))
+
+    def run_once(self):
+        cache = FactsCache(self.cache_dir)
+        driver.run_analysis(self.root, None, cache, jobs=1)
+        return cache
+
+    def test_stale_entry_is_evicted_and_live_entries_stay(self):
+        self.run_once()
+        live = self.entries()
+        self.assertEqual(len(live), 2)
+        stale_dir = os.path.join(self.cache_dir, "ff")
+        os.makedirs(stale_dir, exist_ok=True)
+        stale = os.path.join(stale_dir, "ff" + "0" * 62 + ".json")
+        with open(stale, "w") as f:
+            f.write("{}")
+        cache = self.run_once()
+        self.assertFalse(os.path.exists(stale))
+        self.assertEqual(self.entries(), live)
+        self.assertEqual((cache.hits, cache.misses), (2, 0))
 
 if __name__ == "__main__":
     unittest.main()

@@ -68,8 +68,6 @@ struct ScenarioContext {
   /// or when the spec declares no budget — bodies needing more material
   /// generate their own with preproc::generate_batch).
   std::shared_ptr<const mpc::preproc::CorrelatedRandomness> batch{};
-  /// Wall-clock cost of generating `batch` (0 when batch is null).
-  double offline_seconds = 0.0;
 };
 
 /// One experiment of the paper's result matrix, as data.

@@ -1,12 +1,12 @@
 #include "experiments/report.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 
 #include "experiments/registry.h"
@@ -14,6 +14,9 @@
 
 namespace fairsfe::bench {
 
+namespace {
+
+/// Strict unsigned decimal: digits only (no sign, no blanks), no overflow.
 std::optional<std::uint64_t> parse_u64(const char* v) {
   if (!std::isdigit(static_cast<unsigned char>(v[0]))) return std::nullopt;
   char* end = nullptr;
@@ -23,71 +26,116 @@ std::optional<std::uint64_t> parse_u64(const char* v) {
   return static_cast<std::uint64_t>(n);
 }
 
-namespace {
-
-[[noreturn]] void reject(const char* prog, const char* flag, const std::string& want,
-                         const char* got) {
-  std::fprintf(stderr, "%s: %s must be %s, got '%s'\n", prog, flag, want.c_str(), got);
-  std::exit(2);
+std::string integer_in(std::uint64_t max) {
+  return "must be an integer in [0, " + std::to_string(max) + "]";
 }
 
-std::size_t parse_runs(const char* prog, const char* v) {
-  const auto n = parse_u64(v);
-  if (!n || *n == 0 || *n > rpd::kMaxRuns) {
-    reject(prog, "--runs", "an integer in [1, " + std::to_string(rpd::kMaxRuns) + "]", v);
-  }
-  return static_cast<std::size_t>(*n);
+std::uint64_t u64_of(const FieldValue& v) { return std::get<std::uint64_t>(v); }
+
+std::optional<FieldValue> decode_text(RequestField::Kind kind, const char* text) {
+  if (kind == RequestField::Kind::kWord) return std::string_view(text);
+  if (kind == RequestField::Kind::kU64) return parse_u64(text);
+  char* end = nullptr;
+  const double d = std::strtod(text, &end);
+  if (end == text || *end != '\0') return std::nullopt;
+  return d;
+}
+
+[[noreturn]] void reject(const char* prog, std::string_view flag, const std::string& want,
+                         const char* got) {
+  std::fprintf(stderr, "%s: %.*s %s, got '%s'\n", prog, static_cast<int>(flag.size()),
+               flag.data(), want.c_str(), got);
+  std::exit(2);
 }
 
 }  // namespace
 
+const std::vector<RequestField>& request_fields() {
+  using Kind = RequestField::Kind;
+  static const std::vector<RequestField> fields = {
+      {"runs", "--runs", Kind::kU64,
+       "must be a positive integer no larger than " + std::to_string(rpd::kMaxRuns),
+       [](const FieldValue& v) { return u64_of(v) >= 1 && u64_of(v) <= rpd::kMaxRuns; },
+       [](Args& a, const FieldValue& v) {
+         a.runs = static_cast<std::size_t>(u64_of(v));
+         a.runs_set = true;
+       }},
+      {"seed", "--seed", Kind::kU64, "must be an integer in [0, 2^64)",
+       [](const FieldValue&) { return true; },
+       [](Args& a, const FieldValue& v) { a.seed = u64_of(v); }},
+      {"threads", "--threads", Kind::kU64, integer_in(rpd::kMaxThreads),
+       [](const FieldValue& v) { return u64_of(v) <= rpd::kMaxThreads; },
+       [](Args& a, const FieldValue& v) { a.threads = static_cast<std::size_t>(u64_of(v)); }},
+      {"lanes", "--lanes", Kind::kU64, "must be 1 or " + std::to_string(util::kLaneWidth),
+       [](const FieldValue& v) { return rpd::valid_lanes(static_cast<std::size_t>(u64_of(v))); },
+       [](Args& a, const FieldValue& v) { a.lanes = static_cast<std::size_t>(u64_of(v)); }},
+      {"target_ci", "--target-ci", Kind::kNumber,
+       "must be a finite non-negative number (0 = off)",
+       [](const FieldValue& v) {
+         const double h = std::get<double>(v);
+         return std::isfinite(h) && h >= 0.0;
+       },
+       [](Args& a, const FieldValue& v) { a.target_ci = std::get<double>(v); }},
+      {"preproc", "--preproc", Kind::kWord,
+       "must be one of inline|offline_ideal|offline_ot",
+       [](const FieldValue& v) {
+         return mpc::preproc::parse_preproc_mode(std::get<std::string_view>(v)).has_value();
+       },
+       [](Args& a, const FieldValue& v) {
+         a.preproc = *mpc::preproc::parse_preproc_mode(std::get<std::string_view>(v));
+       }},
+  };
+  return fields;
+}
+
+const RequestField* find_field(std::string_view key) {
+  for (const RequestField& f : request_fields()) {
+    if (f.key == key) return &f;
+  }
+  return nullptr;
+}
+
+std::optional<std::string> apply_field(const RequestField& field,
+                                       const std::optional<FieldValue>& value,
+                                       Args& args) {
+  if (!value || !field.check(*value)) return field.want;
+  field.set(args, *value);
+  return std::nullopt;
+}
+
+void apply_flag(const char* prog, std::string_view flag, const RequestField& field,
+                const char* text, Args& args) {
+  if (const auto error = apply_field(field, decode_text(field.kind, text), args)) {
+    reject(prog, flag, *error, text);
+  }
+}
+
+std::uint64_t parse_bounded(const char* prog, std::string_view flag, const char* text,
+                            std::uint64_t max) {
+  const auto n = parse_u64(text);
+  if (!n || *n > max) reject(prog, flag, integer_in(max), text);
+  return *n;
+}
+
 Args parse_args(int argc, char** argv) {
+  const std::vector<RequestField>& fields = request_fields();
   Args a;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    const std::string_view arg = argv[i];
+    const auto field = std::find_if(fields.begin(), fields.end(),
+                                    [arg](const RequestField& f) { return f.flag == arg; });
+    if (field != fields.end()) {
+      apply_flag(argv[0], arg, *field, i + 1 < argc ? argv[++i] : "", a);
+    } else if (arg == "--json" && i + 1 < argc) {
       a.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      const auto n = parse_u64(argv[++i]);
-      if (!n || *n > rpd::kMaxThreads) {
-        reject(argv[0], "--threads",
-               "an integer in [0, " + std::to_string(rpd::kMaxThreads) + "]", argv[i]);
-      }
-      a.threads = static_cast<std::size_t>(*n);
-    } else if (std::strcmp(argv[i], "--runs") == 0 && i + 1 < argc) {
-      a.runs = parse_runs(argv[0], argv[++i]);
-      a.runs_set = true;
-    } else if (std::strcmp(argv[i], "--filter") == 0 && i + 1 < argc) {
+    } else if (arg == "--filter" && i + 1 < argc) {
       a.filter = argv[++i];
-    } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      const auto n = parse_u64(argv[++i]);
-      if (!n || !rpd::valid_lanes(static_cast<std::size_t>(*n))) {
-        reject(argv[0], "--lanes", "1 or " + std::to_string(util::kLaneWidth), argv[i]);
-      }
-      a.lanes = static_cast<std::size_t>(*n);
-    } else if (std::strcmp(argv[i], "--target-ci") == 0 && i + 1 < argc) {
-      const char* v = argv[++i];
-      char* end = nullptr;
-      const double h = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !std::isfinite(h) || h < 0.0) {
-        reject(argv[0], "--target-ci", "a non-negative number (0 = off)", v);
-      }
-      a.target_ci = h;
-    } else if (std::strcmp(argv[i], "--preproc") == 0) {
-      const char* v = i + 1 < argc ? argv[++i] : "";
-      const auto mode = mpc::preproc::parse_preproc_mode(v);
-      if (!mode) reject(argv[0], "--preproc", "inline, offline_ideal or offline_ot", v);
-      a.preproc = *mode;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      const auto n = parse_u64(argv[++i]);
-      if (!n) reject(argv[0], "--seed", "an integer in [0, 2^64)", argv[i]);
-      a.seed = *n;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
+    } else if (arg == "--quiet") {
       a.quiet = true;
-    } else if (std::strcmp(argv[i], "--list") == 0) {
+    } else if (arg == "--list") {
       a.list = true;
     } else if (std::isdigit(static_cast<unsigned char>(argv[i][0]))) {
-      a.runs = parse_runs(argv[0], argv[i]);
-      a.runs_set = true;
+      apply_flag(argv[0], "--runs", *find_field("runs"), argv[i], a);
     } else {
       a.passthrough.emplace_back(argv[i]);
     }
@@ -96,17 +144,11 @@ Args parse_args(int argc, char** argv) {
 }
 
 Reporter::Reporter(const Args& args, std::size_t default_runs)
-    : runs_(args.runs_or(default_runs)),
-      threads_(args.threads),
-      preproc_(args.preproc),
-      lanes_(args.lanes),
-      target_ci_(args.target_ci),
-      seed_override_(args.seed),
-      quiet_(args.quiet) {}
+    : args_(args), runs_(args.runs_set ? args.runs : default_runs) {}
 
 void Reporter::offline_batch(const std::string& provider, std::size_t triples,
                              double seconds) {
-  if (!quiet_) {
+  if (!args_.quiet) {
     std::printf("offline batch [%s]: %zu triples in %.4fs (%.0f triples/s)\n",
                 provider.c_str(), triples, seconds,
                 seconds > 0 ? static_cast<double>(triples) / seconds : 0.0);
@@ -117,7 +159,7 @@ void Reporter::offline_batch(const std::string& provider, std::size_t triples,
 void Reporter::title(const std::string& id, const std::string& claim) {
   experiment_ = id;
   claim_ = claim;
-  if (!quiet_) std::printf("\n=== %s ===\n%s\n\n", id.c_str(), claim.c_str());
+  if (!args_.quiet) std::printf("\n=== %s ===\n%s\n\n", id.c_str(), claim.c_str());
 }
 
 void Reporter::begin(const experiments::ScenarioSpec& spec) {
@@ -126,11 +168,11 @@ void Reporter::begin(const experiments::ScenarioSpec& spec) {
 
 void Reporter::gamma(const rpd::PayoffVector& g) {
   gamma_ = g.to_string();
-  if (!quiet_) std::printf("gamma = %s, runs/point = %zu\n\n", gamma_.c_str(), runs_);
+  if (!args_.quiet) std::printf("gamma = %s, runs/point = %zu\n\n", gamma_.c_str(), runs_);
 }
 
 void Reporter::row_header() {
-  if (quiet_) return;
+  if (args_.quiet) return;
   std::printf("%-28s %9s %8s   %5s %5s %5s %5s   %s\n", "configuration", "utility",
               "(+/-3SE)", "E00", "E01", "E10", "E11", "paper");
   std::printf("%-28s %9s %8s   %5s %5s %5s %5s   %s\n", "-------------", "-------",
@@ -139,7 +181,7 @@ void Reporter::row_header() {
 
 void Reporter::row(const std::string& name, const rpd::UtilityEstimate& est,
                    const std::string& paper) {
-  if (!quiet_) {
+  if (!args_.quiet) {
     std::printf("%-28s %9.4f %8.4f   %5.2f %5.2f %5.2f %5.2f   %s\n", name.c_str(),
                 est.utility, est.margin(), est.event_freq[0], est.event_freq[1],
                 est.event_freq[2], est.event_freq[3], paper.c_str());
@@ -155,13 +197,13 @@ void Reporter::row(const std::string& name, const rpd::UtilityEstimate& est,
 }
 
 void Reporter::check(bool ok, const std::string& what) {
-  if (!quiet_) std::printf("  [%s] %s\n", ok ? "PASS" : "DEVIATION", what.c_str());
+  if (!args_.quiet) std::printf("  [%s] %s\n", ok ? "PASS" : "DEVIATION", what.c_str());
   checks_.push_back(Check{ok, what});
   if (!ok) failures_++;
 }
 
 int Reporter::finish() {
-  if (!quiet_) {
+  if (!args_.quiet) {
     std::printf("\n%s (%d deviation%s)\n",
                 failures_ == 0 ? "ALL CHECKS PASSED" : "DEVIATIONS", failures_,
                 failures_ == 1 ? "" : "s");
@@ -169,15 +211,16 @@ int Reporter::finish() {
   return 0;
 }
 
-std::string Reporter::json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
+  for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
@@ -222,7 +265,7 @@ std::string Reporter::json_object() const {
     appendf(out, "  \"gamma\": \"%s\",\n", json_escape(gamma_).c_str());
   }
   appendf(out, "  \"runs_per_point\": %zu,\n  \"threads\": %zu,\n  \"rows\": [", runs_,
-          threads_);
+          args_.threads);
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const Row& r = rows_[i];
     appendf(out,
@@ -246,9 +289,9 @@ std::string Reporter::json_object() const {
   // Emitted only under an offline mode (or when a batch was recorded), so
   // the schema of inline runs — and thus every historical report — stays
   // byte-stable.
-  if (mpc::preproc::is_offline(preproc_) || !offline_.empty()) {
+  if (mpc::preproc::is_offline(args_.preproc) || !offline_.empty()) {
     appendf(out, ",\n  \"preproc\": {\"mode\": \"%s\", \"offline\": [",
-            std::string(mpc::preproc::to_string(preproc_)).c_str());
+            std::string(mpc::preproc::to_string(args_.preproc)).c_str());
     for (std::size_t i = 0; i < offline_.size(); ++i) {
       appendf(out,
               "%s\n    {\"provider\": \"%s\", \"triples\": %zu, \"seconds\": %.6g}",

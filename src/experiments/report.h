@@ -10,19 +10,17 @@
 // and fairbenchd sends over its socket.
 //
 // CLI accepted by every harness (see bench::parse_args):
-//   fairbench [--list] [--filter <glob>] [runs] [--runs N] [--threads N]
-//             [--json out.json] [--preproc <mode>]
-//             [--lanes {1,64}] [--target-ci <halfwidth>] [--seed S] [--quiet]
-// where [runs] / --runs overrides the Monte-Carlo runs per point, --threads
-// feeds rpd::EstimatorOptions::threads (0 = one per hardware thread), --json
-// selects the machine-readable sink, and --preproc selects the
-// correlated-randomness phase split (inline | offline_ideal | offline_ot;
-// see mpc/preproc/mode.h). The mode flows into every EstimatorOptions the
-// Reporter hands out, and fairbench amortizes one offline batch per scenario
-// that declares a PreprocBudget. --lanes 64 selects the bit-sliced execution
-// path for scenarios that register one (others fall back to the scalar
-// engine, bit-identically), and --target-ci enables CI-driven sequential
-// stopping at the given 95% half-width (rpd::EstimatorOptions::target_ci).
+//   fairbench [--list] [--filter <glob>] [runs] [--json out.json] [--quiet]
+//             [--runs N] [--seed S] [--threads N] [--lanes {1,64}]
+//             [--target-ci <halfwidth>] [--preproc <mode>]
+// The last six flags are the run-request fields that fairbenchd "estimate"
+// requests carry under the same names; request_fields() below is the one
+// table of their bounds and messages. [runs] is --runs; --json selects the
+// machine-readable sink. The preproc mode (mpc/preproc/mode.h) flows into
+// every EstimatorOptions the Reporter hands out, and fairbench amortizes one
+// offline batch per scenario that declares a PreprocBudget. --lanes 64 runs
+// the bit-sliced path where a scenario registers one (others fall back to
+// the scalar engine, bit-identically).
 //
 // JSON schema (stable; fairbench emits one object per scenario, an array
 // when several scenarios run):
@@ -54,6 +52,8 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "mpc/preproc/mode.h"
@@ -93,24 +93,56 @@ struct Args {
   /// over the socket; its stdout is a log, not a report channel).
   bool quiet = false;
   std::vector<std::string> passthrough;  ///< unrecognized argv entries
-
-  [[nodiscard]] std::size_t runs_or(std::size_t default_runs) const {
-    return runs_set ? runs : default_runs;
-  }
 };
 
-/// Strict unsigned decimal: digits only (no sign, no blanks), no overflow.
-/// The one number parser for every CLI flag (fairbench and fairbenchd).
-std::optional<std::uint64_t> parse_u64(const char* v);
+/// A run-request value decoded from argv text or a JSON value, unchecked.
+using FieldValue = std::variant<std::uint64_t, double, std::string_view>;
+
+/// One run-request field, as both front ends see it: fairbench and
+/// fairbenchd decode their own syntax into a FieldValue and apply it here.
+struct RequestField {
+  enum class Kind { kU64, kNumber, kWord };  ///< the FieldValue alternative
+  std::string_view key;   ///< fairbenchd JSON key, e.g. "target_ci"
+  std::string_view flag;  ///< fairbench flag, e.g. "--target-ci"
+  Kind kind;
+  std::string want;  ///< rejection message, "must be ...", after flag or key
+  bool (*check)(const FieldValue&);       ///< sees only values of `kind`
+  void (*set)(Args&, const FieldValue&);  ///< sees only checked values
+};
+
+/// The table: runs, seed, threads, lanes, target_ci and preproc, each with
+/// its bound and message, in the order both surfaces apply them.
+const std::vector<RequestField>& request_fields();
+
+/// The field whose JSON key is `key`, or nullptr.
+const RequestField* find_field(std::string_view key);
+
+/// Stores `value` into `args` if it passes field.check; otherwise returns
+/// field.want. A nullopt `value` (the surface could not decode a value of
+/// field.kind) is rejected the same way.
+std::optional<std::string> apply_field(const RequestField& field,
+                                       const std::optional<FieldValue>& value,
+                                       Args& args);
+
+/// Decodes argv `text` as a value of `field` and applies it to `args`; on
+/// rejection prints "<prog>: <flag> <want>, got '<text>'" and exits 2.
+void apply_flag(const char* prog, std::string_view flag, const RequestField& field,
+                const char* text, Args& args);
+
+/// `text` as an integer in [0, max], or the same message and exit 2 as
+/// apply_flag (fairbenchd --port).
+std::uint64_t parse_bounded(const char* prog, std::string_view flag, const char* text,
+                            std::uint64_t max);
 
 /// Parses the shared harness CLI out of argv. Unknown flags are collected and
 /// a non-numeric positional is passed through; callers decide whether those
-/// are errors. A malformed value prints a message and exits with status 2:
-/// runs (--runs or positional) outside [1, rpd::kMaxRuns], --threads outside
-/// [0, rpd::kMaxThreads], a --seed that is not an integer below 2^64, a
-/// negative or non-numeric --target-ci, --lanes other than 1 or
-/// util::kLaneWidth, and --preproc without one of its three mode words.
+/// are errors. A request_fields() flag or positional run count goes through
+/// apply_flag.
 Args parse_args(int argc, char** argv);
+
+/// Escape a string for embedding in a JSON document (quotes not included);
+/// protocol events use it as service::json_escape.
+std::string json_escape(std::string_view s);
 
 /// Paper-vs-measured table writer; one instance per scenario run.
 class Reporter {
@@ -120,10 +152,6 @@ class Reporter {
   Reporter(const Args& args, std::size_t default_runs);
 
   [[nodiscard]] std::size_t runs() const { return runs_; }
-  [[nodiscard]] std::size_t threads() const { return threads_; }
-  [[nodiscard]] mpc::preproc::PreprocMode preproc() const { return preproc_; }
-  [[nodiscard]] std::size_t lanes() const { return lanes_; }
-  [[nodiscard]] double target_ci() const { return target_ci_; }
 
   /// EstimatorOptions for one utility point: the harness's runs/threads/
   /// preproc/lanes/target-ci settings plus the call site's seed. Callers
@@ -133,18 +161,18 @@ class Reporter {
     // A harness-level --seed replays the whole scenario under one master
     // seed, overriding every per-point seed the body hard-codes (Args::seed).
     o.runs = runs_;
-    o.seed = seed_override_.value_or(seed);
-    o.threads = threads_;
-    o.preproc = preproc_;
-    o.lanes = lanes_;
-    o.target_ci = target_ci_;
+    o.seed = args_.seed.value_or(seed);
+    o.threads = args_.threads;
+    o.preproc = args_.preproc;
+    o.lanes = args_.lanes;
+    o.target_ci = args_.target_ci;
     return o;
   }
 
   /// The scenario's effective batch/base seed: the --seed override when one
   /// is set, otherwise `fallback` (normally the spec's base_seed).
   [[nodiscard]] std::uint64_t base_seed_or(std::uint64_t fallback) const {
-    return seed_override_.value_or(fallback);
+    return args_.seed.value_or(fallback);
   }
 
   /// Streaming sink invoked after each row() with (row_index, name) — the
@@ -203,15 +231,8 @@ class Reporter {
     double seconds;
   };
 
-  static std::string json_escape(const std::string& s);
-
+  Args args_;
   std::size_t runs_;
-  std::size_t threads_ = 1;
-  mpc::preproc::PreprocMode preproc_ = mpc::preproc::PreprocMode::kInline;
-  std::size_t lanes_ = 1;
-  double target_ci_ = 0.0;
-  std::optional<std::uint64_t> seed_override_;
-  bool quiet_ = false;
   std::function<void(std::size_t, const std::string&)> row_sink_;
   std::vector<OfflineBatch> offline_;
   std::string experiment_, claim_, gamma_;

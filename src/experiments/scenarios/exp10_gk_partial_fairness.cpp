@@ -51,7 +51,9 @@ void run(ScenarioContext& ctx) {
                 params.alpha());
     rep.row_header();
     for (const auto& attack : gk_attack_family(params)) {
-      const auto est = rpd::estimate_utility(attack.factory, gamma, rep.opts(seed++).with_runs(runs / 2));
+      auto o = rep.opts(seed++);
+      o.runs = runs / 2;
+      const auto est = rpd::estimate_utility(attack.factory, gamma, o);
       char buf[32];
       std::snprintf(buf, sizeof(buf), "<= 1/p = %.4f", 1.0 / static_cast<double>(p));
       rep.row(attack.name, est, buf);

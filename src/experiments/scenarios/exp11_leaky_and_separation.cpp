@@ -74,7 +74,9 @@ void run(ScenarioContext& ctx) {
   rep.row_header();
   std::uint64_t seed = 43000;
   for (const auto& attack : gk_attack_family(params)) {
-    const auto est = rpd::estimate_utility(attack.factory, pf, rep.opts(seed++).with_runs(runs / 2));
+    auto o = rep.opts(seed++);
+    o.runs = runs / 2;
+    const auto est = rpd::estimate_utility(attack.factory, pf, o);
     rep.row(attack.name, est, "<= 1/2 (Lemma 27)");
     rep.check(est.utility <= 0.5 + est.margin() + 0.02,
               "1/2-security accounting: " + attack.name);

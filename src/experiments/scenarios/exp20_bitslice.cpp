@@ -93,14 +93,19 @@ void run(ScenarioContext& ctx) {
 
   rep.row_header();
 
+  // The scalar-vs-sliced pairs below run every requested run at both widths.
+  rpd::EstimatorOptions scalar_opts = rep.opts(seed);
+  scalar_opts.lanes = 1;
+  scalar_opts.target_ci = 0.0;
+  rpd::EstimatorOptions sliced_opts = scalar_opts;
+  sliced_opts.lanes = 64;
+
   // Inline OT algebra: scalar engine vs 64 runs per word, same seed.
   {
     const GmwHonestPair pair = gmw_honest_pair(config_for(PreprocMode::kInline), crashes);
     const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
-    const auto scalar = rpd::estimate_utility(
-        target, gamma, rep.opts(seed).with_lanes(1).with_target_ci(0.0));
-    const auto sliced = rpd::estimate_utility(
-        target, gamma, rep.opts(seed).with_lanes(64).with_target_ci(0.0));
+    const auto scalar = rpd::estimate_utility(target, gamma, scalar_opts);
+    const auto sliced = rpd::estimate_utility(target, gamma, sliced_opts);
     rep.row("mill-8 crash/8 [scalar]", scalar, "engine, one run at a time");
     rep.row("mill-8 crash/8 [sliced]", sliced, "64 runs/word, identical");
     rep.check(bit_identical(scalar, sliced),
@@ -117,10 +122,8 @@ void run(ScenarioContext& ctx) {
     const GmwHonestPair pair =
         gmw_honest_pair(config_for(PreprocMode::kOfflineIdeal), crashes);
     const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
-    const auto scalar = rpd::estimate_utility(
-        target, gamma, rep.opts(seed).with_lanes(1).with_target_ci(0.0));
-    const auto sliced = rpd::estimate_utility(
-        target, gamma, rep.opts(seed).with_lanes(64).with_target_ci(0.0));
+    const auto scalar = rpd::estimate_utility(target, gamma, scalar_opts);
+    const auto sliced = rpd::estimate_utility(target, gamma, sliced_opts);
     rep.row("mill-8 beaver [scalar]", scalar, "offline_ideal store");
     rep.row("mill-8 beaver [sliced]", sliced, "64 triples per word-op");
     rep.check(bit_identical(scalar, sliced),
@@ -132,8 +135,8 @@ void run(ScenarioContext& ctx) {
     const GmwHonestPair pair = gmw_honest_pair(config_for(PreprocMode::kInline), crashes);
     const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
     const double target_ci = 0.05;
-    const rpd::EstimatorOptions o =
-        rep.opts(seed).with_lanes(64).with_target_ci(target_ci);
+    rpd::EstimatorOptions o = sliced_opts;
+    o.target_ci = target_ci;
     rpd::EstimatorOptions o2 = o;
     o2.threads = o.threads == 2 ? 4 : 2;
     const auto stop = rpd::estimate_utility(target, gamma, o);

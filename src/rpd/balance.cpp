@@ -20,10 +20,10 @@ BalanceProfile balance_profile(
     const PayoffVector& payoff, const EstimatorOptions& opts) {
   BalanceProfile profile;
   profile.n = n;
-  std::uint64_t s = opts.seed;
+  EstimatorOptions o = opts;
   for (std::size_t t = 1; t <= n - 1; ++t) {
-    const ProtocolAssessment a = assess_protocol(attacks_for_t(t), payoff, opts.with_seed(s));
-    s += a.attacks.size();
+    const ProtocolAssessment a = assess_protocol(attacks_for_t(t), payoff, o);
+    o.seed += a.attacks.size();
     profile.best_per_t.push_back(a.attacks[a.best_index]);
   }
   return profile;

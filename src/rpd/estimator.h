@@ -98,8 +98,8 @@ struct EstimationTarget {
   std::size_t sliced_parties = 0;    ///< party count for sliced classification
 };
 
-/// How to run an estimation. Replaces the old positional
-/// (factory, payoff, runs, seed) signatures across the library.
+/// How to run an estimation: a plain aggregate. Callers copy one and assign
+/// the fields they vary (`auto o = rep.opts(seed); o.lanes = 64;`).
 struct EstimatorOptions {
   std::size_t runs = 1000;  ///< Monte-Carlo executions
   std::uint64_t seed = 0;   ///< master seed; run i is a pure function of (seed, i)
@@ -142,42 +142,11 @@ struct EstimatorOptions {
   /// beyond the stop point are discarded, so the estimate is bit-identical
   /// for every `threads` setting. 0 disables stopping.
   double target_ci = 0.0;
-
-  [[nodiscard]] EstimatorOptions with_lanes(std::size_t l) const {
-    EstimatorOptions o = *this;
-    o.lanes = l;
-    return o;
-  }
-  [[nodiscard]] EstimatorOptions with_target_ci(double ci) const {
-    EstimatorOptions o = *this;
-    o.target_ci = ci;
-    return o;
-  }
-  [[nodiscard]] EstimatorOptions with_seed(std::uint64_t s) const {
-    EstimatorOptions o = *this;
-    o.seed = s;
-    return o;
-  }
-  [[nodiscard]] EstimatorOptions with_runs(std::size_t r) const {
-    EstimatorOptions o = *this;
-    o.runs = r;
-    return o;
-  }
-  [[nodiscard]] EstimatorOptions with_fault(sim::fault::FaultPlan p) const {
-    EstimatorOptions o = *this;
-    o.fault = std::move(p);
-    return o;
-  }
-  [[nodiscard]] EstimatorOptions with_preproc(mpc::preproc::PreprocMode m) const {
-    EstimatorOptions o = *this;
-    o.preproc = m;
-    return o;
-  }
 };
 
 /// The lane widths EstimatorOptions::lanes accepts: 1 or util::kLaneWidth.
-/// Entry points that take a lane count from a user (CLI flag, daemon request)
-/// reject anything else before it reaches the estimator.
+/// The run-request table (bench::request_fields, experiments/report.h)
+/// rejects any other user-given lane count before it reaches the estimator.
 [[nodiscard]] bool valid_lanes(std::size_t lanes);
 
 /// Upper bounds on the run and thread counts a user may request (CLI flag,
@@ -221,10 +190,6 @@ struct UtilityEstimate {
   sim::fault::FaultStats fault_stats;
   /// Wall-clock duration of the estimation (metadata; not deterministic).
   double wall_seconds = 0.0;
-  /// Wall-clock cost of generating the offline CorrelatedRandomness batch
-  /// the runs consumed (metadata; 0 under kInline or when the caller
-  /// amortized a pre-generated batch across estimations).
-  double offline_seconds = 0.0;
 
   [[nodiscard]] double freq(FairnessEvent e) const {
     return event_freq[static_cast<std::size_t>(e)];

@@ -29,7 +29,8 @@ ProtocolAssessment assess_protocol(const std::vector<NamedAttack>& attacks,
   const std::size_t family_total = opts.runs * attacks.size();
 
   util::parallel_for(attacks.size(), outer, [&](std::size_t k) {
-    EstimatorOptions attack_opts = opts.with_seed(opts.seed + k);
+    EstimatorOptions attack_opts = opts;
+    attack_opts.seed = opts.seed + k;
     attack_opts.threads = inner;
     if (opts.progress) {
       attack_opts.progress = [&, k](std::size_t done, std::size_t) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdarg>
 #include <cstdio>
@@ -18,7 +17,6 @@
 #include "service/json.h"
 #include "service/runner.h"
 #include "service/signals.h"
-#include "util/bitmat.h"
 
 namespace fairsfe::service {
 
@@ -68,6 +66,9 @@ struct Daemon::Conn {
   std::condition_variable cv;
   int pending = 0;  ///< estimate jobs submitted but not yet answered
 
+  /// Set as the reader's last act: its thread is done with the connection.
+  std::atomic<bool> closed{false};
+
   /// Emit one response event line. Thread-safe; swallows write errors (a
   /// vanished client must not take a worker down mid-estimate).
   void write_event(std::string line) {
@@ -93,9 +94,14 @@ Daemon::Daemon(DaemonConfig cfg)
 
 Daemon::~Daemon() {
   stop();
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
+  for (Reader& r : readers_) {
+    if (r.thread.joinable()) r.thread.join();
   }
+}
+
+std::size_t Daemon::reader_threads() const {
+  std::lock_guard<std::mutex> lock(readers_mu_);
+  return readers_.size();
 }
 
 std::uint16_t Daemon::tcp_port() const {
@@ -128,19 +134,29 @@ void Daemon::serve() {
     std::optional<net::Stream> s =
         unix_listener_ ? unix_listener_->accept_for(kPollInterval)
                        : tcp_listener_->accept_for(kPollInterval);
+    // Every pass, accept or timeout, joins the readers of closed connections,
+    // so a long-lived daemon holds one thread per open connection.
+    std::lock_guard<std::mutex> lock(readers_mu_);
+    std::erase_if(readers_, [](Reader& r) {
+      if (!r.conn->closed.load(std::memory_order_acquire)) return false;
+      r.thread.join();
+      return true;
+    });
     if (!s) continue;
     auto conn = std::make_shared<Conn>(std::move(*s));
     connections_.fetch_add(1, std::memory_order_relaxed);
-    conn_threads_.emplace_back(
-        [this, conn]() mutable { handle_connection(std::move(conn)); });
+    readers_.push_back(Reader{conn, std::thread([this, conn] { handle_connection(conn); })});
   }
   // Graceful drain: stop accepting, let in-flight estimates finish and be
   // answered, then close every connection. Order matters — readers wait on
   // their own pending count, so wait_idle() first is not required, but it
   // bounds the join below by "all work done".
   pool_.wait_idle();
-  for (std::thread& t : conn_threads_) t.join();
-  conn_threads_.clear();
+  {
+    std::lock_guard<std::mutex> lock(readers_mu_);
+    for (Reader& r : readers_) r.thread.join();
+    readers_.clear();
+  }
   log("fairbenchd: drained, served %llu request(s)\n",
       static_cast<unsigned long long>(served()));
 }
@@ -191,6 +207,7 @@ void Daemon::handle_connection(std::shared_ptr<Conn> conn) {
     conn->stream.close();
   }
   connections_.fetch_sub(1, std::memory_order_relaxed);
+  conn->closed.store(true, std::memory_order_release);
 }
 
 void Daemon::dispatch(const std::string& line,
@@ -249,58 +266,27 @@ void Daemon::handle_estimate(const JsonValue& req,
     return reject("unknown scenario '" + scenario + "' (send {\"verb\":\"list\"})");
   }
 
-  // Field-for-flag mirror of the fairbench CLI; every default and bound
-  // matches bench::parse_args so daemon answers equal one-shot answers.
-  // An integer field: `def` when absent, nullopt unless a whole number in
-  // [0, 2^64).
-  const auto uint_field = [&req](std::string_view key, std::uint64_t def) {
-    const JsonValue* v = req.find(key);
-    return v == nullptr ? std::optional<std::uint64_t>(def) : v->as_u64();
-  };
+  // Every field is checked by the same table as the fairbench flag of the
+  // same name (bench::request_fields), so daemon answers equal one-shot
+  // answers. A field present with the wrong JSON type is rejected like a bad
+  // value, never read as absent.
   bench::Args args;
   args.quiet = true;
-  if (req.find("runs") != nullptr) {
-    const auto runs = uint_field("runs", 0);
-    if (!runs || *runs == 0 || *runs > rpd::kMaxRuns) {
-      return reject("\"runs\" must be a positive integer no larger than " +
-                    std::to_string(rpd::kMaxRuns));
+  for (const bench::RequestField& field : bench::request_fields()) {
+    const JsonValue* v = req.find(field.key);
+    if (v == nullptr) continue;
+    using Kind = bench::RequestField::Kind;
+    std::optional<bench::FieldValue> value;
+    if (field.kind == Kind::kU64) {
+      if (const auto n = v->as_u64()) value = *n;
+    } else if (field.kind == Kind::kNumber && v->type() == JsonValue::Type::kNumber) {
+      value = v->as_number();
+    } else if (field.kind == Kind::kWord && v->type() == JsonValue::Type::kString) {
+      value = std::string_view(v->as_string());
     }
-    args.runs = static_cast<std::size_t>(*runs);
-    args.runs_set = true;
-  }
-  if (req.find("seed") != nullptr) {
-    args.seed = uint_field("seed", 0);
-    if (!args.seed) return reject("\"seed\" must be an integer in [0, 2^64)");
-  }
-  const auto threads = uint_field("threads", 1);
-  if (!threads || *threads > rpd::kMaxThreads) {
-    return reject("\"threads\" must be an integer in [0, " +
-                  std::to_string(rpd::kMaxThreads) + "]");
-  }
-  args.threads = static_cast<std::size_t>(*threads);
-  const auto lanes = uint_field("lanes", 1);
-  if (!lanes || !rpd::valid_lanes(static_cast<std::size_t>(*lanes))) {
-    return reject("\"lanes\" must be 1 or " + std::to_string(util::kLaneWidth));
-  }
-  args.lanes = static_cast<std::size_t>(*lanes);
-  // A field present with the wrong JSON type is rejected like a bad value,
-  // never read as absent.
-  if (const JsonValue* v = req.find("target_ci"); v != nullptr) {
-    if (v->type() != JsonValue::Type::kNumber || !(v->as_number() >= 0.0) ||
-        !std::isfinite(v->as_number())) {
-      return reject("\"target_ci\" must be a non-negative number (0 = off)");
+    if (const auto error = bench::apply_field(field, value, args)) {
+      return reject(quoted(std::string(field.key)) + " " + *error);
     }
-    args.target_ci = v->as_number();
-  }
-  const JsonValue* preproc = req.find("preproc");
-  if (preproc != nullptr) {
-    const auto mode = preproc->type() == JsonValue::Type::kString
-                          ? mpc::preproc::parse_preproc_mode(preproc->as_string())
-                          : std::nullopt;
-    if (!mode) {
-      return reject("\"preproc\" must be one of inline|offline_ideal|offline_ot");
-    }
-    args.preproc = *mode;
   }
 
   {

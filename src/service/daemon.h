@@ -17,15 +17,13 @@
 //   {"verb": "status"}
 //   {"verb": "shutdown"}
 //
-// Every estimate field except "scenario" is optional and defaults exactly
-// like the fairbench CLI flag of the same name (absent "runs" = the spec's
-// default_runs, absent "seed" = the scenario's hard-coded per-point seeds).
-// "id" is an opaque client token echoed on every response event for that
-// request, so one connection can pipeline requests. Unknown keys are
-// ignored. An invalid field gets an "error" event and the connection stays
-// open: runs outside [1, rpd::kMaxRuns], threads above rpd::kMaxThreads, a
-// number with no uint64 value (negative, fractional, at or above 2^64), lanes
-// other than 1 or 64, a negative target_ci, an unknown preproc. A request line
+// Every estimate field except "scenario" is optional and defaults like the
+// fairbench flag of the same name. The table that checks those flags,
+// bench::request_fields() (experiments/report.h), checks these fields too; a
+// rejected or wrongly typed field gets an "error" event (the quoted key and
+// the table's message) and the connection stays open. "id" is an opaque
+// client token echoed on every response event for that request, so one
+// connection can pipeline requests. Unknown keys are ignored. A request line
 // longer than kMaxRequestLine bytes gets one "error" event, and the daemon
 // then closes that connection (other connections are unaffected).
 //
@@ -44,7 +42,7 @@
 // insignificant, and Reporter::json_object never emits raw newlines inside
 // strings). tests/test_service.cpp pins daemon == one-shot bit-identity.
 //
-// Concurrency model: one reader thread per connection parses lines and
+// Concurrency model: one reader thread per open connection parses lines and
 // answers list/status/shutdown inline; estimate requests are submitted to the
 // shared worker pool, so concurrent requests from one or many connections
 // shard across it. Responses for a connection are serialized by a
@@ -62,6 +60,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -117,8 +116,16 @@ class Daemon {
     return served_.load(std::memory_order_relaxed);
   }
 
+  /// Connection reader threads not yet joined: serve() joins each one soon
+  /// after its connection closes.
+  [[nodiscard]] std::size_t reader_threads() const;
+
  private:
   struct Conn;
+  struct Reader {  ///< joins at once after conn->closed is set
+    std::shared_ptr<Conn> conn;
+    std::thread thread;
+  };
 
   void log(const char* fmt, ...) const;
   [[nodiscard]] bool stopping() const;
@@ -135,7 +142,8 @@ class Daemon {
                                    ///< instances via the global signal flag
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> active_{0};
-  std::vector<std::thread> conn_threads_;
+  mutable std::mutex readers_mu_;  ///< guards readers_ (reader_threads())
+  std::vector<Reader> readers_;
   std::atomic<std::uint64_t> connections_{0};
 };
 

@@ -20,6 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "experiments/report.h"
+
 namespace fairsfe::service {
 
 class JsonValue;
@@ -76,7 +78,6 @@ class JsonValue {
 /// request from recursing the stack away.
 std::optional<JsonValue> json_parse(std::string_view text);
 
-/// Escape a string for embedding in a JSON document (quotes not included).
-std::string json_escape(std::string_view s);
+using bench::json_escape;  ///< the reporter's escaper, shared by events
 
 }  // namespace fairsfe::service

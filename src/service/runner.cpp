@@ -80,7 +80,6 @@ ScenarioRunResult run_scenario(const experiments::ScenarioSpec& spec,
     const CachedBatch entry = offline_batch_for(
         args.preproc, req, rep.base_seed_or(spec.base_seed), cache_batches);
     ctx.batch = entry.batch;
-    ctx.offline_seconds = entry.seconds;
     rep.offline_batch(std::string(mpc::preproc::to_string(args.preproc)),
                       req.triples, entry.seconds);
   }

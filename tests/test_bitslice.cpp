@@ -158,12 +158,14 @@ std::shared_ptr<const mpc::GmwConfig> config_for(const circuit::Circuit& c,
   return b.build_shared();
 }
 
-rpd::EstimatorOptions opts_with(std::size_t runs, std::uint64_t seed,
-                                std::size_t threads) {
+rpd::EstimatorOptions opts_with(std::size_t runs, std::uint64_t seed, std::size_t threads,
+                                std::size_t lanes = 1, double target_ci = 0.0) {
   rpd::EstimatorOptions o;
   o.runs = runs;
   o.seed = seed;
   o.threads = threads;
+  o.lanes = lanes;
+  o.target_ci = target_ci;
   return o;
 }
 
@@ -182,11 +184,11 @@ TEST(BitsliceGmw, BitIdenticalToScalarAcrossPreprocModesAndThreads) {
       const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
       const rpd::PayoffVector gamma = rpd::PayoffVector::standard();
       const auto scalar =
-          rpd::estimate_utility(target, gamma, opts_with(runs, 17, 1).with_lanes(1));
+          rpd::estimate_utility(target, gamma, opts_with(runs, 17, 1, 1));
       EXPECT_EQ(scalar.lanes, 1u);
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         const auto sliced = rpd::estimate_utility(
-            target, gamma, opts_with(runs, 17, threads).with_lanes(64));
+            target, gamma, opts_with(runs, 17, threads, 64));
         EXPECT_EQ(sliced.lanes, kLaneWidth);
         expect_bit_identical(scalar, sliced);
       }
@@ -245,9 +247,9 @@ TEST(BitsliceGmw, ScalarFallbackWhenTargetHasNoSlicedHook) {
   const rpd::EstimationTarget without_hook{pair.factory, nullptr, 0};
   const rpd::PayoffVector gamma = rpd::PayoffVector::standard();
   const auto a =
-      rpd::estimate_utility(with_hook, gamma, opts_with(128, 3, 2).with_lanes(64));
+      rpd::estimate_utility(with_hook, gamma, opts_with(128, 3, 2, 64));
   const auto b =
-      rpd::estimate_utility(without_hook, gamma, opts_with(128, 3, 2).with_lanes(64));
+      rpd::estimate_utility(without_hook, gamma, opts_with(128, 3, 2, 64));
   EXPECT_EQ(a.lanes, kLaneWidth);
   EXPECT_EQ(b.lanes, 1u);  // silently falls back to the scalar engine
   expect_bit_identical(a, b);
@@ -308,7 +310,7 @@ TEST(BitsliceStopping, StopPointIsInvariantUnderThreads) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     const auto est = rpd::estimate_utility(
         target, gamma,
-        opts_with(runs, 23, threads).with_lanes(64).with_target_ci(0.05));
+        opts_with(runs, 23, threads, 64, 0.05));
     EXPECT_TRUE(est.stopped_early);
     EXPECT_LT(est.runs, est.requested_runs);
     EXPECT_LE(est.ci_halfwidth(), 0.05);
@@ -333,10 +335,10 @@ TEST(BitsliceStopping, StoppedEstimateEqualsFixedRunEstimateOfSameCount) {
   const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
   const rpd::PayoffVector gamma = rpd::PayoffVector::standard();
   const auto stopped = rpd::estimate_utility(
-      target, gamma, opts_with(1024, 29, 4).with_lanes(64).with_target_ci(0.05));
+      target, gamma, opts_with(1024, 29, 4, 64, 0.05));
   ASSERT_TRUE(stopped.stopped_early);
   const auto fixed = rpd::estimate_utility(
-      target, gamma, opts_with(stopped.runs, 29, 1).with_lanes(64));
+      target, gamma, opts_with(stopped.runs, 29, 1, 64));
   expect_bit_identical(stopped, fixed);
 }
 
@@ -348,7 +350,7 @@ TEST(BitsliceStopping, ProgressSinkEndsAtTheStoppedTotal) {
       experiments::gmw_honest_pair(cfg, crash_every_8th(layers));
   const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
   std::vector<std::pair<std::size_t, std::size_t>> calls;
-  rpd::EstimatorOptions o = opts_with(1024, 23, 1).with_lanes(64).with_target_ci(0.05);
+  rpd::EstimatorOptions o = opts_with(1024, 23, 1, 64, 0.05);
   o.progress = [&calls](std::size_t done, std::size_t total) {
     calls.emplace_back(done, total);
   };
@@ -375,7 +377,7 @@ TEST(BitsliceStopping, ZeroVarianceStopsAfterTwoLaneBatches) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
     const auto est = rpd::estimate_utility(
         target, rpd::PayoffVector::standard(),
-        opts_with(1024, 42, threads).with_lanes(64).with_target_ci(0.05));
+        opts_with(1024, 42, threads, 64, 0.05));
     EXPECT_TRUE(est.stopped_early);
     EXPECT_EQ(est.runs, 2 * kLaneWidth);
     EXPECT_EQ(est.std_error, 0.0);
@@ -388,7 +390,7 @@ TEST(BitsliceStopping, DisabledTargetRunsEverythingRequested) {
   const experiments::GmwHonestPair pair = experiments::gmw_honest_pair(cfg);
   const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
   const auto est = rpd::estimate_utility(target, rpd::PayoffVector::standard(),
-                                         opts_with(192, 7, 2).with_lanes(64));
+                                         opts_with(192, 7, 2, 64));
   EXPECT_FALSE(est.stopped_early);
   EXPECT_EQ(est.runs, 192u);
   EXPECT_EQ(est.requested_runs, 192u);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "crypto/bytes.h"
 #include "experiments/setups.h"
@@ -24,11 +26,13 @@ using sim::fault::FaultPlan;
 using sim::fault::FaultRule;
 using sim::fault::FaultStats;
 
-EstimatorOptions opts_with(std::size_t runs, std::uint64_t seed, std::size_t threads) {
+EstimatorOptions opts_with(std::size_t runs, std::uint64_t seed, std::size_t threads,
+                           std::optional<FaultPlan> fault = std::nullopt) {
   EstimatorOptions o;
   o.runs = runs;
   o.seed = seed;
   o.threads = threads;
+  o.fault = std::move(fault);
   return o;
 }
 
@@ -112,7 +116,7 @@ TEST(FaultGolden, DisabledPlanIsByteIdenticalAtEstimatorLevel) {
   const auto plain =
       rpd::estimate_utility(experiments::opt2_lock_abort(0), gamma, opts_with(96, 7, 2));
   const auto disabled = rpd::estimate_utility(experiments::opt2_lock_abort(0), gamma,
-                                              opts_with(96, 7, 2).with_fault(FaultPlan{}));
+                                              opts_with(96, 7, 2, FaultPlan{}));
   expect_bit_identical(plain, disabled);
   EXPECT_TRUE(disabled.fault_stats.empty());
 }
@@ -121,11 +125,11 @@ TEST(FaultDeterminism, ThreadCountDoesNotChangeEstimateOrFaultStats) {
   const rpd::PayoffVector gamma = rpd::PayoffVector::standard();
   const auto factory = experiments::opt2_lock_abort_strict(0);
   const auto one =
-      rpd::estimate_utility(factory, gamma, opts_with(200, 13, 1).with_fault(rich_plan()));
+      rpd::estimate_utility(factory, gamma, opts_with(200, 13, 1, rich_plan()));
   const auto two =
-      rpd::estimate_utility(factory, gamma, opts_with(200, 13, 2).with_fault(rich_plan()));
+      rpd::estimate_utility(factory, gamma, opts_with(200, 13, 2, rich_plan()));
   const auto eight =
-      rpd::estimate_utility(factory, gamma, opts_with(200, 13, 8).with_fault(rich_plan()));
+      rpd::estimate_utility(factory, gamma, opts_with(200, 13, 8, rich_plan()));
   expect_bit_identical(one, two);
   expect_bit_identical(one, eight);
   // The plan must actually have injected faults for this to mean anything.
@@ -138,9 +142,9 @@ TEST(FaultDeterminism, RunEventsArePrefixStableUnderFaults) {
   const rpd::PayoffVector gamma = rpd::PayoffVector::standard();
   const auto factory = experiments::opt2_lock_abort_strict(0);
   const auto small =
-      rpd::estimate_utility(factory, gamma, opts_with(100, 21, 2).with_fault(rich_plan()));
+      rpd::estimate_utility(factory, gamma, opts_with(100, 21, 2, rich_plan()));
   const auto big =
-      rpd::estimate_utility(factory, gamma, opts_with(180, 21, 3).with_fault(rich_plan()));
+      rpd::estimate_utility(factory, gamma, opts_with(180, 21, 3, rich_plan()));
   ASSERT_LE(small.run_events.size(), big.run_events.size());
   for (std::size_t i = 0; i < small.run_events.size(); ++i) {
     EXPECT_EQ(small.run_events[i], big.run_events[i]) << "run " << i;
@@ -269,7 +273,7 @@ TEST(FaultEstimator, OptionsOverrideMatchesFactoryEmbeddedPlan) {
     return s;
   };
   const auto via_opts = rpd::estimate_utility(experiments::opt2_lock_abort_strict(0), gamma,
-                                              opts_with(128, 29, 2).with_fault(plan));
+                                              opts_with(128, 29, 2, plan));
   const auto via_factory = rpd::estimate_utility(embedded, gamma, opts_with(128, 29, 2));
   expect_bit_identical(via_opts, via_factory);
 }

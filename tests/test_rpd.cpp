@@ -122,11 +122,6 @@ TEST(Estimator, DeterministicGivenSeed) {
   EXPECT_EQ(a.utility, b.utility);
   EXPECT_EQ(a.event_freq, b.event_freq);
   EXPECT_EQ(a.run_events, b.run_events);
-  // The fluent with_* helpers produce the same options.
-  const auto c = estimate_utility(echo_factory(false), g,
-                                  EstimatorOptions{}.with_runs(50).with_seed(7));
-  EXPECT_EQ(a.utility, c.utility);
-  EXPECT_EQ(a.event_freq, c.event_freq);
 }
 
 TEST(Estimator, PredicateOverridesControlEvents) {

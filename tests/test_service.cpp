@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "experiments/report.h"
 #include "net/socket.h"
 #include "service/daemon.h"
+#include "service/json.h"
 #include "service/runner.h"
 #include "service/signals.h"
 
@@ -408,6 +410,96 @@ TEST(Service, ShutdownVerbDrainsWithoutPoisoningTheGlobalFlag) {
   EXPECT_NE(c2.read_until_event("scenarios").find("\"count\":22"),
             std::string::npos);
 }
+
+TEST(Service, ClosedConnectionThreadsAreReaped) {
+  // A daemon that keeps one thread handle per connection it ever accepted
+  // grows without bound; closed connections' readers must be joined while
+  // it serves.
+  DaemonFixture fx(1);
+  std::size_t most = 0;
+  for (int i = 0; i < 64; ++i) {
+    Client c = fx.client();
+    c.send("{\"verb\":\"status\"}");
+    c.read_until_event("status");
+    most = std::max(most, fx.daemon().reader_threads());
+  }
+  EXPECT_LE(most, 8u) << "reader threads pile up across closed connections";
+  const auto deadline = std::chrono::steady_clock::now() + kReadTimeout;
+  while (fx.daemon().reader_threads() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(fx.daemon().reader_threads(), 0u);
+}
+
+/// One bad value of one run-request field, in each surface's syntax.
+struct BadField {
+  const char* name;  ///< test-name suffix
+  const char* key;   ///< bench::RequestField::key
+  const char* text;  ///< fairbench argv value
+  const char* json;  ///< fairbenchd JSON value
+};
+
+void PrintTo(const BadField& bad, std::ostream* os) { *os << bad.name; }
+
+/// Matches text containing `part` (gtest without gmock has no HasSubstr).
+class Contains : public ::testing::MatcherInterface<const std::string&> {
+ public:
+  explicit Contains(std::string part) : part_(std::move(part)) {}
+  bool MatchAndExplain(const std::string& text,
+                       ::testing::MatchResultListener*) const override {
+    return text.find(part_) != std::string::npos;
+  }
+  void DescribeTo(std::ostream* os) const override { *os << "contains: " << part_; }
+
+ private:
+  std::string part_;
+};
+
+class ServiceRequestContract : public ::testing::TestWithParam<BadField> {};
+
+TEST_P(ServiceRequestContract, BothSurfacesRejectWithOneMessage) {
+  // fairbench and fairbenchd check a run request through one field table:
+  // the same bad value gets the same message body on both surfaces.
+  const BadField& bad = GetParam();
+  const bench::RequestField* field = bench::find_field(bad.key);
+  ASSERT_NE(field, nullptr) << bad.key;
+
+  std::string flag(field->flag);
+  std::vector<char*> argv = {const_cast<char*>("fairbench"), flag.data(),
+                             const_cast<char*>(bad.text)};
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(bench::parse_args(static_cast<int>(argv.size()), argv.data()),
+              ::testing::ExitedWithCode(2),
+              ::testing::MakeMatcher(new Contains(flag + " " + field->want + ", got '" +
+                                                  bad.text + "'")));
+
+  DaemonFixture fx(1);
+  Client c = fx.client();
+  c.send(std::string("{\"verb\":\"estimate\",\"scenario\":\"") + kScenario + "\",\"" +
+         bad.key + "\":" + bad.json + ",\"id\":\"bad\"}");
+  const std::optional<JsonValue> event = json_parse(c.read_until_event("error"));
+  ASSERT_TRUE(event.has_value());
+  EXPECT_EQ(event->get_string("message"), "\"" + std::string(bad.key) + "\" " + field->want);
+}
+
+static_assert(rpd::kMaxRuns + 1 == 1048577 && rpd::kMaxThreads + 1 == 257,
+              "the bad runs/threads values below sit just above the caps");
+
+// JSON has no NaN literal, so the daemon's NaN case is a non-number, which
+// the table rejects with the same message as any other bad target_ci.
+INSTANTIATE_TEST_SUITE_P(
+    ServiceRejects, ServiceRequestContract,
+    ::testing::Values(BadField{"zero_runs", "runs", "0", "0"},
+                      BadField{"runs_above_cap", "runs", "1048577", "1048577"},
+                      BadField{"threads_above_cap", "threads", "257", "257"},
+                      BadField{"lanes_3", "lanes", "3", "3"},
+                      BadField{"seed_2_pow_64", "seed", "18446744073709551616",
+                               "18446744073709551616"},
+                      BadField{"negative_target_ci", "target_ci", "-1", "-1"},
+                      BadField{"nan_target_ci", "target_ci", "nan", "\"nan\""},
+                      BadField{"infinite_target_ci", "target_ci", "inf", "1e999"},
+                      BadField{"unknown_preproc", "preproc", "fast", "\"fast\""}),
+    [](const ::testing::TestParamInfo<BadField>& param) { return param.param.name; });
 
 }  // namespace
 }  // namespace fairsfe::service
