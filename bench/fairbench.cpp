@@ -11,18 +11,10 @@
 //   fairbench --filter exp05 [runs]        run a selection (glob / substring
 //                                          / tag; empty filter = everything)
 //   fairbench --filter opt2 --json out.json --runs 500 --threads 0
-//   fairbench --filter gmw --preproc offline_ideal
 //   fairbench --filter exp01 --seed 7
 //
 // JSON: one scenario selected -> a single object, byte-compatible with the
 // files the old exp* binaries wrote; several -> an array of those objects.
-//
-// --preproc moves the OT correlations of GMW-backed scenarios into an
-// offline phase: for every selected scenario that declares a PreprocBudget,
-// the driver mass-produces ONE timed CorrelatedRandomness batch sized for
-// all of the scenario's runs (runs × triples_per_run) and hands it to the
-// body via ScenarioContext, so the whole Monte-Carlo sweep amortizes a
-// single offline phase. Utilities and verdicts are invariant under the mode.
 //
 // SIGINT/SIGTERM: the run stops at the next scenario boundary — the scenario
 // in flight finishes, the JSON collected so far is flushed intact, and the
@@ -50,12 +42,10 @@ void print_usage() {
       "  --list       print the scenario table and exit\n"
       "  --filter     select scenarios by id glob, id substring, or tag glob\n"
       "  runs/--runs  Monte-Carlo runs per point (default: per-scenario)\n"
-      "  --threads    estimator threads (0 = one per hardware thread)\n"
+      "  --threads    estimator threads in [0, %zu] (0 = one per hardware\n"
+      "               thread)\n"
       "  --json       write the report(s): one object for a single scenario,\n"
       "               an array for several\n"
-      "  --preproc    correlated-randomness phase split: inline (default),\n"
-      "               offline_ideal (trusted dealer), offline_ot (real OT\n"
-      "               rounds run up front); one offline batch per scenario\n"
       "  --lanes      execution lane width: 1 = scalar engine (default), 64 =\n"
       "               bit-sliced (64 runs per machine word) for scenarios that\n"
       "               register a sliced path; estimates are bit-identical\n"
@@ -65,7 +55,8 @@ void print_usage() {
       "  --seed       replay the whole run under one master seed (overrides\n"
       "               every per-point seed; what fairbenchd's \"seed\" field\n"
       "               maps to)\n"
-      "  --quiet      suppress the stdout tables (JSON output only)\n");
+      "  --quiet      suppress the stdout tables (JSON output only)\n",
+      rpd::kMaxThreads);
 }
 
 void list_scenarios(const std::vector<const experiments::ScenarioSpec*>& specs) {

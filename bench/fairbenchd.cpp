@@ -5,11 +5,11 @@
 //   fairbenchd --port 9600 --workers 0          # TCP on 127.0.0.1:9600
 //   fairbenchd --port 0                         # ephemeral port, printed
 //
-// One process keeps the scenario registry, the compiled circuit-plan cache,
-// and the cross-request offline-batch cache warm, and shards estimate
-// requests across a persistent worker pool. Answers are bit-identical to
-// one-shot `fairbench` runs of the same (scenario, runs, seed, threads,
-// preproc, lanes, target_ci) — both go through service::run_scenario.
+// One process keeps the scenario registry and the compiled circuit-plan
+// cache warm, and shards estimate requests across a persistent worker pool.
+// Answers are bit-identical to one-shot `fairbench` runs of the same
+// (scenario, runs, seed, threads, lanes, target_ci) — both go through
+// service::run_scenario.
 //
 // SIGINT/SIGTERM (or the "shutdown" verb) drains gracefully: in-flight
 // estimates finish and are answered, connections are closed cleanly, the
@@ -37,16 +37,17 @@ void print_usage() {
       "  --port       TCP port in [0, 65535] (0 = ephemeral, printed at\n"
       "               startup); TCP is the default when --unix is not given\n"
       "               (port 9600)\n"
-      "  --workers    estimate worker threads in [0, 256] (0 = one per\n"
+      "  --workers    estimate worker threads in [0, %zu] (0 = one per\n"
       "               hardware thread; default 1 — each request's own\n"
       "               \"threads\" field additionally shards its Monte-Carlo\n"
       "               runs)\n"
       "  --quiet      suppress the stdout log\n"
       "\n"
       "protocol: newline-delimited JSON requests, e.g.\n"
-      "  {\"verb\":\"estimate\",\"scenario\":\"exp01_swap_vs_opt\","
+      "  {\"verb\":\"estimate\",\"scenario\":\"exp01_contract_fairness\","
       "\"runs\":400,\"seed\":7}\n"
-      "  {\"verb\":\"list\"} | {\"verb\":\"status\"} | {\"verb\":\"shutdown\"}\n");
+      "  {\"verb\":\"list\"} | {\"verb\":\"status\"} | {\"verb\":\"shutdown\"}\n",
+      rpd::kMaxThreads);
 }
 
 }  // namespace

@@ -143,7 +143,7 @@ void BM_Opt2CompiledRun(benchmark::State& state) {
     std::vector<std::vector<bool>> inputs = {circuit::u64_to_bits(rng.below(256), 8),
                                              circuit::u64_to_bits(rng.below(256), 8)};
     auto parties = fair::make_opt2_compiled_parties(plan, inputs, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 24;
     sim::Engine e(std::move(parties), mpc::make_ot_functionality(), nullptr,
                   rng.fork("engine"), cfg);
@@ -159,7 +159,7 @@ void BM_GkProtocolRun(benchmark::State& state) {
   for (auto _ : state) {
     Rng rng(seed++);
     auto parties = fair::make_gk_parties(params, Bytes{1}, Bytes{1}, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = static_cast<int>(2 * params.cap() + 10);
     sim::Engine e(std::move(parties), std::make_unique<fair::ShareGenFunc>(params), nullptr,
                   rng.fork("engine"), cfg);

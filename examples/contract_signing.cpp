@@ -23,7 +23,7 @@ void narrate_run(const char* name, fair::ContractVariant variant, std::uint64_t 
   // Bob (p2) is corrupted by the lock-abort adversary.
   auto adv = std::make_unique<adversary::LockAbortAdversary>(std::set<sim::PartyId>{1},
                                                              c0 + c1);
-  sim::EngineConfig cfg;
+  sim::ExecutionOptions cfg;
   cfg.max_rounds = 12;
   sim::Engine engine(std::move(parties), nullptr, std::move(adv), rng.fork("engine"), cfg);
   const auto r = engine.run();

@@ -40,7 +40,7 @@ int main() {
     auto adv = std::make_unique<adversary::LeakyAndProbe>();
     auto* probe = adv.get();
     auto parties = fair::make_leaky_and_parties(x0, x1, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 200;
     sim::Engine e(std::move(parties), fair::make_leaky_and_functionality(nullptr),
                   std::move(adv), rng.fork("engine"), cfg);

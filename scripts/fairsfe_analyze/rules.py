@@ -70,8 +70,8 @@ RULES = [
          "use FAIRSFE_CHECK/FAIRSFE_DCHECK from util/check.h, not assert()"),
     Rule("direct-ot-access", None, ("src/mpc", "tests"),
          "direct OT-hybrid access outside src/mpc: obtain the slot via "
-         "mpc::make_gmw_functionality()/make_ot_functionality() so the "
-         "offline/online PreprocMode substitution stays a config switch"),
+         "mpc::make_gmw_functionality()/make_ot_functionality(), the only "
+         "places that decide which OT hub, if any, a run gets"),
     Rule("lane-word-shares", None, ("src/util", "src/circuit", "src/mpc",
                                     "tests"),
          "raw lane-word share arithmetic outside src/util|circuit|mpc: use "

@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "mpc/preproc/mode.h"
 #include "rpd/fairness_relation.h"
 #include "sim/fault/plan.h"
 
@@ -37,19 +36,13 @@ namespace fairsfe::bench {
 class Reporter;
 }  // namespace fairsfe::bench
 
-namespace fairsfe::mpc::preproc {
-class CorrelatedRandomness;
-}  // namespace fairsfe::mpc::preproc
-
 namespace fairsfe::experiments {
 
 struct ScenarioSpec;
 
 /// What one Monte-Carlo run of a scenario consumes from an offline
-/// CorrelatedRandomness batch. Declared on the ScenarioSpec so the driver
-/// (fairbench --preproc) can mass-produce ONE batch sized
-/// runs × triples_per_run and amortize it across every run and thread of the
-/// scenario, instead of each run paying its own offline phase.
+/// CorrelatedRandomness batch. E19 declares it, and perfbench's offline
+/// probe times the dealer's batch for default_runs × triples_per_run.
 struct PreprocBudget {
   std::size_t parties = 2;
   std::size_t triples_per_run = 0;  ///< Beaver triples (= AND gates) per run
@@ -62,12 +55,6 @@ struct PreprocBudget {
 struct ScenarioContext {
   const ScenarioSpec& spec;
   bench::Reporter& rep;
-  /// Requested preprocessing mode (fairbench --preproc; default inline).
-  mpc::preproc::PreprocMode preproc = mpc::preproc::PreprocMode::kInline;
-  /// The driver-amortized offline batch for spec.preproc (null under kInline
-  /// or when the spec declares no budget — bodies needing more material
-  /// generate their own with preproc::generate_batch).
-  std::shared_ptr<const mpc::preproc::CorrelatedRandomness> batch{};
 };
 
 /// One experiment of the paper's result matrix, as data.
@@ -95,9 +82,8 @@ struct ScenarioSpec {
   /// Default fault plan (exp18-style scenarios); estimator overloads apply
   /// it when the caller's EstimatorOptions carries none.
   std::optional<sim::fault::FaultPlan> fault;
-  /// Per-run correlated-randomness consumption. Set for GMW-backed scenarios
-  /// so `fairbench --preproc offline_*` can pre-generate one amortized batch
-  /// (see ScenarioContext::batch); scenarios without it run inline-only.
+  /// Per-run correlated-randomness consumption (E19 only; read by
+  /// perfbench's offline probe, see PreprocBudget).
   std::optional<PreprocBudget> preproc;
   /// The paper's closed-form bound u(γ, x), where x is the scenario's sweep
   /// parameter (drop rate p for exp18, corruption budget t/n encodings, ...;

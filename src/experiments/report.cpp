@@ -33,7 +33,6 @@ std::string integer_in(std::uint64_t max) {
 std::uint64_t u64_of(const FieldValue& v) { return std::get<std::uint64_t>(v); }
 
 std::optional<FieldValue> decode_text(RequestField::Kind kind, const char* text) {
-  if (kind == RequestField::Kind::kWord) return std::string_view(text);
   if (kind == RequestField::Kind::kU64) return parse_u64(text);
   char* end = nullptr;
   const double d = std::strtod(text, &end);
@@ -76,14 +75,6 @@ const std::vector<RequestField>& request_fields() {
          return std::isfinite(h) && h >= 0.0;
        },
        [](Args& a, const FieldValue& v) { a.target_ci = std::get<double>(v); }},
-      {"preproc", "--preproc", Kind::kWord,
-       "must be one of inline|offline_ideal|offline_ot",
-       [](const FieldValue& v) {
-         return mpc::preproc::parse_preproc_mode(std::get<std::string_view>(v)).has_value();
-       },
-       [](Args& a, const FieldValue& v) {
-         a.preproc = *mpc::preproc::parse_preproc_mode(std::get<std::string_view>(v));
-       }},
   };
   return fields;
 }
@@ -286,19 +277,17 @@ std::string Reporter::json_object() const {
             checks_[i].ok ? "true" : "false", json_escape(checks_[i].what).c_str());
   }
   appendf(out, "\n  ],\n  \"deviations\": %d", failures_);
-  // Emitted only under an offline mode (or when a batch was recorded), so
-  // the schema of inline runs — and thus every historical report — stays
-  // byte-stable.
-  if (mpc::preproc::is_offline(args_.preproc) || !offline_.empty()) {
-    appendf(out, ",\n  \"preproc\": {\"mode\": \"%s\", \"offline\": [",
-            std::string(mpc::preproc::to_string(args_.preproc)).c_str());
+  // Emitted only when the body recorded a batch, so reports of scenarios
+  // without an offline phase carry no empty section.
+  if (!offline_.empty()) {
+    out += ",\n  \"preproc\": {\"offline\": [";
     for (std::size_t i = 0; i < offline_.size(); ++i) {
       appendf(out,
               "%s\n    {\"provider\": \"%s\", \"triples\": %zu, \"seconds\": %.6g}",
               i == 0 ? "" : ",", json_escape(offline_[i].provider).c_str(),
               offline_[i].triples, offline_[i].seconds);
     }
-    appendf(out, "%s]}", offline_.empty() ? "" : "\n  ");
+    out += "\n  ]}";
   }
   appendf(out, "\n}");
   return out;

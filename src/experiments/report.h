@@ -12,15 +12,13 @@
 // CLI accepted by every harness (see bench::parse_args):
 //   fairbench [--list] [--filter <glob>] [runs] [--json out.json] [--quiet]
 //             [--runs N] [--seed S] [--threads N] [--lanes {1,64}]
-//             [--target-ci <halfwidth>] [--preproc <mode>]
-// The last six flags are the run-request fields that fairbenchd "estimate"
+//             [--target-ci <halfwidth>]
+// The last five flags are the run-request fields that fairbenchd "estimate"
 // requests carry under the same names; request_fields() below is the one
 // table of their bounds and messages. [runs] is --runs; --json selects the
-// machine-readable sink. The preproc mode (mpc/preproc/mode.h) flows into
-// every EstimatorOptions the Reporter hands out, and fairbench amortizes one
-// offline batch per scenario that declares a PreprocBudget. --lanes 64 runs
-// the bit-sliced path where a scenario registers one (others fall back to
-// the scalar engine, bit-identically).
+// machine-readable sink. --lanes 64 runs the bit-sliced path where a
+// scenario registers one (others fall back to the scalar engine,
+// bit-identically).
 //
 // JSON schema (stable; fairbench emits one object per scenario, an array
 // when several scenarios run):
@@ -39,13 +37,10 @@
 //     "checks": [{"ok": bool, "what": str}],
 //     "deviations": int
 //   }
-// plus, when a preprocessing mode other than inline is active (or an offline
-// batch was recorded), a "preproc" section:
-//     "preproc": {"mode": str,
-//                 "offline": [{"provider": str, "triples": int,
+// plus, when the scenario body recorded an offline correlated-randomness
+// batch (E19, E20), a "preproc" section:
+//     "preproc": {"offline": [{"provider": str, "triples": int,
 //                              "seconds": num}]}
-// The section is conditional so the schema — and every historical
-// report — stays byte-stable under the defaults.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +51,6 @@
 #include <variant>
 #include <vector>
 
-#include "mpc/preproc/mode.h"
 #include "rpd/estimator.h"
 
 namespace fairsfe::experiments {
@@ -77,8 +71,6 @@ struct Args {
   std::string json_path;
   bool list = false;
   std::string filter;  ///< scenario glob for fairbench --filter
-  /// --preproc <mode>: correlated-randomness phase split for every scenario.
-  mpc::preproc::PreprocMode preproc = mpc::preproc::PreprocMode::kInline;
   /// --lanes {1,64}: execution lane width (rpd::EstimatorOptions::lanes).
   std::size_t lanes = 1;
   /// --target-ci <halfwidth>: sequential-stopping 95% CI half-width; 0 = off.
@@ -96,12 +88,12 @@ struct Args {
 };
 
 /// A run-request value decoded from argv text or a JSON value, unchecked.
-using FieldValue = std::variant<std::uint64_t, double, std::string_view>;
+using FieldValue = std::variant<std::uint64_t, double>;
 
 /// One run-request field, as both front ends see it: fairbench and
 /// fairbenchd decode their own syntax into a FieldValue and apply it here.
 struct RequestField {
-  enum class Kind { kU64, kNumber, kWord };  ///< the FieldValue alternative
+  enum class Kind { kU64, kNumber };  ///< the FieldValue alternative
   std::string_view key;   ///< fairbenchd JSON key, e.g. "target_ci"
   std::string_view flag;  ///< fairbench flag, e.g. "--target-ci"
   Kind kind;
@@ -110,7 +102,7 @@ struct RequestField {
   void (*set)(Args&, const FieldValue&);  ///< sees only checked values
 };
 
-/// The table: runs, seed, threads, lanes, target_ci and preproc, each with
+/// The table: runs, seed, threads, lanes and target_ci, each with
 /// its bound and message, in the order both surfaces apply them.
 const std::vector<RequestField>& request_fields();
 
@@ -154,7 +146,7 @@ class Reporter {
   [[nodiscard]] std::size_t runs() const { return runs_; }
 
   /// EstimatorOptions for one utility point: the harness's runs/threads/
-  /// preproc/lanes/target-ci settings plus the call site's seed. Callers
+  /// lanes/target-ci settings plus the call site's seed. Callers
   /// needing a different run count adjust the returned struct.
   [[nodiscard]] rpd::EstimatorOptions opts(std::uint64_t seed) const {
     rpd::EstimatorOptions o;
@@ -163,16 +155,9 @@ class Reporter {
     o.runs = runs_;
     o.seed = args_.seed.value_or(seed);
     o.threads = args_.threads;
-    o.preproc = args_.preproc;
     o.lanes = args_.lanes;
     o.target_ci = args_.target_ci;
     return o;
-  }
-
-  /// The scenario's effective batch/base seed: the --seed override when one
-  /// is set, otherwise `fallback` (normally the spec's base_seed).
-  [[nodiscard]] std::uint64_t base_seed_or(std::uint64_t fallback) const {
-    return args_.seed.value_or(fallback);
   }
 
   /// Streaming sink invoked after each row() with (row_index, name) — the
@@ -182,9 +167,9 @@ class Reporter {
   }
 
   /// Record (and print) the cost of one offline correlated-randomness batch.
-  /// Scenario bodies and the fairbench driver call this once per batch; the
-  /// entries land in the JSON "preproc" section so offline and online cost
-  /// are reported separately.
+  /// Scenario bodies call this once per batch they build; the entries land
+  /// in the JSON "preproc" section so offline and online cost are reported
+  /// separately.
   void offline_batch(const std::string& provider, std::size_t triples,
                      double seconds);
 

@@ -27,7 +27,7 @@ double target_rate(std::size_t rounds, bool eager, std::size_t runs, std::uint64
   for (std::size_t i = 0; i < runs; ++i) {
     Rng rng(seed0 + i);
     auto parties = fair::make_coinflip_parties(rounds, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = static_cast<int>(2 * rounds + 8);
     sim::Engine e(std::move(parties), nullptr,
                   std::make_unique<fair::CoinBiasAdversary>(0, true, eager),

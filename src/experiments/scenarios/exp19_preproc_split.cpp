@@ -63,18 +63,11 @@ void run(ScenarioContext& ctx) {
   const rpd::PayoffVector gamma = ctx.spec.gamma;
   rep.gamma(gamma);
 
-  // One offline batch per (mode, circuit), sized for the whole sweep. The
-  // driver-amortized ctx.batch covers the registered budget (2-party
-  // millionaires) when fairbench ran with the matching --preproc mode; every
-  // other batch is generated — and its offline cost reported — here.
-  auto batch_for = [&](PreprocMode mode, const circuit::Circuit& c,
-                       std::size_t parties, std::size_t triples_per_run) {
+  // One offline batch per (mode, circuit), sized for the whole sweep; each
+  // is generated — and its offline cost reported — here.
+  auto batch_for = [&](PreprocMode mode, std::size_t parties,
+                       std::size_t triples_per_run) {
     const std::size_t triples = rep.runs() * triples_per_run;
-    if (mode == ctx.preproc && ctx.batch && ctx.batch->num_parties() == parties &&
-        ctx.batch->num_triples() >= triples) {
-      return ctx.batch;  // the driver already timed this one
-    }
-    (void)c;
     mpc::preproc::PreprocRequest req;
     req.parties = parties;
     req.triples = triples;
@@ -92,7 +85,7 @@ void run(ScenarioContext& ctx) {
     mpc::GmwConfigBuilder b = mpc::GmwConfig::for_circuit(c);
     if (mpc::preproc::is_offline(mode)) {
       auto probe = mpc::GmwConfig::public_output(c);
-      b.with_preproc(mode, batch_for(mode, c, c.num_parties(), probe.triples_per_run()));
+      b.with_preproc(mode, batch_for(mode, c.num_parties(), probe.triples_per_run()));
     }
     // Same seed for every mode: run i sees identical inputs and share
     // randomness, so agreement can be demanded exactly.
@@ -155,8 +148,8 @@ void register_exp19(Registry& r) {
   s.gamma = rpd::PayoffVector::standard();
   s.default_runs = 300;
   s.base_seed = 1900;
-  // The driver-amortized budget: 2-party millionaires, one triple per AND
-  // gate per run (the 4-party leg sizes its own batch in the body).
+  // The 2-party millionaires leg's budget, one triple per AND gate per run;
+  // perfbench's offline probe sizes its batch from it.
   s.preproc = PreprocBudget{
       .parties = 2,
       .triples_per_run =

@@ -62,23 +62,16 @@ void run(ScenarioContext& ctx) {
   auto config_for = [&](PreprocMode mode) {
     mpc::GmwConfigBuilder b = mpc::GmwConfig::for_circuit(mill);
     if (mpc::preproc::is_offline(mode)) {
-      const std::size_t triples = rep.runs() * probe.triples_per_run();
-      std::shared_ptr<const mpc::preproc::CorrelatedRandomness> batch;
-      if (mode == ctx.preproc && ctx.batch && ctx.batch->num_parties() == 2 &&
-          ctx.batch->num_triples() >= triples) {
-        batch = ctx.batch;  // the driver already timed this one
-      } else {
-        mpc::preproc::PreprocRequest req;
-        req.parties = 2;
-        req.triples = triples;
-        Rng rng(ctx.spec.base_seed);
-        const auto t0 = std::chrono::steady_clock::now();
-        batch = mpc::preproc::generate_batch(mode, req, rng);
-        const auto t1 = std::chrono::steady_clock::now();
-        rep.offline_batch(std::string(mpc::preproc::to_string(mode)), triples,
-                          std::chrono::duration<double>(t1 - t0).count());
-      }
-      b.with_preproc(mode, batch);
+      mpc::preproc::PreprocRequest req;
+      req.parties = 2;
+      req.triples = rep.runs() * probe.triples_per_run();
+      Rng rng(ctx.spec.base_seed);
+      const auto t0 = std::chrono::steady_clock::now();
+      auto batch = mpc::preproc::generate_batch(mode, req, rng);
+      const auto t1 = std::chrono::steady_clock::now();
+      rep.offline_batch(std::string(mpc::preproc::to_string(mode)), req.triples,
+                        std::chrono::duration<double>(t1 - t0).count());
+      b.with_preproc(mode, std::move(batch));
     }
     return b.build_shared();
   };
@@ -184,8 +177,6 @@ void register_exp20(Registry& r) {
   s.gamma = rpd::PayoffVector::standard();
   s.default_runs = 256;
   s.base_seed = 2000;
-  s.preproc = PreprocBudget{
-      .parties = 2, .triples_per_run = cfg->triples_per_run(), .rots_per_run = 0};
   // One run in eight ends all-⊥ (E00), the rest complete honestly (E01).
   s.bound = [](const rpd::PayoffVector& g, double) {
     return g.g01 + (g.g00 - g.g01) / 8.0;

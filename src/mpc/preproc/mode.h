@@ -15,11 +15,10 @@
 //                    OtHub rounds up front (preproc::OtDrivenProvider),
 //                    proving the dealer substitution is faithful.
 //
-// This header is include-anywhere: no dependencies, so sim/engine.h and
-// rpd/estimator.h can carry a PreprocMode without layering cycles.
+// GmwConfig::preproc_mode selects one per GMW configuration; E19 runs all
+// three on the same seeds, and E20 the Beaver path under the sliced runner.
 #pragma once
 
-#include <optional>
 #include <string_view>
 
 namespace fairsfe::mpc::preproc {
@@ -37,14 +36,6 @@ constexpr std::string_view to_string(PreprocMode m) {
     case PreprocMode::kOfflineOt: return "offline_ot";
   }
   return "inline";
-}
-
-/// Parse a command-line spelling; nullopt on anything unrecognized.
-constexpr std::optional<PreprocMode> parse_preproc_mode(std::string_view s) {
-  if (s == "inline") return PreprocMode::kInline;
-  if (s == "offline_ideal" || s == "ideal") return PreprocMode::kOfflineIdeal;
-  if (s == "offline_ot" || s == "ot") return PreprocMode::kOfflineOt;
-  return std::nullopt;
 }
 
 /// True for the modes that consume a CorrelatedRandomness batch.

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <mutex>
 
 #include "util/bitmat.h"
 #include "util/check.h"
@@ -123,7 +122,6 @@ UtilityEstimate estimate_utility(const EstimationTarget& target, const PayoffMod
       // of the preprocessed batch a run consumes.
       if (setup.bind_run) setup.bind_run(i);
       if (opts.fault) setup.engine.fault = *opts.fault;
-      if (opts.round_timeout >= 0) setup.engine.round_timeout = opts.round_timeout;
       const std::size_t n = setup.parties.size();
       auto j_predicate = setup.honest_got_output;
       auto i_predicate = setup.adversary_learned;
@@ -181,9 +179,6 @@ UtilityEstimate estimate_utility(const EstimationTarget& target, const PayoffMod
         csum_sq += acc.sum_sq;
         cvalid += acc.valid();
         used_shards = s + 1;
-        if (opts.progress) {
-          opts.progress(std::min(runs, used_shards * kShardRuns), runs);
-        }
         // Require at least two shards and two valid runs so a degenerate
         // first batch (e.g. all-identical payoffs) cannot stop at once.
         if (s >= 1 && cvalid > 1) {
@@ -197,18 +192,7 @@ UtilityEstimate estimate_utility(const EstimationTarget& target, const PayoffMod
       next += batch;
     }
   } else {
-    std::mutex progress_mu;
-    std::size_t progress_done = 0;
-    util::parallel_for(n_shards, opts.threads, [&](std::size_t s) {
-      compute_shard(s);
-      if (opts.progress) {
-        const std::size_t lo = s * kShardRuns;
-        const std::size_t hi = std::min(runs, lo + kShardRuns);
-        std::unique_lock<std::mutex> lock(progress_mu);
-        progress_done += hi - lo;
-        opts.progress(progress_done, runs);
-      }
-    });
+    util::parallel_for(n_shards, opts.threads, compute_shard);
   }
   est.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -216,12 +200,6 @@ UtilityEstimate estimate_utility(const EstimationTarget& target, const PayoffMod
   est.stopped_early = stopped && used_shards < n_shards;
   est.runs = std::min(runs, used_shards * kShardRuns);
   est.run_events.resize(est.runs);
-  if (est.stopped_early && opts.progress) {
-    // Progress contract: the final call always has done == total, even when
-    // stopping halted before the requested run count (sinks keyed on
-    // done == total must terminate, not hang at the stopped fraction).
-    opts.progress(est.runs, est.runs);
-  }
 
   double sum = 0.0;
   double sum_sq = 0.0;

@@ -41,7 +41,7 @@ struct RunSetup {
   std::vector<std::unique_ptr<sim::IParty>> parties;
   std::unique_ptr<sim::IFunctionality> functionality;  // may be null
   std::unique_ptr<sim::IAdversary> adversary;          // may be null
-  sim::EngineConfig engine;
+  sim::ExecutionOptions engine;
   /// j-bit of the event: did honest parties learn their (correct) output?
   /// Defaults to all_honest_nonbot if unset. The factory captures the run's
   /// inputs, so the predicate can check actual correctness.
@@ -107,27 +107,10 @@ struct EstimatorOptions {
   /// hardware thread, N = exactly N. Results are bit-identical for every
   /// setting.
   std::size_t threads = 1;
-  /// Optional progress sink, invoked as progress(done_runs, total_runs) after
-  /// each completed shard. Calls are serialized (an internal mutex) but may
-  /// come from worker threads; `done_runs` is monotone and the FINAL call
-  /// always has done == total. Under sequential stopping (target_ci) the
-  /// estimation may halt before the requested run count: earlier calls report
-  /// total = requested runs, and one last call reports (stopped, stopped) so
-  /// sinks keyed on done == total terminate instead of hanging at 98%.
-  std::function<void(std::size_t done, std::size_t total)> progress{};
   /// Fault-plan override: when set, it replaces each run's
   /// `setup.engine.fault` after the factory builds it, so one factory can be
   /// swept across fault severities (exp18) without rebuilding setups.
   std::optional<sim::fault::FaultPlan> fault{};
-  /// `ExecutionOptions::round_timeout` override; < 0 keeps the factory's
-  /// value.
-  int round_timeout = -1;
-  /// How runs obtain OT correlations (mpc/preproc/mode.h). The estimator core
-  /// is protocol-agnostic; scenario bodies and setup factories read this to
-  /// build parties against an offline batch (binding slices via
-  /// RunSetup::bind_run) instead of the inline hybrid. Default kInline is
-  /// bit-identical to the pre-split estimator.
-  mpc::preproc::PreprocMode preproc = mpc::preproc::PreprocMode::kInline;
   /// Lane width: 1 = scalar engine per run (the default), 64 = bit-sliced
   /// execution (one machine word advances 64 runs) when the target provides a
   /// sliced hook. Any other value is a contract violation. Lanes NEVER change

@@ -1,7 +1,6 @@
 #include "rpd/fairness_relation.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "util/thread_pool.h"
 
@@ -21,25 +20,10 @@ ProtocolAssessment assess_protocol(const std::vector<NamedAttack>& attacks,
                                                   std::max<std::size_t>(1, attacks.size()));
   const std::size_t inner = std::max<std::size_t>(1, threads / outer);
 
-  // Aggregate per-attack progress into one (done, total) stream over the
-  // whole family.
-  std::mutex progress_mu;
-  std::size_t family_done = 0;
-  std::vector<std::size_t> per_attack_done(attacks.size(), 0);
-  const std::size_t family_total = opts.runs * attacks.size();
-
   util::parallel_for(attacks.size(), outer, [&](std::size_t k) {
     EstimatorOptions attack_opts = opts;
     attack_opts.seed = opts.seed + k;
     attack_opts.threads = inner;
-    if (opts.progress) {
-      attack_opts.progress = [&, k](std::size_t done, std::size_t) {
-        std::unique_lock<std::mutex> lock(progress_mu);
-        family_done += done - per_attack_done[k];
-        per_attack_done[k] = done;
-        opts.progress(family_done, family_total);
-      };
-    }
     EstimationTarget target;
     target.factory = attacks[k].factory;
     out.attacks[k] = {attacks[k].name, estimate_utility(target, model, attack_opts)};

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "experiments/registry.h"
@@ -281,8 +280,6 @@ void Daemon::handle_estimate(const JsonValue& req,
       if (const auto n = v->as_u64()) value = *n;
     } else if (field.kind == Kind::kNumber && v->type() == JsonValue::Type::kNumber) {
       value = v->as_number();
-    } else if (field.kind == Kind::kWord && v->type() == JsonValue::Type::kString) {
-      value = std::string_view(v->as_string());
     }
     if (const auto error = bench::apply_field(field, value, args)) {
       return reject(quoted(std::string(field.key)) + " " + *error);
@@ -304,8 +301,7 @@ void Daemon::handle_estimate(const JsonValue& req,
                           ",\"row\":" + std::to_string(row) +
                           ",\"name\":" + quoted(name) + "}");
       };
-      const ScenarioRunResult res =
-          run_scenario(*spec, args, sink, /*cache_batches=*/true);
+      const ScenarioRunResult res = run_scenario(*spec, args, sink);
       // Counters first so a status request issued after reading this result
       // already observes it as served.
       active_.fetch_sub(1, std::memory_order_relaxed);

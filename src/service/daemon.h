@@ -1,18 +1,18 @@
-// fairbenchd: the batching estimation daemon (ISSUE 8 tentpole, layer 2).
+// fairbenchd: the batching estimation daemon.
 //
 // One long-lived process owns the expensive shared state — the compiled
-// circuit-plan cache, the scenario registry, the cross-request offline-batch
-// cache (service/runner.h) and a persistent util::ThreadPool — and serves
-// estimation requests over a unix-domain or TCP socket so repeated
-// benchmarking (CI sweeps, parameter searches, scripts/loadtest.py) pays the
-// process-startup and cache-warmup cost once instead of per invocation.
+// circuit-plan cache, the scenario registry and a persistent
+// util::ThreadPool — and serves estimation requests over a unix-domain or
+// TCP socket so repeated benchmarking (CI sweeps, parameter searches,
+// scripts/loadtest.py) pays the process-startup and cache-warmup cost once
+// instead of per invocation.
 //
 // Protocol: newline-delimited JSON (NDJSON). One request object per line;
 // every response event is one line. Requests:
 //
 //   {"verb": "estimate", "scenario": "exp05_nparty_bounds",
-//    "runs": 400, "seed": 7, "threads": 2, "preproc": "offline_ideal",
-//    "lanes": 1, "target_ci": 0.0, "id": "r1"}
+//    "runs": 400, "seed": 7, "threads": 2, "lanes": 1, "target_ci": 0.0,
+//    "id": "r1"}
 //   {"verb": "list"}
 //   {"verb": "status"}
 //   {"verb": "shutdown"}

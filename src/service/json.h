@@ -56,8 +56,12 @@ class JsonValue {
   /// or not an object.
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
 
-  /// Typed accessors with defaults, for request fields: absent key or wrong
-  /// type (for get_u64: no as_u64() value) yields the default.
+  /// Typed accessors with defaults: absent key or wrong type (for get_u64:
+  /// no as_u64() value) yields the default. The daemon reads a request's
+  /// verb, id and scenario with get_string; get_number and get_u64 serve
+  /// report readers (perfbench's client, Exp18Golden). Run-request fields
+  /// never go through them: bench::request_fields() decodes those and
+  /// rejects a wrong type instead of defaulting it.
   [[nodiscard]] std::string get_string(std::string_view key,
                                        std::string def = "") const;
   [[nodiscard]] double get_number(std::string_view key, double def) const;

@@ -2,19 +2,13 @@
 // `fairbenchd` requests.
 //
 // run_scenario() is exactly the per-scenario block fairbench's main loop
-// used to inline — Reporter construction from bench::Args, amortized offline
-// preprocessing batch, spec body, verdicts, JSON rendering. The daemon calls
-// the same function with the same Args it would pass on a CLI, which is what
-// makes "daemon answer == one-shot answer" true by construction instead of
-// by parallel maintenance of two drivers.
-//
-// The runner also hosts the daemon's cross-request cache of offline
-// CorrelatedRandomness batches: a batch is a pure function of
-// (mode, parties, triples, rots, seed), so two requests with the same shape
-// deterministically need byte-identical material and can share one
-// generation. (The compiled circuit-plan cache is already process-wide —
-// mpc::CompiledPlan lives behind a global cache since PR 2 — so the daemon
-// shares it across requests with no work here.)
+// used to inline — Reporter construction from bench::Args, spec body,
+// verdicts, JSON rendering. The daemon calls the same function with the same
+// Args it would pass on a CLI, which is what makes "daemon answer ==
+// one-shot answer" true by construction instead of by parallel maintenance
+// of two drivers. (The compiled circuit-plan cache is process-wide —
+// mpc::CompiledPlan lives behind a global cache — so the daemon shares it
+// across requests with no work here.)
 #pragma once
 
 #include <functional>
@@ -37,14 +31,11 @@ struct ScenarioRunResult {
 /// (row_index, row_name). May be called from the estimating thread.
 using RowSink = std::function<void(std::size_t, const std::string&)>;
 
-/// Run one registered scenario under `args` (runs/threads/seed/preproc/
-/// lanes/target_ci/quiet all honored; args.json_path is ignored —
-/// the caller owns the sink). `cache_batches` turns on the cross-request
-/// offline-batch cache (the daemon sets it; one-shot fairbench does not need
-/// it and measures a fresh offline phase instead).
+/// Run one registered scenario under `args` (runs/threads/seed/lanes/
+/// target_ci/quiet all honored; args.json_path is ignored — the caller owns
+/// the sink).
 ScenarioRunResult run_scenario(const experiments::ScenarioSpec& spec,
                                const bench::Args& args,
-                               const RowSink& row_sink = {},
-                               bool cache_batches = false);
+                               const RowSink& row_sink = {});
 
 }  // namespace fairsfe::service

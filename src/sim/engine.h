@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "crypto/rng.h"
-#include "mpc/preproc/mode.h"
 #include "sim/adversary.h"
 #include "sim/fault/plan.h"
 #include "sim/functionality.h"
@@ -47,17 +46,7 @@ struct ExecutionOptions {
   /// never arrived) observes the abort event — on_abort(), the paper's abort
   /// semantics — instead of spinning to max_rounds. <= 0 disables timeouts.
   int round_timeout = 6;
-  /// How the protocol being executed obtains its OT correlations. The engine
-  /// itself is protocol-agnostic and does not act on this; setup helpers and
-  /// scenario bodies read it to decide whether to build parties against an
-  /// offline CorrelatedRandomness batch (and to leave the hybrid slot empty)
-  /// or to install the inline ideal-OT hub. kInline is bit-identical to the
-  /// pre-split engine.
-  mpc::preproc::PreprocMode preproc = mpc::preproc::PreprocMode::kInline;
 };
-
-/// Legacy name for ExecutionOptions.
-using EngineConfig = ExecutionOptions;
 
 /// Routing-cost counters for one execution (all updated on the delivery
 /// path, so they are exact, not sampled).

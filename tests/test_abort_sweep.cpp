@@ -60,7 +60,7 @@ TEST_P(AbortSweepTest, Opt2SfeSoundAtEveryAbortRound) {
     for (sim::PartyId c : {0, 1}) {
       Rng run_rng = rng.fork("run");
       auto parties = fair::make_opt2_parties(spec, xs[0], xs[1], run_rng);
-      sim::EngineConfig cfg;
+      sim::ExecutionOptions cfg;
       cfg.max_rounds = 20;
       sim::Engine e(std::move(parties), std::make_unique<fair::Opt2ShareFunc>(spec),
                     std::make_unique<SilentFromRound>(std::set<sim::PartyId>{c}, stop),
@@ -88,7 +88,7 @@ TEST_P(AbortSweepTest, OptNSfeSoundAtEveryAbortRound) {
     Bytes actual;
     for (const auto& x : xs) actual = actual + x;
     auto inst = fair::make_optn_instance(spec, xs, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 20;
     sim::Engine e(std::move(inst.parties), std::move(inst.functionality),
                   std::make_unique<SilentFromRound>(std::set<sim::PartyId>{0, 1}, stop), rng.fork("engine"),
@@ -119,7 +119,7 @@ TEST_P(AbortSweepTest, HalfGmwSoundAtEveryAbortRound) {
     Bytes actual;
     for (const auto& x : xs) actual = actual + x;
     auto inst = fair::make_half_gmw_instance(spec, xs, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 20;
     sim::Engine e(std::move(inst.parties), std::move(inst.functionality),
                   std::make_unique<SilentFromRound>(std::set<sim::PartyId>{0}, stop), rng.fork("engine"), cfg);
@@ -139,7 +139,7 @@ TEST_P(AbortSweepTest, GkStreamValuesOnlyAtEveryAbortRound) {
     Rng rng(13000 + 100 * static_cast<std::uint64_t>(stop) + seed);
     const fair::GkParams params = fair::make_gk_and_params(2);
     auto parties = fair::make_gk_parties(params, Bytes{1}, Bytes{1}, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = static_cast<int>(2 * params.cap() + 10);
     sim::Engine e(std::move(parties), std::make_unique<fair::ShareGenFunc>(params),
                   std::make_unique<SilentFromRound>(std::set<sim::PartyId>{0}, stop), rng.fork("engine"), cfg);

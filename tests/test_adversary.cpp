@@ -22,7 +22,7 @@ TEST(LockAbort, ReportsExtractedOutputCorrectly) {
     const Bytes y = xs[0] + xs[1];
     auto parties = fair::make_opt2_parties(spec, xs[0], xs[1], rng);
     auto adv = std::make_unique<LockAbortAdversary>(std::set<sim::PartyId>{0}, y);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 12;
     sim::Engine e(std::move(parties), std::make_unique<fair::Opt2ShareFunc>(spec),
                   std::move(adv), rng.fork("engine"), cfg);
@@ -42,7 +42,7 @@ TEST(LockAbort, NeverFalselyLearnsAgainstFairDummy) {
     auto parties = fair::make_dummy_parties(xs);
     auto adv = std::make_unique<LockAbortAdversary>(std::set<sim::PartyId>{0},
                                                     xs[0] + xs[1]);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 8;
     sim::Engine e(std::move(parties),
                   std::make_unique<mpc::SfeFunc>(experiments::two_party_spec(),
@@ -73,7 +73,7 @@ TEST(MixedAdversary, ChoosesUniformly) {
     }
     auto parties = fair::make_opt2_parties(spec, xs[0], xs[1], rng);
     auto adv = std::make_unique<MixedAdversary>(std::move(choices));
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 12;
     sim::Engine e(std::move(parties), std::make_unique<fair::Opt2ShareFunc>(spec),
                   std::move(adv), rng.fork("engine"), cfg);
@@ -158,7 +158,7 @@ TEST(Strategies, HalfGmwCoalitionAlwaysExtractsTheRealOutput) {
     for (const auto& x : xs) y = y + x;
     auto inst = fair::make_half_gmw_instance(spec, xs, rng);
     auto adv = std::make_unique<HalfGmwCoalition>(std::set<sim::PartyId>{0, 1}, n);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 16;
     sim::Engine e(std::move(inst.parties), std::move(inst.functionality), std::move(adv),
                   rng.fork("engine"), cfg);

@@ -11,8 +11,7 @@
 //   3. A crash-divergent run is masked out of its lane set without perturbing
 //      its 63 lane-mates.
 //   4. Sequential stopping halts at a shard boundary that is a pure function
-//      of (seed, target_ci) — invariant under threads — and the progress sink
-//      still ends at done == total.
+//      of (seed, target_ci) — invariant under threads.
 //
 // All suites here match the tier-1 filter (Bitslice*) in tests/CMakeLists.txt.
 #include <gtest/gtest.h>
@@ -340,31 +339,6 @@ TEST(BitsliceStopping, StoppedEstimateEqualsFixedRunEstimateOfSameCount) {
   const auto fixed = rpd::estimate_utility(
       target, gamma, opts_with(stopped.runs, 29, 1, 64));
   expect_bit_identical(stopped, fixed);
-}
-
-TEST(BitsliceStopping, ProgressSinkEndsAtTheStoppedTotal) {
-  const circuit::Circuit mill = circuit::make_millionaires_circuit(8);
-  const auto cfg = config_for(mill, PreprocMode::kInline, 1024, 905);
-  const std::size_t layers = cfg->plan->num_and_layers();
-  const experiments::GmwHonestPair pair =
-      experiments::gmw_honest_pair(cfg, crash_every_8th(layers));
-  const rpd::EstimationTarget target{pair.factory, pair.sliced, pair.parties};
-  std::vector<std::pair<std::size_t, std::size_t>> calls;
-  rpd::EstimatorOptions o = opts_with(1024, 23, 1, 64, 0.05);
-  o.progress = [&calls](std::size_t done, std::size_t total) {
-    calls.emplace_back(done, total);
-  };
-  const auto est =
-      rpd::estimate_utility(target, rpd::PayoffVector::standard(), o);
-  ASSERT_TRUE(est.stopped_early);
-  ASSERT_FALSE(calls.empty());
-  // Sinks keyed on done == total must terminate: the final call reports the
-  // STOPPED total, not the requested one — no hanging at 98%.
-  EXPECT_EQ(calls.back().first, est.runs);
-  EXPECT_EQ(calls.back().second, est.runs);
-  for (std::size_t k = 1; k < calls.size(); ++k) {
-    EXPECT_GE(calls[k].first, calls[k - 1].first);  // monotone
-  }
 }
 
 TEST(BitsliceStopping, ZeroVarianceStopsAfterTwoLaneBatches) {

@@ -14,7 +14,7 @@ double measure_target_rate(std::size_t rounds, bool eager, std::size_t runs,
   for (std::size_t i = 0; i < runs; ++i) {
     Rng rng(seed0 + i);
     auto parties = make_coinflip_parties(rounds, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = static_cast<int>(2 * rounds + 8);
     sim::Engine e(std::move(parties), nullptr,
                   std::make_unique<CoinBiasAdversary>(0, /*target=*/true, eager),
@@ -29,7 +29,7 @@ TEST(CoinFlip, HonestPartiesAgree) {
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     Rng rng(seed);
     auto parties = make_coinflip_parties(5, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 24;
     auto r = sim::run_honest(std::move(parties), rng.fork("engine"), cfg);
     ASSERT_TRUE(r.outputs[0].has_value());
@@ -45,7 +45,7 @@ TEST(CoinFlip, HonestOutputIsUniform) {
   for (std::uint64_t seed = 0; seed < runs; ++seed) {
     Rng rng(10000 + seed);
     auto parties = make_coinflip_parties(1, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 8;
     auto r = sim::run_honest(std::move(parties), rng.fork("engine"), cfg);
     if ((*r.outputs[0])[0] == 1) ++ones;
@@ -82,7 +82,7 @@ TEST(CoinFlip, SilentPeerStillYieldsOutput) {
   };
   Rng rng(7);
   auto parties = make_coinflip_parties(3, rng);
-  sim::EngineConfig cfg;
+  sim::ExecutionOptions cfg;
   cfg.max_rounds = 16;
   sim::Engine e(std::move(parties), nullptr, std::make_unique<Silent>(),
                 rng.fork("engine"), cfg);

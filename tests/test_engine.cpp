@@ -85,7 +85,7 @@ TEST(Engine, RoundCapFinalizesViaAbort) {
   };
   std::vector<std::unique_ptr<IParty>> parties;
   parties.push_back(std::make_unique<Forever>(0));
-  EngineConfig cfg;
+  ExecutionOptions cfg;
   cfg.max_rounds = 7;
   auto r = run_honest(std::move(parties), Rng(4), cfg);
   EXPECT_TRUE(r.hit_round_cap);

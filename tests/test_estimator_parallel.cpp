@@ -71,23 +71,6 @@ TEST(EstimatorParallel, RunEventsAreAPrefixStableStream) {
   }
 }
 
-TEST(EstimatorParallel, ProgressIsMonotoneAndComplete) {
-  const PayoffVector gamma = PayoffVector::standard();
-  EstimatorOptions o = opts_with(200, 5, 4);
-  std::size_t last_done = 0;
-  std::size_t calls = 0;
-  // Serialized by the estimator's internal mutex, so plain locals are safe.
-  o.progress = [&](std::size_t done, std::size_t total) {
-    EXPECT_EQ(total, 200u);
-    EXPECT_GT(done, last_done);
-    last_done = done;
-    ++calls;
-  };
-  estimate_utility(opt2_lock_abort(0), gamma, o);
-  EXPECT_EQ(last_done, 200u);
-  EXPECT_GE(calls, 2u);  // 200 runs = 4 shards of 64
-}
-
 TEST(EstimatorParallel, AssessProtocolIsThreadCountInvariant) {
   const PayoffVector gamma = PayoffVector::standard();
   const std::vector<NamedAttack> family = {
@@ -108,23 +91,6 @@ TEST(EstimatorParallel, AssessProtocolIsThreadCountInvariant) {
   for (std::size_t k = 0; k < seq.attacks.size(); ++k) {
     expect_bit_identical(seq.attacks[k].estimate, rebuilt.attacks[k].estimate);
   }
-}
-
-TEST(EstimatorParallel, AssessProtocolAggregatesProgressAcrossFamily) {
-  const PayoffVector gamma = PayoffVector::standard();
-  const std::vector<NamedAttack> family = {
-      {"a", opt2_lock_abort(0)},
-      {"b", opt2_lock_abort(1)},
-  };
-  EstimatorOptions o = opts_with(80, 9, 4);
-  std::size_t last_done = 0;
-  o.progress = [&](std::size_t done, std::size_t total) {
-    EXPECT_EQ(total, 160u);
-    EXPECT_GT(done, last_done);
-    last_done = done;
-  };
-  assess_protocol(family, gamma, o);
-  EXPECT_EQ(last_done, 160u);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {

@@ -27,7 +27,7 @@ std::vector<Bytes> random_inputs(std::size_t n, Rng& rng) {
 }
 
 sim::ExecutionResult run_instance(ProtocolInstance inst, Rng rng, int max_rounds = 32) {
-  sim::EngineConfig cfg;
+  sim::ExecutionOptions cfg;
   cfg.max_rounds = max_rounds;
   sim::Engine e(std::move(inst.parties), std::move(inst.functionality), nullptr,
                 std::move(rng), cfg);
@@ -238,7 +238,7 @@ TEST(ShareGen, AbortedInputGivesDefaultEvaluation) {
     [[nodiscard]] bool learned_output() const override { return false; }
   };
   inst.functionality = std::make_unique<ShareGenFunc>(params);
-  sim::EngineConfig cfg;
+  sim::ExecutionOptions cfg;
   cfg.max_rounds = 40;
   sim::Engine e(std::move(inst.parties), std::move(inst.functionality),
                 std::make_unique<Silent>(), rng.fork("engine"), cfg);

@@ -25,7 +25,7 @@ TEST_P(GkMultiHonestTest, HonestAllGetAndOutput) {
       xs.push_back(Bytes{b});
     }
     auto parties = make_gk_multi_parties(params, xs, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = static_cast<int>(params.cap() + 10);
     sim::Engine e(std::move(parties), std::make_unique<MultiShareGenFunc>(params), nullptr,
                   rng.fork("engine"), cfg);
@@ -121,7 +121,7 @@ TEST(GkMulti, PhaseOneGateAbortGivesDefaultEvaluation) {
   Rng rng(42);
   const GkMultiParams params = make_gk_multi_and_params(3, 2);
   auto parties = make_gk_multi_parties(params, {Bytes{1}, Bytes{1}, Bytes{1}}, rng);
-  sim::EngineConfig cfg;
+  sim::ExecutionOptions cfg;
   cfg.max_rounds = static_cast<int>(params.cap() + 10);
   sim::Engine e(std::move(parties), std::make_unique<MultiShareGenFunc>(params),
                 std::make_unique<GateKiller>(), rng.fork("engine"), cfg);

@@ -23,7 +23,7 @@ TEST(GradualRelease, HonestExchangeCompletes) {
     const Bytes x0 = rng.bytes(2);
     const Bytes x1 = rng.bytes(2);
     auto parties = make_gradual_parties(cfg_with(16, 0, 0), x0, x1, rng);
-    sim::EngineConfig ecfg;
+    sim::ExecutionOptions ecfg;
     ecfg.max_rounds = 64;
     auto r = sim::run_honest(std::move(parties), rng.fork("engine"), ecfg);
     ASSERT_TRUE(r.outputs[0].has_value()) << "seed " << seed;
@@ -67,7 +67,7 @@ TEST(GradualRelease, AbortWithinBudgetStillRecovers) {
   Rng rng(10);
   const Bytes x0 = rng.bytes(2), x1 = rng.bytes(2);
   auto parties = make_gradual_parties(cfg_with(16, 8, 8), x0, x1, rng);
-  sim::EngineConfig ecfg;
+  sim::ExecutionOptions ecfg;
   ecfg.max_rounds = 64;
   sim::Engine e(std::move(parties), nullptr, std::make_unique<AbortAfterBits>(1, 12),
                 rng.fork("engine"), ecfg);
@@ -81,7 +81,7 @@ TEST(GradualRelease, AbortBeyondBudgetLeavesBot) {
   Rng rng(11);
   const Bytes x0 = rng.bytes(2), x1 = rng.bytes(2);
   auto parties = make_gradual_parties(cfg_with(16, 8, 8), x0, x1, rng);
-  sim::EngineConfig ecfg;
+  sim::ExecutionOptions ecfg;
   ecfg.max_rounds = 64;
   sim::Engine e(std::move(parties), nullptr, std::make_unique<AbortAfterBits>(1, 4),
                 rng.fork("engine"), ecfg);
@@ -107,7 +107,7 @@ TEST(GradualRelease, TamperedOpeningTreatedAsAbort) {
   Rng rng(12);
   const Bytes x0 = rng.bytes(2), x1 = rng.bytes(2);
   auto parties = make_gradual_parties(cfg_with(16, 0, 0), x0, x1, rng);
-  sim::EngineConfig ecfg;
+  sim::ExecutionOptions ecfg;
   ecfg.max_rounds = 64;
   sim::Engine e(std::move(parties), nullptr, std::make_unique<Tamper>(),
                 rng.fork("engine"), ecfg);

@@ -25,7 +25,7 @@ sim::ExecutionResult run_compiled(std::shared_ptr<const circuit::Circuit> base,
                                   std::unique_ptr<sim::IAdversary> adv = nullptr) {
   Rng rng(seed);
   auto parties = make_opt2_compiled_parties(base, inputs, rng);
-  sim::EngineConfig cfg;
+  sim::ExecutionOptions cfg;
   cfg.max_rounds = 24;
   sim::Engine e(std::move(parties), std::make_unique<mpc::OtHub>(), std::move(adv),
                 rng.fork("engine"), cfg);

@@ -120,7 +120,7 @@ TEST(LeakyAnd, LeaksHonestInputWithProbabilityQuarter) {
     inst.functionality = fair::make_leaky_and_functionality(nullptr);
     auto adv = std::make_unique<LeakProbe>();
     auto* probe = adv.get();
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 200;
     sim::Engine e(std::move(inst.parties), std::move(inst.functionality), std::move(adv),
                   rng.fork("engine"), cfg);
@@ -143,7 +143,7 @@ TEST(LeakyAnd, HonestPeerNeverTriggersLeak) {
     fair::ProtocolInstance inst;
     inst.parties = fair::make_leaky_and_parties(Bytes{1}, Bytes{1}, rng);
     inst.functionality = fair::make_leaky_and_functionality(nullptr);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 200;
     cfg.record_transcript = true;
     sim::Engine e(std::move(inst.parties), std::move(inst.functionality), nullptr,

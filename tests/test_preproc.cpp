@@ -80,7 +80,6 @@ TEST(Preproc, ThreeWayEquivalenceAcrossThreadCounts) {
       opts.runs = kRuns;
       opts.seed = 19;
       opts.threads = threads;
-      opts.preproc = mode;
       ests.push_back(rpd::estimate_utility(gmw_lock_abort(cfg), gamma, opts));
     }
   }

@@ -168,7 +168,7 @@ TEST(JunkResilience, Opt2SfeSurvivesSprayedGarbage) {
     const mpc::SfeSpec spec = experiments::two_party_spec();
     const auto xs = experiments::random_inputs(2, rng);
     auto parties = fair::make_opt2_parties(spec, xs[0], xs[1], rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 20;
     sim::Engine e(std::move(parties), std::make_unique<fair::Opt2ShareFunc>(spec),
                   std::make_unique<JunkSprayer>(seed), rng.fork("engine"), cfg);
@@ -195,7 +195,7 @@ TEST(JunkResilience, Opt2SfeSurvivesCorruptingChannel) {
     const mpc::SfeSpec spec = experiments::two_party_spec();
     const auto xs = experiments::random_inputs(2, rng);
     auto parties = fair::make_opt2_parties(spec, xs[0], xs[1], rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 64;
     cfg.fault = sim::fault::FaultPlan::uniform(f);
     sim::Engine e(std::move(parties), std::make_unique<fair::Opt2ShareFunc>(spec),
@@ -223,7 +223,7 @@ TEST(JunkResilience, OptNSfeSurvivesSprayedGarbage) {
     Bytes actual;
     for (const auto& x : xs) actual = actual + x;
     auto inst = fair::make_optn_instance(spec, xs, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = 20;
     sim::Engine e(std::move(inst.parties), std::move(inst.functionality),
                   std::make_unique<JunkSprayer>(seed), rng.fork("engine"), cfg);
@@ -243,7 +243,7 @@ TEST(JunkResilience, GkSurvivesSprayedGarbage) {
     const fair::GkParams params = fair::make_gk_and_params(2);
     auto notes = std::make_shared<mpc::Notes>();
     auto parties = fair::make_gk_parties(params, Bytes{1}, Bytes{1}, rng);
-    sim::EngineConfig cfg;
+    sim::ExecutionOptions cfg;
     cfg.max_rounds = static_cast<int>(2 * params.cap() + 10);
     sim::Engine e(std::move(parties), std::make_unique<fair::ShareGenFunc>(params, notes),
                   std::make_unique<JunkSprayer>(seed), rng.fork("engine"), cfg);

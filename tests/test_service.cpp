@@ -213,6 +213,13 @@ TEST(Service, DaemonAnswerBitIdenticalToOneShot) {
   EXPECT_NE(line.find("\"scenario\":\"" + std::string(kScenario) + "\""),
             std::string::npos);
   EXPECT_EQ(scrub_timing(report_of(line)), expected);
+  // "preproc" is no request field: like any unknown key it is ignored, and
+  // the answer is the one-shot report of the request without it.
+  const std::string with_preproc = estimate_request("r2", 12, 5);
+  c.send(with_preproc.substr(0, with_preproc.size() - 1) + ",\"preproc\":\"offline_ot\"}");
+  const std::string line2 = c.read_until_event("result");
+  EXPECT_NE(line2.find("\"id\":\"r2\""), std::string::npos);
+  EXPECT_EQ(scrub_timing(report_of(line2)), expected);
 }
 
 TEST(Service, DaemonAnswerBitIdenticalAcrossWorkerCounts) {
@@ -320,8 +327,7 @@ TEST(Service, MalformedAndUnknownRequestsGetErrorEvents) {
            {"\"seed\":18446744073709551616", "seed"},
            {"\"seed\":-1", "seed"},
            {"\"target_ci\":-1", "target_ci"},
-           {"\"target_ci\":\"0.05\"", "target_ci"},
-           {"\"preproc\":1", "preproc"}}) {
+           {"\"target_ci\":\"0.05\"", "target_ci"}}) {
     c.send(std::string("{\"verb\":\"estimate\",\"scenario\":\"") + kScenario +
            "\"," + fields + ",\"id\":\"cap\"}");
     const std::string error = c.read_until_event("error");
@@ -497,8 +503,7 @@ INSTANTIATE_TEST_SUITE_P(
                                "18446744073709551616"},
                       BadField{"negative_target_ci", "target_ci", "-1", "-1"},
                       BadField{"nan_target_ci", "target_ci", "nan", "\"nan\""},
-                      BadField{"infinite_target_ci", "target_ci", "inf", "1e999"},
-                      BadField{"unknown_preproc", "preproc", "fast", "\"fast\""}),
+                      BadField{"infinite_target_ci", "target_ci", "inf", "1e999"}),
     [](const ::testing::TestParamInfo<BadField>& param) { return param.param.name; });
 
 }  // namespace

@@ -20,7 +20,7 @@ sim::ExecutionResult run_yao(const circuit::Circuit& c,
   Rng rng(seed);
   auto circuit = std::make_shared<const circuit::Circuit>(c);
   auto parties = make_yao_parties(circuit, inputs, rng);
-  sim::EngineConfig cfg;
+  sim::ExecutionOptions cfg;
   cfg.max_rounds = 16;
   sim::Engine e(std::move(parties), std::make_unique<OtHub>(), std::move(adv),
                 rng.fork("engine"), cfg);
