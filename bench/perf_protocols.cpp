@@ -1,6 +1,8 @@
 // P02 — end-to-end protocol execution throughput (google-benchmark): full
 // engine runs of the fair protocols and the GMW substrate (gates/second), and
-// whole Monte-Carlo utility points through the estimator. Two pairs keep the
+// whole Monte-Carlo utility points through the estimator.
+// BM_OptnLockAbortRun/{5,8} times ΠOptnSFE's probe-clone path (factory +
+// execute under the lock-abort (n−1)-coalition). Two pairs keep the
 // GMW speed ratios measurable: BM_GmwPreprocPhase/{inline,offline_ideal}
 // (the online phase vs inline OT-hybrid execution) and
 // BM_GmwLanesEstimation/{1,64} (scalar vs bit-sliced estimation).
@@ -54,6 +56,23 @@ void BM_OptNSfeHonestRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptNSfeHonestRun)->Arg(3)->Arg(5)->Arg(9);
+
+// ΠOptnSFE under the lock-abort (n−1)-coalition, factory + execute: the
+// probe-clone path. The adversary clones its corrupted parties at every
+// round, before and after phase 1 delivers the Lamport key (the honest run
+// above makes no probes).
+void BM_OptnLockAbortRun(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const rpd::SetupFactory factory = optn_lock_abort(n, n - 1);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    Rng rng(seed++);  // per-run streams as the estimator derives them
+    Rng setup_rng = rng.fork("setup");
+    rpd::RunSetup setup = factory(setup_rng);
+    benchmark::DoNotOptimize(rpd::execute(std::move(setup), rng.fork("engine")));
+  }
+}
+BENCHMARK(BM_OptnLockAbortRun)->Arg(5)->Arg(8);
 
 void BM_HalfGmwHonestRun(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -23,7 +23,7 @@ std::vector<Message> PenaltyAdversary::on_round(sim::AdvContext& ctx,
       if (m.from != sim::kFunc || m.to != 0) continue;
       const auto y = sim::decode_func_output(m.payload);
       if (y) {
-        mark_learned(*y);
+        mark_learned(Bytes(y->begin(), y->end()));
         withheld_ = true;
         return {};
       }

@@ -109,7 +109,7 @@ bool Lemma18Deviator::abort_functionality(sim::AdvContext&,
     if (priv && priv->has_value) {
       // Lucky draw: we are p_{i*}. Take y and kill the delivery to everyone
       // else.
-      mark_learned(priv->y);
+      mark_learned(Bytes(priv->y.begin(), priv->y.end()));
       aborted_ = true;
       return true;
     }
@@ -130,7 +130,7 @@ std::vector<Message> Lemma18Deviator::on_round(sim::AdvContext& ctx,
     for (const sim::MsgView* msgs : {&view.delivered, &view.rushed}) {
       for (const Message& m : *msgs) {
         const auto ann = fair::decode_announcement(m.payload);
-        if (ann) mark_learned(ann->first);
+        if (ann) mark_learned(Bytes(ann->first.begin(), ann->first.end()));
       }
     }
   }

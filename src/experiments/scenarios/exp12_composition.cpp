@@ -42,7 +42,7 @@ class GrabAndAbortGate final : public adversary::AdversaryBase {
   bool abort_functionality(sim::AdvContext&, const std::vector<sim::Message>& outs) override {
     for (const sim::Message& m : outs) {
       const auto y = sim::decode_func_output(m.payload);
-      if (y) mark_learned(*y);
+      if (y) mark_learned(Bytes(y->begin(), y->end()));
     }
     return true;
   }
@@ -62,7 +62,7 @@ class PlainSfeParty final : public sim::PartyBase<PlainSfeParty> {
     if (fm == nullptr) return {};
     const auto y = sim::decode_func_output(fm->payload);
     if (y) {
-      finish(*y);
+      finish(Bytes(y->begin(), y->end()));
     } else {
       finish_bot();
     }

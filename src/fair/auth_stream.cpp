@@ -33,15 +33,18 @@ std::optional<std::pair<std::size_t, ByteView>> decode_gk_opening(ByteView paylo
   return std::make_pair(static_cast<std::size_t>(*j), *body);
 }
 
-std::vector<Bytes> deal_auth_streams(std::size_t rounds, std::size_t i_star, const Bytes& y,
-                                     const std::function<Bytes()>& fake_a,
-                                     const std::function<Bytes()>& fake_b, Rng& rng) {
+namespace {
+// Writes p1's body into w1 and p2's into w2, after whatever they hold.
+void write_auth_streams(std::size_t rounds, std::size_t i_star, const Bytes& y,
+                        const std::function<Bytes()>& fake_a,
+                        const std::function<Bytes()>& fake_b, Rng& rng, Writer& w1, Writer& w2) {
   // Sized for fakes as long as y (exact for the fixed-width outputs dealt
   // here; the buffers still grow if a fake is longer).
   const std::size_t size = 8 + y.size() + 2 * rounds * AuthShare2::blob_size(y.size());
-  Writer w1, w2;
-  w1.reserve(size).u32(static_cast<std::uint32_t>(rounds)).blob(fake_a());  // a_0 for p1
-  w2.reserve(size).u32(static_cast<std::uint32_t>(rounds)).blob(fake_b());  // b_0 for p2
+  w1.reserve(w1.bytes().size() + size);
+  w2.reserve(w2.bytes().size() + size);
+  w1.u32(static_cast<std::uint32_t>(rounds)).blob(fake_a());  // a_0 for p1
+  w2.u32(static_cast<std::uint32_t>(rounds)).blob(fake_b());  // b_0 for p2
   for (std::size_t j = 1; j <= rounds; ++j) {
     if (j < i_star) {
       const Bytes a_j = fake_a();
@@ -53,10 +56,30 @@ std::vector<Bytes> deal_auth_streams(std::size_t rounds, std::size_t i_star, con
       deal_auth_share2(y, rng, w1, w2);
     }
   }
+}
+}  // namespace
+
+std::vector<Bytes> deal_auth_streams(std::size_t rounds, std::size_t i_star, const Bytes& y,
+                                     const std::function<Bytes()>& fake_a,
+                                     const std::function<Bytes()>& fake_b, Rng& rng) {
+  Writer w1, w2;
+  write_auth_streams(rounds, i_star, y, fake_a, fake_b, rng, w1, w2);
   std::vector<Bytes> bodies;
   bodies.push_back(w1.take());
   bodies.push_back(w2.take());
   return bodies;
+}
+
+std::vector<Bytes> deal_auth_stream_payloads(std::size_t rounds, std::size_t i_star,
+                                             const Bytes& y,
+                                             const std::function<Bytes()>& fake_a,
+                                             const std::function<Bytes()>& fake_b, Rng& rng) {
+  sim::FuncOutputWriter f1, f2;
+  write_auth_streams(rounds, i_star, y, fake_a, fake_b, rng, f1.body(), f2.body());
+  std::vector<Bytes> payloads;  // moved in: an initializer list would copy
+  payloads.push_back(f1.take());
+  payloads.push_back(f2.take());
+  return payloads;
 }
 
 DealtBody::DealtBody(Bytes body, std::vector<std::uint32_t> offsets)
@@ -68,7 +91,7 @@ Reader DealtBody::at(std::size_t k) const {
 }
 
 std::optional<AuthStreams> AuthStreams::receive(ByteView payload, sim::PartyId id) {
-  auto body = sim::decode_func_output(payload);
+  const auto body = sim::decode_func_output(payload);
   if (!body || body->size() > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
   Reader r(*body);
   const auto rounds = r.u32();
@@ -83,7 +106,7 @@ std::optional<AuthStreams> AuthStreams::receive(ByteView payload, sim::PartyId i
     const auto record = r.blob_view();
     if (!record || (k > 0 && !AuthShare2::well_formed(*record))) return std::nullopt;
   }
-  return AuthStreams(DealtBody(std::move(*body), std::move(offsets)), id);
+  return AuthStreams(DealtBody(Bytes(body->begin(), body->end()), std::move(offsets)), id);
 }
 
 Bytes AuthStreams::fallback() const {

@@ -38,6 +38,12 @@ namespace fairsfe::fair {
 std::vector<Bytes> deal_auth_streams(std::size_t rounds, std::size_t i_star, const Bytes& y,
                                      const std::function<Bytes()>& fake_a,
                                      const std::function<Bytes()>& fake_b, Rng& rng);
+/// The same bodies, each written once, framed in place as a func-output
+/// payload (sim::FuncOutputWriter): what a dealer hands mpc::deal_through_gate.
+std::vector<Bytes> deal_auth_stream_payloads(std::size_t rounds, std::size_t i_star,
+                                             const Bytes& y,
+                                             const std::function<Bytes()>& fake_a,
+                                             const std::function<Bytes()>& fake_b, Rng& rng);
 
 /// A received dealer body, read-only and shared between a party and its
 /// clones, with the start offset of each record.

@@ -18,7 +18,7 @@ std::vector<Message> DummyIdealParty::on_round(int /*round*/,
   if (fm == nullptr) return {};
   const auto y = sim::decode_func_output(fm->payload);
   if (y) {
-    finish(*y);
+    finish(Bytes(y->begin(), y->end()));
   } else {
     finish_bot();
   }

@@ -66,7 +66,7 @@ std::vector<Message> ShareGenFunc::on_round(sim::FuncContext& ctx, int /*round*/
       args[1] = xs[1];
       return params_.spec.eval(args);
     };
-    return deal_auth_streams(cap, i_star, y, fake_a, fake_b, rng);
+    return deal_auth_stream_payloads(cap, i_star, y, fake_a, fake_b, rng);
   });
 }
 

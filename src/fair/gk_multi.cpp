@@ -23,7 +23,7 @@ constexpr std::size_t kInlineScratch = 128;
 // Validate a ShareGen payload for an n-party run. Record 0 is the fallback
 // blob; record j (1..r, r >= 1) is the summand, nonce and n commitment blobs.
 std::optional<DealtBody> receive_multi_body(ByteView payload, std::size_t n) {
-  auto body = sim::decode_func_output(payload);
+  const auto body = sim::decode_func_output(payload);
   if (!body || body->size() > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
   Reader r(*body);
   const auto rounds = r.u32();
@@ -36,7 +36,7 @@ std::optional<DealtBody> receive_multi_body(ByteView payload, std::size_t n) {
       if (!r.blob_view()) return std::nullopt;
     }
   }
-  return DealtBody(std::move(*body), std::move(offsets));
+  return DealtBody(Bytes(body->begin(), body->end()), std::move(offsets));
 }
 }  // namespace
 
@@ -135,11 +135,12 @@ std::vector<Message> MultiShareGenFunc::on_round(sim::FuncContext& ctx, int /*ro
     // record is blob(summand_p) ‖ blob(nonce_p) ‖ blob(hash_0) … blob(hash_{n-1}).
     const std::size_t hashes_size = n * (4 + kHashSize);
     const std::size_t round_size = 4 + y.size() + 4 + kNonceSize + hashes_size;
-    std::vector<Writer> blobs(n);
+    std::vector<sim::FuncOutputWriter> frames;
+    frames.reserve(n);
     for (std::size_t p = 0; p < n; ++p) {
-      blobs[p].reserve(8 + y.size() + cap * round_size);
-      blobs[p].u32(static_cast<std::uint32_t>(cap));
-      blobs[p].blob(fake());  // independent v_0 fallback per party
+      frames.emplace_back(8 + y.size() + cap * round_size);
+      frames[p].body().u32(static_cast<std::uint32_t>(cap));
+      frames[p].body().blob(fake());  // independent v_0 fallback per party
     }
     std::vector<std::uint8_t*> recs(n);
     std::vector<std::span<std::uint8_t>> summands(n);
@@ -148,7 +149,7 @@ std::vector<Message> MultiShareGenFunc::on_round(sim::FuncContext& ctx, int /*ro
       const ByteView v = (j < i_star) ? ByteView(fake_v) : ByteView(y);
       const std::size_t m = v.size();
       for (std::size_t p = 0; p < n; ++p) {
-        recs[p] = blobs[p].extend(4 + m + 4 + kNonceSize + hashes_size).data();
+        recs[p] = frames[p].body().extend(4 + m + 4 + kNonceSize + hashes_size).data();
         write_le32(recs[p], static_cast<std::uint32_t>(m));
         summands[p] = {recs[p] + 4, m};
       }
@@ -159,22 +160,26 @@ std::vector<Message> MultiShareGenFunc::on_round(sim::FuncContext& ctx, int /*ro
         rng.fill({nonce + 4, kNonceSize});
       }
     }
-    std::vector<Bytes> bodies;
-    bodies.reserve(n);
-    for (Writer& w : blobs) bodies.push_back(w.take());
+    std::vector<Bytes> payloads;
+    payloads.reserve(n);
+    for (sim::FuncOutputWriter& f : frames) payloads.push_back(f.take());
+    std::vector<std::uint8_t*> bodies(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      bodies[p] = payloads[p].data() + sim::FuncOutputWriter::kHeader;
+    }
 
     // The share hashes draw no randomness, so they run after the draws, 16
     // at a time: every party's round-j hash goes into party 0's record, and
     // is then copied to the others. Round j's record sits at the same offset
     // past the fallback blob in every body.
     std::vector<std::size_t> first(n);
-    for (std::size_t p = 0; p < n; ++p) first[p] = 8 + read_le32(bodies[p].data() + 4);
+    for (std::size_t p = 0; p < n; ++p) first[p] = 8 + read_le32(bodies[p] + 4);
     Sha256Batch batch;
     for (std::size_t j = 1, at = 0; j <= cap; ++j) {
-      const std::size_t m = read_le32(bodies[0].data() + first[0] + at);
-      std::uint8_t* hashes = bodies[0].data() + first[0] + at + 4 + m + 4 + kNonceSize;
+      const std::size_t m = read_le32(bodies[0] + first[0] + at);
+      std::uint8_t* hashes = bodies[0] + first[0] + at + 4 + m + 4 + kNonceSize;
       for (std::size_t p = 0; p < n; ++p) {
-        const std::uint8_t* rec = bodies[p].data() + first[p] + at;
+        const std::uint8_t* rec = bodies[p] + first[p] + at;
         std::uint8_t* h = hashes + p * (4 + kHashSize);
         write_le32(h, kHashSize);
         auto input = share_hash_input(j, {rec + 4 + m + 4, kNonceSize}, {rec + 4, m});
@@ -184,15 +189,15 @@ std::vector<Message> MultiShareGenFunc::on_round(sim::FuncContext& ctx, int /*ro
     }
     batch.flush();
     for (std::size_t j = 1, at = 0; j <= cap; ++j) {
-      const std::size_t m = read_le32(bodies[0].data() + first[0] + at);
+      const std::size_t m = read_le32(bodies[0] + first[0] + at);
       const std::size_t hashes_at = at + 4 + m + 4 + kNonceSize;
       for (std::size_t p = 1; p < n; ++p) {
-        std::memcpy(bodies[p].data() + first[p] + hashes_at,
-                    bodies[0].data() + first[0] + hashes_at, hashes_size);
+        std::memcpy(bodies[p] + first[p] + hashes_at, bodies[0] + first[0] + hashes_at,
+                    hashes_size);
       }
       at = hashes_at + hashes_size;
     }
-    return bodies;
+    return payloads;
   });
 }
 

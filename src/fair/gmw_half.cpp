@@ -55,15 +55,17 @@ std::vector<Message> ShamirDealFunc::on_round(sim::FuncContext& ctx, int /*round
       hashes[p] = half_gmw_share_hash(nonces[p], shares[p]);
     }
 
-    std::vector<Bytes> bodies;
+    std::vector<Bytes> payloads;
+    payloads.reserve(spec_.n);
     for (std::size_t p = 0; p < spec_.n; ++p) {
-      Writer w;
+      sim::FuncOutputWriter f;
+      Writer& w = f.body();
       w.blob(shares[p].to_bytes()).blob(nonces[p]);
       w.u32(static_cast<std::uint32_t>(spec_.n));
       for (const Bytes& h : hashes) w.blob(h);
-      bodies.push_back(w.take());
+      payloads.push_back(f.take());
     }
-    return bodies;
+    return payloads;
   });
 }
 

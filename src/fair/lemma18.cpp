@@ -24,8 +24,8 @@ std::optional<std::uint8_t> decode_flag(ByteView payload) {
   return flag;
 }
 
-Lemma18Party::Lemma18Party(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng)
-    : PartyBase(id), spec_(std::move(spec)), input_(std::move(input)), rng_(std::move(rng)) {}
+Lemma18Party::Lemma18Party(sim::PartyId id, std::size_t n, Bytes input, Rng rng)
+    : PartyBase(id), n_(n), input_(std::move(input)), rng_(std::move(rng)) {}
 
 std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
   switch (step_) {
@@ -42,14 +42,15 @@ std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
         finish_bot();
         return {};
       }
-      vk_ = priv->vk;
-      if (priv->has_value && lamport_verify(vk_, priv->y, priv->sig)) {
-        my_value_ = std::make_pair(priv->y, priv->sig);
+      vk_ = std::make_shared<const Bytes>(priv->vk.begin(), priv->vk.end());
+      if (priv->has_value && lamport_verify(*vk_, priv->y, priv->sig)) {
+        my_value_ = std::make_pair(Bytes(priv->y.begin(), priv->y.end()),
+                                   Bytes(priv->sig.begin(), priv->sig.end()));
       }
       // Step 2: send "0" to all other parties.
       step_ = Step::kAwaitFlags;
       std::vector<Message> out;
-      for (std::size_t p = 0; p < spec_.n; ++p) {
+      for (std::size_t p = 0; p < n_; ++p) {
         if (p == static_cast<std::size_t>(id_)) continue;
         out.push_back(Message{id_, static_cast<sim::PartyId>(p), encode_flag(0)});
       }
@@ -61,8 +62,8 @@ std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
         // corrupted p_{i*} might even have sent a round early).
         for (const Message& m : in) {
           const auto ann = decode_announcement(m.payload);
-          if (ann && lamport_verify(vk_, ann->first, ann->second)) {
-            finish(ann->first);
+          if (ann && lamport_verify(*vk_, ann->first, ann->second)) {
+            finish(Bytes(ann->first.begin(), ann->first.end()));
             return {};
           }
         }
@@ -70,10 +71,10 @@ std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
         return {};
       }
       // Step 3: decide how to distribute the value.
-      std::vector<char> sent_zero(spec_.n, 0);
+      std::vector<char> sent_zero(n_, 0);
       sent_zero[static_cast<std::size_t>(id_)] = 1;  // self counts as compliant
       for (const Message& m : in) {
-        if (m.from < 0 || m.from >= static_cast<sim::PartyId>(spec_.n)) continue;
+        if (m.from < 0 || m.from >= static_cast<sim::PartyId>(n_)) continue;
         const auto flag = decode_flag(m.payload);
         if (flag && *flag == 0) sent_zero[static_cast<std::size_t>(m.from)] = 1;
       }
@@ -86,7 +87,7 @@ std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
         out.push_back(Message{id_, sim::kBroadcast, encode_announcement(my_value_)});
       } else {
         // Tails: reveal only to the deviators.
-        for (std::size_t p = 0; p < spec_.n; ++p) {
+        for (std::size_t p = 0; p < n_; ++p) {
           if (sent_zero[p]) continue;
           out.push_back(Message{id_, static_cast<sim::PartyId>(p),
                                 encode_announcement(my_value_)});
@@ -98,8 +99,8 @@ std::vector<Message> Lemma18Party::on_round(int /*round*/, MsgView in) {
     case Step::kAwaitValue: {
       for (const Message& m : in) {
         const auto ann = decode_announcement(m.payload);
-        if (ann && lamport_verify(vk_, ann->first, ann->second)) {
-          finish(ann->first);
+        if (ann && lamport_verify(*vk_, ann->first, ann->second)) {
+          finish(Bytes(ann->first.begin(), ann->first.end()));
           return {};
         }
       }
@@ -124,7 +125,7 @@ std::vector<std::unique_ptr<sim::IParty>> make_lemma18_parties(
   std::vector<std::unique_ptr<sim::IParty>> parties;
   parties.reserve(inputs.size());
   for (std::size_t p = 0; p < inputs.size(); ++p) {
-    parties.push_back(std::make_unique<Lemma18Party>(static_cast<sim::PartyId>(p), spec,
+    parties.push_back(std::make_unique<Lemma18Party>(static_cast<sim::PartyId>(p), spec.n,
                                                      inputs[p], rng.fork("lemma18")));  // LINT-ALLOW(rng-fork-in-loop): fork counter is the party index (parent enters at 0); callers fork this parent afterwards, so re-indexing would re-seed pinned goldens
   }
   return parties;

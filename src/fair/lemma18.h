@@ -26,20 +26,24 @@ namespace fairsfe::fair {
 
 class Lemma18Party final : public sim::PartyBase<Lemma18Party> {
  public:
-  Lemma18Party(sim::PartyId id, mpc::SfeSpec spec, Bytes input, Rng rng);
+  Lemma18Party(sim::PartyId id, std::size_t n, Bytes input, Rng rng);
 
   std::vector<sim::Message> on_round(int round, sim::MsgView in) override;
   void on_abort() override;
 
+  /// The dealt verification key (null before phase 1 delivers it), shared
+  /// by every clone taken after delivery.
+  [[nodiscard]] const Bytes* verification_key() const { return vk_.get(); }
+
  private:
   enum class Step { kSendInput, kAwaitFuncOutput, kAwaitFlags, kAwaitValue };
 
-  mpc::SfeSpec spec_;
+  std::size_t n_;  // the one part of the spec a party reads
   Bytes input_;
   Rng rng_;
 
   Step step_ = Step::kSendInput;
-  Bytes vk_;
+  std::shared_ptr<const Bytes> vk_;  // dealt in phase 1; clones share it
   std::optional<std::pair<Bytes, Bytes>> my_value_;
 };
 

@@ -8,7 +8,7 @@ ProtocolInstance make_optn_instance(const mpc::SfeSpec& spec,
                                     const std::vector<Bytes>& inputs, Rng& rng,
                                     mpc::NotesPtr notes) {
   ProtocolInstance inst;
-  inst.parties = make_optn_parties(spec, inputs, rng);
+  inst.parties = make_optn_parties(inputs, rng);
   inst.functionality = std::make_unique<PrivOutputFunc>(spec, std::move(notes));
   return inst;
 }

@@ -64,18 +64,17 @@ std::vector<Message> Opt2ShareFunc::on_round(sim::FuncContext& ctx, int /*round*
 
   const Bytes y = spec_.eval({*inputs[0], *inputs[1]});
   // Party i's output: blob(⟨y⟩ᵢ) ‖ u8 î.
-  std::array<Writer, 2> w;
-  deal_auth_share2(y, ctx.rng(), w[0], w[1]);
+  std::array<sim::FuncOutputWriter, 2> w;
+  deal_auth_share2(y, ctx.rng(), w[0].body(), w[1].body());
   const auto i_hat = static_cast<sim::PartyId>(ctx.rng().below(2));
   if (notes_) {
     notes_->blobs["y"] = y;
     notes_->vals["i_hat"] = static_cast<std::uint64_t>(i_hat);
   }
-  for (Writer& wi : w) wi.u8(static_cast<std::uint8_t>(i_hat));
-  std::vector<Message> deliveries = {
-      Message{sim::kFunc, 0, sim::encode_func_output(w[0].bytes())},
-      Message{sim::kFunc, 1, sim::encode_func_output(w[1].bytes())},
-  };
+  for (sim::FuncOutputWriter& wi : w) wi.body().u8(static_cast<std::uint8_t>(i_hat));
+  std::vector<Message> deliveries;
+  deliveries.push_back(Message{sim::kFunc, 0, w[0].take()});
+  deliveries.push_back(Message{sim::kFunc, 1, w[1].take()});
 
   std::vector<Message> corrupted_outputs;
   for (const Message& m : deliveries) {

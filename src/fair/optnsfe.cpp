@@ -20,14 +20,14 @@ Bytes encode_announcement(const std::optional<std::pair<Bytes, Bytes>>& value) {
   return w.take();
 }
 
-std::optional<std::pair<Bytes, Bytes>> decode_announcement(ByteView payload) {
+std::optional<std::pair<ByteView, ByteView>> decode_announcement(ByteView payload) {
   Reader r(payload);
   const auto tag = r.u8();
   if (!tag || *tag != kTagAnnounce) return std::nullopt;
   const auto flag = r.u8();
   if (!flag || *flag == 0) return std::nullopt;
-  const auto y = r.blob();
-  const auto sig = r.blob();
+  const auto y = r.blob_view();
+  const auto sig = r.blob_view();
   if (!y || !sig || !r.at_end()) return std::nullopt;
   return std::make_pair(*y, *sig);
 }
@@ -39,13 +39,13 @@ std::optional<PrivOutput> decode_priv_output(ByteView body) {
   PrivOutput out;
   out.has_value = (*flag != 0);
   if (out.has_value) {
-    const auto y = r.blob();
-    const auto sig = r.blob();
+    const auto y = r.blob_view();
+    const auto sig = r.blob_view();
     if (!y || !sig) return std::nullopt;
     out.y = *y;
     out.sig = *sig;
   }
-  const auto vk = r.blob();
+  const auto vk = r.blob_view();
   if (!vk || !r.at_end()) return std::nullopt;
   out.vk = *vk;
   return out;
@@ -68,25 +68,28 @@ std::vector<Message> PrivOutputFunc::on_round(sim::FuncContext& ctx, int /*round
       notes_->vals["i_star"] = i_star;
     }
 
-    std::vector<Bytes> bodies;
+    const ByteView vk = kp.verification_key;
+    std::vector<Bytes> payloads;
+    payloads.reserve(spec_.n);
     for (std::size_t p = 0; p < spec_.n; ++p) {
       // Hand-rolled writer for the body decode_priv_output() parses.
       // ANALYZE-EMITS(priv_output)
-      Writer w;
-      if (p == i_star) {
+      const bool holder = p == i_star;
+      sim::FuncOutputWriter f(1 + (holder ? 8 + y.size() + sig.size() : 0) + 4 + vk.size());
+      Writer& w = f.body();
+      if (holder) {
         w.u8(1).blob(y).blob(sig);
       } else {
         w.u8(0);
       }
-      w.blob(kp.verification_key);
-      bodies.push_back(w.take());
+      w.blob(vk);
+      payloads.push_back(f.take());
     }
-    return bodies;
+    return payloads;
   });
 }
 
-OptNParty::OptNParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input)
-    : PartyBase(id), spec_(std::move(spec)), input_(std::move(input)) {}
+OptNParty::OptNParty(sim::PartyId id, Bytes input) : PartyBase(id), input_(std::move(input)) {}
 
 std::vector<Message> OptNParty::on_round(int /*round*/, MsgView in) {
   switch (step_) {
@@ -104,9 +107,10 @@ std::vector<Message> OptNParty::on_round(int /*round*/, MsgView in) {
         finish_bot();
         return {};
       }
-      vk_ = priv->vk;
-      if (priv->has_value && lamport_verify(vk_, priv->y, priv->sig)) {
-        my_value_ = std::make_pair(priv->y, priv->sig);
+      vk_ = std::make_shared<const Bytes>(priv->vk.begin(), priv->vk.end());
+      if (priv->has_value && lamport_verify(*vk_, priv->y, priv->sig)) {
+        my_value_ = std::make_pair(Bytes(priv->y.begin(), priv->y.end()),
+                                   Bytes(priv->sig.begin(), priv->sig.end()));
       }
       step_ = Step::kAwaitBroadcasts;
       return {Message{id_, sim::kBroadcast, encode_announcement(my_value_)}};
@@ -120,8 +124,8 @@ std::vector<Message> OptNParty::on_round(int /*round*/, MsgView in) {
       }
       for (const Message& m : in) {
         const auto ann = decode_announcement(m.payload);
-        if (ann && lamport_verify(vk_, ann->first, ann->second)) {
-          finish(ann->first);
+        if (ann && lamport_verify(*vk_, ann->first, ann->second)) {
+          finish(Bytes(ann->first.begin(), ann->first.end()));
           return {};
         }
       }
@@ -142,15 +146,13 @@ void OptNParty::on_abort() {
   }
 }
 
-std::vector<std::unique_ptr<sim::IParty>> make_optn_parties(const mpc::SfeSpec& spec,
-                                                            const std::vector<Bytes>& inputs,
+std::vector<std::unique_ptr<sim::IParty>> make_optn_parties(const std::vector<Bytes>& inputs,
                                                             Rng& rng) {
   std::vector<std::unique_ptr<sim::IParty>> parties;
   parties.reserve(inputs.size());
   for (std::size_t p = 0; p < inputs.size(); ++p) {
     (void)rng.fork("optn-party");  // LINT-ALLOW(rng-fork-in-loop): a party keeps no stream, but callers fork this parent afterwards, so its fork counter must still advance once per party or pinned goldens re-seed
-    parties.push_back(
-        std::make_unique<OptNParty>(static_cast<sim::PartyId>(p), spec, inputs[p]));
+    parties.push_back(std::make_unique<OptNParty>(static_cast<sim::PartyId>(p), inputs[p]));
   }
   return parties;
 }

@@ -42,37 +42,43 @@ class PrivOutputFunc final : public sim::IFunctionality {
 
 class OptNParty final : public sim::PartyBase<OptNParty> {
  public:
-  OptNParty(sim::PartyId id, mpc::SfeSpec spec, Bytes input);
+  OptNParty(sim::PartyId id, Bytes input);
 
   std::vector<sim::Message> on_round(int round, sim::MsgView in) override;
   void on_abort() override;
 
+  /// The dealt verification key (null before phase 1 delivers it), shared
+  /// by every clone taken after delivery.
+  [[nodiscard]] const Bytes* verification_key() const { return vk_.get(); }
+
  private:
   enum class Step { kSendInput, kAwaitFuncOutput, kAwaitBroadcasts };
 
-  mpc::SfeSpec spec_;
   Bytes input_;
 
   Step step_ = Step::kSendInput;
-  Bytes vk_;
+  std::shared_ptr<const Bytes> vk_;  // dealt in phase 1; clones share it
   std::optional<std::pair<Bytes, Bytes>> my_value_;  // (y, σ) if I am p_{i*}
 };
 
-/// Build the n ΠOptnSFE parties for the given inputs.
-std::vector<std::unique_ptr<sim::IParty>> make_optn_parties(const mpc::SfeSpec& spec,
-                                                            const std::vector<Bytes>& inputs,
+/// Build the n ΠOptnSFE parties for the given inputs. A party reads no part
+/// of the spec: only PrivOutputFunc evaluates it.
+std::vector<std::unique_ptr<sim::IParty>> make_optn_parties(const std::vector<Bytes>& inputs,
                                                             Rng& rng);
 
 /// Wire helpers shared with the Lemma 18 protocol.
 Bytes encode_announcement(const std::optional<std::pair<Bytes, Bytes>>& value);
 /// Returns (y, σ) if the payload announces a value, std::nullopt otherwise.
-std::optional<std::pair<Bytes, Bytes>> decode_announcement(ByteView payload);
-/// Parse a PrivOutputFunc per-party output body: (has_value, y, σ, vk).
+/// Both views borrow `payload`.
+std::optional<std::pair<ByteView, ByteView>> decode_announcement(ByteView payload);
+/// Parse a PrivOutputFunc per-party output body: (has_value, y, σ, vk), as
+/// views that borrow `body`. A party copies vk once, into the shared_ptr its
+/// clones share.
 struct PrivOutput {
   bool has_value = false;
-  Bytes y;
-  Bytes sig;
-  Bytes vk;
+  ByteView y;
+  ByteView sig;
+  ByteView vk;
 };
 std::optional<PrivOutput> decode_priv_output(ByteView body);
 

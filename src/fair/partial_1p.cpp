@@ -42,7 +42,7 @@ std::vector<Message> Partial1pShareGenFunc::on_round(sim::FuncContext& ctx, int 
     // fresh peer input (the kPolyDomain shape, on both sides).
     auto fake_a = [&] { return params_.spec.eval({xs[0], params_.sample_x2(rng)}); };
     auto fake_b = [&] { return params_.spec.eval({params_.sample_x1(rng), xs[1]}); };
-    return deal_auth_streams(p, i_star, y, fake_a, fake_b, rng);
+    return deal_auth_stream_payloads(p, i_star, y, fake_a, fake_b, rng);
   });
 }
 

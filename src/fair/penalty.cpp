@@ -114,7 +114,7 @@ std::vector<Message> PenaltyParty::on_round(int /*round*/, MsgView in) {
     finish_bot();
     return {};
   }
-  finish(*y);
+  finish(Bytes(y->begin(), y->end()));
   if (id_ == 0) {
     // Acknowledge receipt so the escrow releases y to the peer.
     return {Message{id_, sim::kFunc, sim::encode_func_input(Bytes{1})}};

@@ -193,20 +193,25 @@ std::vector<sim::Message> deal_through_gate(sim::FuncContext& ctx, sim::MsgView 
     xs.push_back(*x);
   }
 
-  std::vector<Bytes> bodies = deal(xs);
-  FAIRSFE_CHECK(bodies.size() == n, "deal_through_gate: one body per party");
+  std::vector<Bytes> payloads = deal(xs);
+  FAIRSFE_CHECK(payloads.size() == n, "deal_through_gate: one payload per party");
+  // Each framed payload moves into its message, a corrupted party's into the
+  // gate's list and back again: the dealt bytes are never copied, and the n
+  // payloads live in the round buffer until the engine frees them together.
   std::vector<sim::Message> corrupted_outputs;
+  out.reserve(n);
   for (std::size_t p = 0; p < n; ++p) {
-    out.push_back(sim::Message{sim::kFunc, static_cast<sim::PartyId>(p),
-                               sim::encode_func_output(bodies[p])});
-    // Release each body as soon as it is framed so the next frame can reuse
-    // its memory: freeing every body at once (~16 KiB each with a Lamport
-    // key) hands a large block back to the OS and costs page faults per run.
-    bodies[p] = Bytes();
-    if (ctx.corrupted().count(out.back().to)) corrupted_outputs.push_back(out.back());
+    const auto pid = static_cast<sim::PartyId>(p);
+    out.push_back(sim::Message{sim::kFunc, pid, std::move(payloads[p])});
+    if (ctx.corrupted().count(pid)) {
+      corrupted_outputs.push_back(sim::Message{sim::kFunc, pid, std::move(out.back().payload)});
+    }
   }
   const bool abort = ctx.adversary_abort_gate(corrupted_outputs);
   if (notes) notes->vals["phase1_aborted"] = abort ? 1 : 0;
+  for (sim::Message& m : corrupted_outputs) {
+    out[static_cast<std::size_t>(m.to)].payload = std::move(m.payload);
+  }
   if (abort) {
     for (sim::Message& m : out) {
       if (!ctx.corrupted().count(m.to)) m.payload = sim::encode_func_abort();

@@ -82,8 +82,9 @@ class SfeFunc final : public sim::IFunctionality {
 /// The one-shot round of a dealer functionality with an unfair abort gate
 /// (the ShareGen-style hybrids in src/fair/): collect one input per party,
 /// the first well-formed one each. If any is missing, every party gets an
-/// abort notice. Otherwise deal(inputs) returns one output body per party;
-/// the corrupted parties' outputs pass the adversary's abort gate, and honest
+/// abort notice. Otherwise deal(inputs) returns one framed output payload per
+/// party, each written through sim::FuncOutputWriter; the corrupted parties'
+/// payloads pass the adversary's abort gate in send order, and honest
 /// parties get an abort notice if it fires. Records "phase1_aborted".
 using Dealer = std::function<std::vector<Bytes>(const std::vector<Bytes>& inputs)>;
 std::vector<sim::Message> deal_through_gate(sim::FuncContext& ctx, sim::MsgView in,

@@ -17,10 +17,20 @@ std::optional<Bytes> decode_func_input(ByteView payload) {
   return body;
 }
 
+FuncOutputWriter::FuncOutputWriter(std::size_t body_size) {
+  w_.reserve(kHeader + body_size).u8(functag::kOutput).u32(0);
+}
+
+Bytes FuncOutputWriter::take() {
+  Bytes payload = w_.take();
+  write_le32(payload.data() + 1, static_cast<std::uint32_t>(payload.size() - kHeader));
+  return payload;
+}
+
 Bytes encode_func_output(ByteView output) {
-  Writer w;
-  w.u8(functag::kOutput).blob(output);
-  return w.take();
+  FuncOutputWriter f(output.size());
+  f.body().raw(output);
+  return f.take();
 }
 
 Bytes encode_func_abort() {
@@ -29,14 +39,14 @@ Bytes encode_func_abort() {
   return w.take();
 }
 
-std::optional<Bytes> decode_func_output(ByteView payload) {
+std::optional<ByteView> decode_func_output(ByteView payload) {
   Reader r(payload);
   const auto tag = r.u8();
   // Abort frames carry functag::kAbort and decode to nullopt here; every
   // party treats that as the functionality's abort signal.
   // ANALYZE-HANDLES(func_abort)
   if (!tag || *tag != functag::kOutput) return std::nullopt;
-  const auto body = r.blob();
+  const auto body = r.blob_view();
   if (!body || !r.at_end()) return std::nullopt;
   return body;
 }

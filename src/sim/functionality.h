@@ -53,14 +53,35 @@ inline constexpr std::uint8_t kOutput = 2;  ///< F -> party: output delivery
 inline constexpr std::uint8_t kAbort = 3;   ///< F -> party: aborted (⊥)
 }  // namespace functag
 
+/// Frames a kOutput payload in place: the tag and a length word come first,
+/// the caller writes the body straight after them through body(), and take()
+/// fills in the length. A dealer thus writes each body once, already framed;
+/// the payload is byte for byte encode_func_output(body).
+class FuncOutputWriter {
+ public:
+  static constexpr std::size_t kHeader = 5;  ///< u8 tag ‖ u32 body length
+
+  /// Reserves room for the header and a body of `body_size` bytes.
+  explicit FuncOutputWriter(std::size_t body_size = 0);
+
+  /// Appends to the body (the header is already in place).
+  Writer& body() { return w_; }
+  /// The framed payload; its body starts at offset kHeader.
+  [[nodiscard]] Bytes take();
+
+ private:
+  Writer w_;
+};
+
 /// Helper encoders for the canonical one-shot SFE-style exchange.
 Bytes encode_func_input(ByteView input);
 std::optional<Bytes> decode_func_input(ByteView payload);
 Bytes encode_func_output(ByteView output);
 Bytes encode_func_abort();
 /// Returns the output if payload is a kOutput, std::nullopt for kAbort or
-/// malformed payloads.
-std::optional<Bytes> decode_func_output(ByteView payload);
+/// malformed payloads. The view borrows `payload`: a caller that keeps the
+/// output past the payload's lifetime copies it.
+std::optional<ByteView> decode_func_output(ByteView payload);
 /// True if payload is a kAbort notice.
 bool is_func_abort(ByteView payload);
 

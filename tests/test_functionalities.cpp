@@ -14,14 +14,35 @@
 namespace fairsfe::mpc {
 namespace {
 
+// The output a kOutput payload carries, copied out of the payload.
+std::optional<Bytes> func_output(ByteView payload) {
+  const auto body = sim::decode_func_output(payload);
+  if (!body) return std::nullopt;
+  return Bytes(body->begin(), body->end());
+}
+
 TEST(FuncWire, InputOutputAbortRoundTrip) {
   const Bytes x = bytes_of("input");
   EXPECT_EQ(sim::decode_func_input(sim::encode_func_input(x)), x);
-  EXPECT_EQ(sim::decode_func_output(sim::encode_func_output(x)), x);
+  EXPECT_EQ(func_output(sim::encode_func_output(x)), x);
   EXPECT_TRUE(sim::is_func_abort(sim::encode_func_abort()));
   EXPECT_FALSE(sim::is_func_abort(sim::encode_func_output(x)));
   EXPECT_EQ(sim::decode_func_output(sim::encode_func_abort()), std::nullopt);
   EXPECT_EQ(sim::decode_func_input(Bytes{}), std::nullopt);
+}
+
+// A body written in place through FuncOutputWriter frames to the same bytes
+// as encode_func_output of the finished body, empty and multi-part alike.
+TEST(FuncWire, InPlaceFrameMatchesEncoder) {
+  EXPECT_EQ(sim::FuncOutputWriter().take(), sim::encode_func_output(Bytes{}));
+  sim::FuncOutputWriter f(3);
+  f.body().u8(7).blob(bytes_of("vk")).u64(9);
+  Writer body;
+  body.u8(7).blob(bytes_of("vk")).u64(9);
+  const Bytes payload = f.take();
+  EXPECT_EQ(payload, sim::encode_func_output(body.bytes()));
+  EXPECT_EQ(func_output(payload), body.bytes());
+  EXPECT_EQ(payload.size(), sim::FuncOutputWriter::kHeader + body.bytes().size());
 }
 
 TEST(SfeSpec, ConcatAndDefaults) {
@@ -97,7 +118,7 @@ TEST(SfeFunc, UnfairShowsCorruptedOutputsAtGate) {
   ASSERT_TRUE(ctx.gate_called);
   ASSERT_EQ(ctx.shown.size(), 1u);
   EXPECT_EQ(ctx.shown[0].to, 1);
-  EXPECT_EQ(sim::decode_func_output(ctx.shown[0].payload), (Bytes{7, 9}));
+  EXPECT_EQ(func_output(ctx.shown[0].payload), (Bytes{7, 9}));
   ASSERT_EQ(out.size(), 2u);
   for (const auto& m : out) EXPECT_TRUE(sim::decode_func_output(m.payload).has_value());
 }
@@ -168,6 +189,53 @@ TEST(SfeFunc, NotesRecordOutcome) {
   EXPECT_EQ(notes->vals.at("sfe_aborted"), 0u);
 }
 
+// deal_through_gate hands the gate the corrupted parties' framed payloads,
+// exactly and in send order, and delivers those same bytes to them whatever
+// the gate decides; honest parties get the abort notice only on an abort.
+TEST(DealThroughGate, GateSeesCorruptedPayloadsInSendOrder) {
+  constexpr std::size_t kN = 4;
+  const SfeSpec spec = make_concat_spec(kN, 1);
+  // A distinct payload per party, long enough to live on the heap.
+  const auto payload_of = [](std::size_t p) {
+    sim::FuncOutputWriter f;
+    f.body().u8(static_cast<std::uint8_t>(p)).blob(Bytes(300, static_cast<std::uint8_t>(p)));
+    return f.take();
+  };
+  const Dealer deal = [&](const std::vector<Bytes>& xs) {
+    EXPECT_EQ(xs.size(), kN);
+    std::vector<Bytes> payloads;
+    for (std::size_t p = 0; p < kN; ++p) payloads.push_back(payload_of(p));
+    return payloads;
+  };
+  for (const bool abort : {false, true}) {
+    auto notes = std::make_shared<Notes>();
+    GateSpy ctx;
+    ctx.n_ = static_cast<int>(kN);
+    ctx.corrupted_ = {3, 1};
+    ctx.abort_decision = abort;
+    const auto out =
+        deal_through_gate(ctx, inputs_for(spec, {{1}, {2}, {3}, {4}}), kN, notes, deal);
+    ASSERT_TRUE(ctx.gate_called);
+    ASSERT_EQ(ctx.shown.size(), 2u);
+    EXPECT_EQ(ctx.shown[0].to, 1);
+    EXPECT_EQ(ctx.shown[1].to, 3);
+    for (const sim::Message& m : ctx.shown) {
+      EXPECT_EQ(m.from, sim::kFunc);
+      EXPECT_EQ(m.payload, payload_of(static_cast<std::size_t>(m.to)));
+    }
+    ASSERT_EQ(out.size(), kN);
+    for (std::size_t p = 0; p < kN; ++p) {
+      const sim::Message& m = out[p];
+      EXPECT_EQ(m.from, sim::kFunc);
+      EXPECT_EQ(m.to, static_cast<sim::PartyId>(p));
+      const bool corrupted = p == 1 || p == 3;
+      EXPECT_EQ(m.payload, abort && !corrupted ? sim::encode_func_abort() : payload_of(p))
+          << "party " << p << (abort ? ", gate aborted" : ", gate passed");
+    }
+    EXPECT_EQ(notes->vals.at("phase1_aborted"), abort ? 1u : 0u);
+  }
+}
+
 TEST(OtHub, DeliversChosenMessage) {
   OtHub hub;
   GateSpy ctx;
@@ -232,17 +300,21 @@ TEST(ProtocolFuncs, PrivOutputSignsForExactlyOneParty) {
   const auto out = f.on_round(ctx, 1, inputs_for(spec, {{1}, {2}, {3}}));
   ASSERT_EQ(out.size(), 3u);
   std::size_t holders = 0;
-  Bytes vk;
+  std::optional<Bytes> vk;
   for (const auto& m : out) {
     const auto body = sim::decode_func_output(m.payload);
     ASSERT_TRUE(body.has_value());
     const auto priv = fair::decode_priv_output(*body);
     ASSERT_TRUE(priv.has_value());
-    vk = priv->vk;
+    const Bytes party_vk(priv->vk.begin(), priv->vk.end());
+    if (vk) {
+      EXPECT_EQ(party_vk, *vk);  // one key dealt to every party
+    }
+    vk = party_vk;
     if (priv->has_value) {
       ++holders;
-      EXPECT_EQ(priv->y, (Bytes{1, 2, 3}));
-      EXPECT_TRUE(lamport_verify(priv->vk, priv->y, priv->sig));
+      EXPECT_EQ(Bytes(priv->y.begin(), priv->y.end()), (Bytes{1, 2, 3}));
+      EXPECT_TRUE(lamport_verify(party_vk, priv->y, priv->sig));
       EXPECT_EQ(static_cast<std::uint64_t>(m.to), notes->vals.at("i_star"));
     }
   }

@@ -10,6 +10,7 @@
 #include "circuit/builder.h"
 #include "circuit/compiled.h"
 #include "crypto/chacha20.h"
+#include "crypto/rng.h"
 #include "mpc/gmw.h"
 #include "mpc/ot.h"
 #include "rpd/estimator.h"
@@ -20,6 +21,16 @@ namespace {
 
 using sim::Message;
 using sim::MsgView;
+
+// Layout tripwire: 32 bytes of padding in Rng or ChaCha20, with no change in
+// work, moved optn_lamport's runs/s by about 15% (the sizeof(Rng) FOUND line
+// in CHANGES.md). A change to either size has to re-measure that workload on
+// purpose and then update these numbers. Pinned where they were measured:
+// x86-64 with libstdc++.
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+static_assert(sizeof(Rng) == 184, "sizeof(Rng) changed: re-measure optn_lamport");
+static_assert(sizeof(ChaCha20) == 160, "sizeof(ChaCha20) changed: re-measure optn_lamport");
+#endif
 
 sim::ExecutionResult run_gmw_millionaires(std::shared_ptr<const mpc::GmwConfig> cfg,
                                           std::uint64_t seed,

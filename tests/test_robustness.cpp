@@ -3,8 +3,11 @@
 // mis-parse), and protocol parties must survive adversarial junk messages.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "auth_share_util.h"
 #include "crypto/auth_share.h"
+#include "crypto/lamport.h"
 #include "crypto/shamir.h"
 #include "fair/gk.h"
 #include "fair/gmw_half.h"
@@ -598,6 +601,91 @@ TEST(DealtStreamRobustness, GkCloneRunToCompletionLeavesOriginalUntouched) {
 
 TEST(DealtStreamRobustness, Partial1pCloneRunToCompletionLeavesOriginalUntouched) {
   expect_clone_isolation<fair::Partial1pParty>(fair::make_partial_1p_and_params(2));
+}
+
+// The Lamport parties (ΠOptnSFE and Lemma 18) keep the dealt verification
+// key behind a shared_ptr. Past the func-output step a clone holds the
+// original's key by pointer; driving a clone to completion on a forged and on
+// a valid announcement must leave the original where it was, and the original
+// must then finish as the clone did. Each inbox also carries a "1" flag, so a
+// Lemma 18 p_{i*} tosses its coin from the Rng its clone copied.
+sim::Message priv_output(sim::PartyId to, const LamportKeyPair& kp, const Bytes& y,
+                         const Bytes& sig, bool holder) {
+  sim::FuncOutputWriter f;
+  Writer& w = f.body();
+  if (holder) {
+    w.u8(1).blob(y).blob(sig);
+  } else {
+    w.u8(0);
+  }
+  w.blob(kp.verification_key);
+  return sim::Message{sim::kFunc, to, f.take()};
+}
+
+using Sent = std::vector<std::tuple<sim::PartyId, sim::PartyId, Bytes>>;
+
+// Run `party` to completion, `first` as its first inbox and nothing after.
+Sent drive_to_completion(sim::IParty& party, const std::vector<sim::Message>& first) {
+  Sent sent;
+  const std::vector<sim::Message> none;
+  for (int round = 2; round < 8 && !party.done(); ++round) {
+    for (sim::Message& m : party.on_round(round, round == 2 ? first : none)) {
+      sent.emplace_back(m.from, m.to, std::move(m.payload));
+    }
+  }
+  EXPECT_TRUE(party.done());
+  return sent;
+}
+
+template <typename Party>
+void expect_clone_isolation(Party party, bool holder) {
+  Rng rng(2500);
+  const LamportKeyPair kp = lamport_gen(rng);
+  const Bytes y{1, 2, 3};
+  const Bytes sig = lamport_sign(kp.signing_key, y);
+  Bytes forged = sig;
+  forged[0] ^= 1;
+  const sim::PartyId id = party.id();
+  const sim::PartyId peer = id == 0 ? 1 : 0;
+  const auto inbox = [&](const Bytes& s) {
+    return std::vector<sim::Message>{
+        sim::Message{peer, id, fair::encode_flag(1)},
+        sim::Message{peer, sim::kBroadcast, fair::encode_announcement(std::make_pair(y, s))}};
+  };
+
+  (void)party.on_round(0, {});
+  (void)party.on_round(1, {priv_output(id, kp, y, sig, holder)});
+  ASSERT_FALSE(party.done());
+  const Bytes* vk = party.verification_key();
+  ASSERT_NE(vk, nullptr);
+  ASSERT_EQ(*vk, kp.verification_key);
+
+  Sent valid_sent;
+  for (const bool valid : {false, true}) {
+    const std::unique_ptr<sim::IParty> clone = party.clone();
+    EXPECT_EQ(static_cast<const Party&>(*clone).verification_key(), vk);
+    const Sent sent = drive_to_completion(*clone, inbox(valid ? sig : forged));
+    // p_{i*} adopts its own value; anyone else only a validly signed one.
+    EXPECT_EQ(clone->output(), holder || valid ? std::optional<Bytes>(y) : std::nullopt);
+    if (valid) valid_sent = sent;
+    EXPECT_FALSE(party.done());
+    EXPECT_EQ(party.output(), std::nullopt);
+    EXPECT_EQ(party.verification_key(), vk);
+    EXPECT_EQ(*vk, kp.verification_key);
+  }
+
+  EXPECT_EQ(drive_to_completion(party, inbox(sig)), valid_sent);
+  EXPECT_EQ(party.output(), std::optional<Bytes>(y));
+}
+
+TEST(LamportClone, OptnCloneSharesKeyAndLeavesOriginalUntouched) {
+  expect_clone_isolation(fair::OptNParty(0, Bytes{1}), true);
+  expect_clone_isolation(fair::OptNParty(1, Bytes{2}), false);
+}
+
+TEST(LamportClone, Lemma18CloneSharesKeyAndLeavesOriginalUntouched) {
+  expect_clone_isolation(fair::Lemma18Party(0, 3, Bytes{1}, Rng(77)), true);
+  expect_clone_isolation(fair::Lemma18Party(1, 3, Bytes{2}, Rng(78)), false);
 }
 
 }  // namespace
