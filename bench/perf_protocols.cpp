@@ -189,9 +189,9 @@ void BM_GkProtocolRun(benchmark::State& state) {
 BENCHMARK(BM_GkProtocolRun)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_GkDeal(benchmark::State& state) {
-  // ShareGen's dealing alone: deal_auth_streams at GK's round cap for
-  // p = 4 / 8 on AND (|Y| = 2), i.e. 2·cap authenticated sharings of 1-byte
-  // values into the two party bodies per iteration.
+  // ShareGen's dealing alone: deal_auth_stream_payloads at GK's round cap
+  // for p = 4 / 8 on AND (|Y| = 2), i.e. 2·cap authenticated sharings of
+  // 1-byte values into the two framed party payloads per iteration.
   const fair::GkParams params = fair::make_gk_and_params(static_cast<std::size_t>(state.range(0)));
   const std::size_t cap = params.cap();
   Rng rng(static_cast<std::uint64_t>(state.range(0)));
@@ -199,7 +199,8 @@ void BM_GkDeal(benchmark::State& state) {
   const auto fake = [&rng] { return Bytes{static_cast<std::uint8_t>(rng.bit())}; };
   for (auto _ : state) {
     const std::size_t i_star = 1 + static_cast<std::size_t>(rng.below(cap));
-    benchmark::DoNotOptimize(fair::deal_auth_streams(cap, i_star, y, fake, fake, rng));
+    benchmark::DoNotOptimize(
+        fair::deal_auth_stream_payloads(cap, i_star, y, fake, fake, rng));
   }
   state.counters["sharings"] = static_cast<double>(2 * cap);
 }

@@ -33,16 +33,16 @@ std::optional<std::pair<std::size_t, ByteView>> decode_gk_opening(ByteView paylo
   return std::make_pair(static_cast<std::size_t>(*j), *body);
 }
 
-namespace {
-// Writes p1's body into w1 and p2's into w2, after whatever they hold.
-void write_auth_streams(std::size_t rounds, std::size_t i_star, const Bytes& y,
-                        const std::function<Bytes()>& fake_a,
-                        const std::function<Bytes()>& fake_b, Rng& rng, Writer& w1, Writer& w2) {
+std::vector<Bytes> deal_auth_stream_payloads(std::size_t rounds, std::size_t i_star,
+                                             const Bytes& y,
+                                             const std::function<Bytes()>& fake_a,
+                                             const std::function<Bytes()>& fake_b, Rng& rng) {
   // Sized for fakes as long as y (exact for the fixed-width outputs dealt
   // here; the buffers still grow if a fake is longer).
   const std::size_t size = 8 + y.size() + 2 * rounds * AuthShare2::blob_size(y.size());
-  w1.reserve(w1.bytes().size() + size);
-  w2.reserve(w2.bytes().size() + size);
+  sim::FuncOutputWriter f1(size), f2(size);
+  Writer& w1 = f1.body();
+  Writer& w2 = f2.body();
   w1.u32(static_cast<std::uint32_t>(rounds)).blob(fake_a());  // a_0 for p1
   w2.u32(static_cast<std::uint32_t>(rounds)).blob(fake_b());  // b_0 for p2
   for (std::size_t j = 1; j <= rounds; ++j) {
@@ -56,26 +56,6 @@ void write_auth_streams(std::size_t rounds, std::size_t i_star, const Bytes& y,
       deal_auth_share2(y, rng, w1, w2);
     }
   }
-}
-}  // namespace
-
-std::vector<Bytes> deal_auth_streams(std::size_t rounds, std::size_t i_star, const Bytes& y,
-                                     const std::function<Bytes()>& fake_a,
-                                     const std::function<Bytes()>& fake_b, Rng& rng) {
-  Writer w1, w2;
-  write_auth_streams(rounds, i_star, y, fake_a, fake_b, rng, w1, w2);
-  std::vector<Bytes> bodies;
-  bodies.push_back(w1.take());
-  bodies.push_back(w2.take());
-  return bodies;
-}
-
-std::vector<Bytes> deal_auth_stream_payloads(std::size_t rounds, std::size_t i_star,
-                                             const Bytes& y,
-                                             const std::function<Bytes()>& fake_a,
-                                             const std::function<Bytes()>& fake_b, Rng& rng) {
-  sim::FuncOutputWriter f1, f2;
-  write_auth_streams(rounds, i_star, y, fake_a, fake_b, rng, f1.body(), f2.body());
   std::vector<Bytes> payloads;  // moved in: an initializer list would copy
   payloads.push_back(f1.take());
   payloads.push_back(f2.take());

@@ -32,14 +32,11 @@
 
 namespace fairsfe::fair {
 
-/// Both two-party bodies (index = party id). fake_a / fake_b draw one fake
-/// value of the a- / b-stream. Rng order: a_0, b_0, then per round j the
-/// fakes a_j, b_j (only while j < i*), then ⟨a_j⟩, ⟨b_j⟩.
-std::vector<Bytes> deal_auth_streams(std::size_t rounds, std::size_t i_star, const Bytes& y,
-                                     const std::function<Bytes()>& fake_a,
-                                     const std::function<Bytes()>& fake_b, Rng& rng);
-/// The same bodies, each written once, framed in place as a func-output
-/// payload (sim::FuncOutputWriter): what a dealer hands mpc::deal_through_gate.
+/// Both two-party bodies (index = party id), each written once and framed in
+/// place as a func-output payload (sim::FuncOutputWriter): what a dealer
+/// hands mpc::deal_through_gate. fake_a / fake_b draw one fake value of the
+/// a- / b-stream. Rng order: a_0, b_0, then per round j the fakes a_j, b_j
+/// (only while j < i*), then ⟨a_j⟩, ⟨b_j⟩.
 std::vector<Bytes> deal_auth_stream_payloads(std::size_t rounds, std::size_t i_star,
                                              const Bytes& y,
                                              const std::function<Bytes()>& fake_a,

@@ -31,11 +31,9 @@ class Lemma18Party final : public sim::PartyBase<Lemma18Party> {
   std::vector<sim::Message> on_round(int round, sim::MsgView in) override;
   void on_abort() override;
 
-  /// The dealt verification key (null before phase 1 delivers it), shared
-  /// by every clone taken after delivery.
-  [[nodiscard]] const Bytes* verification_key() const { return vk_.get(); }
-
  private:
+  friend struct LamportPartyPeek;  // the clone-contract test reads vk_
+
   enum class Step { kSendInput, kAwaitFuncOutput, kAwaitFlags, kAwaitValue };
 
   std::size_t n_;  // the one part of the spec a party reads

@@ -47,11 +47,9 @@ class OptNParty final : public sim::PartyBase<OptNParty> {
   std::vector<sim::Message> on_round(int round, sim::MsgView in) override;
   void on_abort() override;
 
-  /// The dealt verification key (null before phase 1 delivers it), shared
-  /// by every clone taken after delivery.
-  [[nodiscard]] const Bytes* verification_key() const { return vk_.get(); }
-
  private:
+  friend struct LamportPartyPeek;  // the clone-contract test reads vk_
+
   enum class Step { kSendInput, kAwaitFuncOutput, kAwaitBroadcasts };
 
   Bytes input_;

@@ -166,6 +166,16 @@ class DealerContext final : public sim::FuncContext {
 
 std::string sha256_hex(ByteView body) { return to_hex(sha256(body)); }
 
+// SHA-256 of the body each func-output payload frames.
+std::vector<std::string> body_hashes(const std::vector<Bytes>& payloads) {
+  std::vector<std::string> hashes;
+  for (const Bytes& payload : payloads) {
+    const auto body = sim::decode_func_output(payload);
+    hashes.push_back(body ? sha256_hex(*body) : "no body");
+  }
+  return hashes;
+}
+
 // SHA-256 of each body a dealer functionality delivers for `inputs`.
 std::vector<std::string> dealt_hashes(sim::IFunctionality& dealer,
                                       const std::vector<Bytes>& inputs, std::uint64_t seed) {
@@ -175,12 +185,9 @@ std::vector<std::string> dealt_hashes(sim::IFunctionality& dealer,
     in.push_back(sim::Message{static_cast<sim::PartyId>(p), sim::kFunc,
                               sim::encode_func_input(inputs[p])});
   }
-  std::vector<std::string> hashes;
-  for (const sim::Message& m : dealer.on_round(ctx, 1, in)) {
-    const auto body = sim::decode_func_output(m.payload);
-    hashes.push_back(body ? sha256_hex(*body) : "no body");
-  }
-  return hashes;
+  std::vector<Bytes> payloads;
+  for (sim::Message& m : dealer.on_round(ctx, 1, in)) payloads.push_back(std::move(m.payload));
+  return body_hashes(payloads);
 }
 
 void expect_hashes(const std::vector<std::string>& measured,
@@ -191,7 +198,7 @@ void expect_hashes(const std::vector<std::string>& measured,
 }
 
 // The dealt bodies themselves, recorded before the dealers wrote records in
-// place: two direct deal_auth_streams calls (1-byte values as in GK, and
+// place: two direct deal_auth_stream_payloads calls (1-byte values as in GK, and
 // 300-byte values past any stack buffer), GK's and E16's ShareGen at p = 4,
 // an n = 3 multi-party dealer with 40-byte values, whose share-hash input no
 // longer fits one SHA-256 block, and Opt2SFE's ShareGen.
@@ -199,26 +206,24 @@ TEST(GkStreamGolden, DealtBodies) {
   {
     Rng rng(2100);
     const auto fake = [&rng] { return Bytes{static_cast<std::uint8_t>(rng.bit())}; };
-    const auto bodies = fair::deal_auth_streams(33, 9, Bytes{1}, fake, fake, rng);
-    expect_hashes({sha256_hex(bodies[0]), sha256_hex(bodies[1])},
+    expect_hashes(body_hashes(fair::deal_auth_stream_payloads(33, 9, Bytes{1}, fake, fake, rng)),
                   {
                       "6da0a001dc568e47fa83d48335566ed3a2ee8c0c53205b21863c5dcc5aefa3a3",
                       "add5c156c067ab9382892cb4596e197b1743103a34db34477efa64b2c5847c30",
                   },
-                  "deal_auth_streams, 1-byte values");
+                  "deal_auth_stream_payloads, 1-byte values");
   }
   {
     Rng rng(2101);
     const Bytes y = rng.bytes(300);
     const auto fake_a = [&rng] { return rng.bytes(300); };
     const auto fake_b = [&rng] { return rng.bytes(299); };
-    const auto bodies = fair::deal_auth_streams(4, 3, y, fake_a, fake_b, rng);
-    expect_hashes({sha256_hex(bodies[0]), sha256_hex(bodies[1])},
+    expect_hashes(body_hashes(fair::deal_auth_stream_payloads(4, 3, y, fake_a, fake_b, rng)),
                   {
                       "b827d60b8b81e1f563a1d2e9272d917a9579203ff9380e0d7351a0c1553721f3",
                       "76c67b85e6291b948218c26151b855d71d40ca1dd644e29381c56407ff854c80",
                   },
-                  "deal_auth_streams, 300-byte values");
+                  "deal_auth_stream_payloads, 300-byte values");
   }
   {
     fair::ShareGenFunc gk(fair::make_gk_and_params(4));
