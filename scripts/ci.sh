@@ -13,9 +13,12 @@
 # preset and run the tier1 ctest label — the scheduling-independence suites
 # (estimator, thread pool, RNG forking, hot-path goldens, fault injection)
 # plus the scenario-registry, exp18 golden and fairbenchd daemon suites
-# and the fairbench/fairbenchd argument checks — under ThreadSanitizer, so
-# data races in the estimator/thread-pool/plan-cache/fault/daemon layer fail
-# the build rather than silently perturbing estimates. The preset builds with
+# (Service*, the ServiceFuzz framing fuzz and the
+# daemon.fd_exhaustion_keeps_serving hostile-client script, which runs the
+# instrumented fairbenchd) and the fairbench/fairbenchd argument checks —
+# under ThreadSanitizer, so data races in the
+# estimator/thread-pool/plan-cache/fault/daemon layer fail the build rather
+# than silently perturbing estimates. The preset builds with
 # warnings as errors. The tier labels are assigned in tests/CMakeLists.txt.
 #
 # 3. ASan+UBSan gate: build the asan-ubsan preset (warnings as errors) and

@@ -83,7 +83,7 @@ RULES = [
          "defined exactly once"),
     Rule("raw-socket-access", None, ("src/net",),
          "raw socket API outside src/net: use net::Stream / "
-         "net::TcpListener / net::UnixListener / net::*_connect "
+         "net::Listener / net::*_connect "
          "(src/net/socket.h) so the process's network surface stays "
          "auditable in one place"),
 ]

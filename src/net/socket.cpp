@@ -2,14 +2,14 @@
 // this translation unit is the complete list of raw socket call sites in the
 // repository. Everything else goes through the wrappers it defines.
 //
-//   socket()   — make_tcp_socket(), make_unix_socket()
-//   bind()     — TcpListener::bind(), UnixListener::bind()
-//   listen()   — TcpListener::bind(), UnixListener::bind()
-//   accept()   — accept_fd() (serving TcpListener/UnixListener::accept[_for])
+//   socket()   — make_socket() (Listener::bind_tcp/bind_unix, *_connect)
+//   bind()     — Listener::bind_tcp(), Listener::bind_unix()
+//   listen()   — Listener::bind_tcp(), Listener::bind_unix()
+//   accept()   — Listener::accept()
 //   connect()  — tcp_connect(), unix_connect()
 //
 // Anything outside src/net/ that needs a socket takes a net::Stream /
-// net::*Listener; the lint rule fails the build otherwise.
+// net::Listener; the lint rule fails the build otherwise.
 
 #include "net/socket.h"
 
@@ -35,15 +35,11 @@ namespace {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-Fd make_tcp_socket() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket(AF_INET)");
-  return Fd(fd);
-}
-
-Fd make_unix_socket() {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) throw_errno("socket(AF_UNIX)");
+/// A new stream socket of `domain`; `flags` ORs into the type (the
+/// listeners pass SOCK_NONBLOCK).
+Fd make_socket(int domain, int flags = 0) {
+  const int fd = ::socket(domain, SOCK_STREAM | flags, 0);
+  if (fd < 0) throw_errno(domain == AF_UNIX ? "socket(AF_UNIX)" : "socket(AF_INET)");
   return Fd(fd);
 }
 
@@ -78,26 +74,6 @@ sockaddr_un unix_addr(const std::string& path) {
   return addr;
 }
 
-/// Shared accept body for both listener flavors. A timeout of -1 blocks.
-std::optional<Stream> accept_fd(int listen_fd, int timeout_ms) {
-  if (timeout_ms >= 0) {
-    pollfd pfd{listen_fd, POLLIN, 0};
-    for (;;) {
-      const int rc = ::poll(&pfd, 1, timeout_ms);
-      if (rc == 0) return std::nullopt;
-      if (rc > 0) break;
-      if (errno == EINTR) continue;
-      throw_errno("poll(listener)");
-    }
-  }
-  for (;;) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) return Stream(Fd(fd));
-    if (errno == EINTR) continue;
-    throw_errno("accept");
-  }
-}
-
 void set_nodelay(int fd) {
   // Round-trip latency dominates the lockstep round barrier; never batch.
   const int one = 1;
@@ -106,54 +82,21 @@ void set_nodelay(int fd) {
 
 }  // namespace
 
-Fd::~Fd() { reset(); }
-
-Fd& Fd::operator=(Fd&& o) noexcept {
-  if (this != &o) {
-    reset();
-    fd_ = o.fd_;
-    o.fd_ = -1;
-  }
-  return *this;
-}
-
-void Fd::reset() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+Fd::~Fd() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void Stream::write_all(ByteView data) {
-  if (!fd_.valid()) throw std::runtime_error("write on closed stream");
   std::size_t off = 0;
   while (off < data.size()) {
     const ssize_t n =
         ::send(fd_.get(), data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw_errno("send");
+      throw_errno("send");  // EAGAIN here is a kSendTimeout expiry
     }
     off += static_cast<std::size_t>(n);
   }
-}
-
-bool Stream::read_exact(std::span<std::uint8_t> out) {
-  std::size_t off = 0;
-  while (off < out.size()) {
-    const ssize_t n = ::recv(fd_.get(), out.data() + off, out.size() - off, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("recv");
-    }
-    if (n == 0) {
-      if (off == 0) return false;  // clean EOF at a frame boundary
-      throw std::runtime_error("recv: EOF mid-frame after " +
-                               std::to_string(off) + " bytes");
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 std::size_t Stream::read_some(std::span<std::uint8_t> out) {
@@ -176,82 +119,60 @@ bool Stream::readable_for(std::chrono::milliseconds timeout) {
   }
 }
 
-void Stream::shutdown_write() {
-  if (fd_.valid()) (void)::shutdown(fd_.get(), SHUT_WR);
-}
-
-TcpListener TcpListener::bind(const std::string& host, std::uint16_t port) {
-  TcpListener l;
-  l.fd_ = make_tcp_socket();
+Listener Listener::bind_tcp(const std::string& host, std::uint16_t port) {
+  Fd fd = make_socket(AF_INET, SOCK_NONBLOCK);
   const int one = 1;
-  (void)::setsockopt(l.fd_.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  (void)::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr = tcp_addr(host, port);
-  if (::bind(l.fd_.get(), reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
+  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     throw_errno("bind(" + host + ":" + std::to_string(port) + ")");
   }
-  if (::listen(l.fd_.get(), 64) != 0) throw_errno("listen");
+  if (::listen(fd.get(), 64) != 0) throw_errno("listen");
   socklen_t len = sizeof(addr);
-  if (::getsockname(l.fd_.get(), reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+  if (::getsockname(fd.get(), reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
     throw_errno("getsockname");
   }
-  l.port_ = ntohs(addr.sin_port);
-  return l;
+  return Listener(std::move(fd), ntohs(addr.sin_port), "");
 }
 
-Stream TcpListener::accept() {
-  auto s = accept_fd(fd_.get(), -1);
-  set_nodelay(s->native_handle());
-  return std::move(*s);
+Listener Listener::bind_unix(const std::string& path) {
+  Fd fd = make_socket(AF_UNIX, SOCK_NONBLOCK);
+  (void)::unlink(path.c_str());  // stale socket file from a crashed daemon
+  sockaddr_un addr = unix_addr(path);
+  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    throw_errno("bind(" + path + ")");
+  }
+  if (::listen(fd.get(), 64) != 0) throw_errno("listen");
+  return Listener(std::move(fd), 0, path);
 }
 
-std::optional<Stream> TcpListener::accept_for(std::chrono::milliseconds timeout) {
-  auto s = accept_fd(fd_.get(), static_cast<int>(timeout.count()));
-  if (s) set_nodelay(s->native_handle());
-  return s;
-}
-
-UnixListener::~UnixListener() {
+Listener::~Listener() {
   if (!path_.empty()) (void)::unlink(path_.c_str());
 }
 
-UnixListener::UnixListener(UnixListener&& o) noexcept
-    : fd_(std::move(o.fd_)), path_(std::move(o.path_)) {
-  o.path_.clear();
-}
-
-UnixListener& UnixListener::operator=(UnixListener&& o) noexcept {
-  if (this != &o) {
-    if (!path_.empty()) (void)::unlink(path_.c_str());
-    fd_ = std::move(o.fd_);
-    path_ = std::move(o.path_);
-    o.path_.clear();
+std::optional<Stream> Listener::accept() {
+  int fd;
+  while ((fd = ::accept(fd_.get(), nullptr, nullptr)) < 0) {
+    switch (errno) {
+      case EINTR:
+        continue;
+      case EBADF:
+      case EFAULT:
+      case EINVAL:
+      case ENOTSOCK:
+        throw_errno("accept");
+      default:  // nothing pending, an aborted peer, or out of fds/buffers
+        return std::nullopt;
+    }
   }
-  return *this;
-}
-
-UnixListener UnixListener::bind(const std::string& path) {
-  UnixListener l;
-  l.fd_ = make_unix_socket();
-  (void)::unlink(path.c_str());  // stale socket file from a crashed daemon
-  sockaddr_un addr = unix_addr(path);
-  if (::bind(l.fd_.get(), reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    throw_errno("bind(" + path + ")");
-  }
-  if (::listen(l.fd_.get(), 64) != 0) throw_errno("listen");
-  l.path_ = path;
-  return l;
-}
-
-Stream UnixListener::accept() { return std::move(*accept_fd(fd_.get(), -1)); }
-
-std::optional<Stream> UnixListener::accept_for(std::chrono::milliseconds timeout) {
-  return accept_fd(fd_.get(), static_cast<int>(timeout.count()));
+  const timeval send_timeout{kSendTimeout.count(), 0};
+  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout, sizeof(send_timeout));
+  if (path_.empty()) set_nodelay(fd);
+  return Stream(Fd(fd));
 }
 
 Stream tcp_connect(const std::string& host, std::uint16_t port) {
-  Fd fd = make_tcp_socket();
+  Fd fd = make_socket(AF_INET);
   sockaddr_in addr = tcp_addr(host, port);
   for (;;) {
     if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
@@ -266,7 +187,7 @@ Stream tcp_connect(const std::string& host, std::uint16_t port) {
 }
 
 Stream unix_connect(const std::string& path) {
-  Fd fd = make_unix_socket();
+  Fd fd = make_socket(AF_UNIX);
   sockaddr_un addr = unix_addr(path);
   for (;;) {
     if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),

@@ -8,8 +8,9 @@
 // the process's network surface means auditing src/net/socket.cpp.
 //
 // Determinism contract: wrappers never consult ambient randomness or
-// clocks; the only timeouts are poll() bounds on accept/read readiness —
-// values that never feed protocol state.
+// clocks; the only timeouts are the poll() bound of Stream::readable_for and
+// the kernel's kSendTimeout on accepted streams — values that never feed
+// protocol state.
 #pragma once
 
 #include <chrono>
@@ -17,107 +18,89 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
+#include <utility>
 
 #include "crypto/bytes.h"
 
 namespace fairsfe::net {
 
+/// How long a send on an accepted stream may make no progress before
+/// Stream::write_all fails (SO_SNDTIMEO). A peer that stops reading fills
+/// its socket buffer; this bounds how long a server thread waits on it.
+inline constexpr std::chrono::seconds kSendTimeout(2);
+
 /// Owning file descriptor. Closes on destruction; moveable, not copyable.
 class Fd {
  public:
-  Fd() = default;
   explicit Fd(int fd) : fd_(fd) {}
   ~Fd();
-  Fd(Fd&& o) noexcept : fd_(o.fd_) { o.fd_ = -1; }
-  Fd& operator=(Fd&& o) noexcept;
+  Fd(Fd&& o) noexcept : fd_(std::exchange(o.fd_, -1)) {}
+  Fd& operator=(Fd&&) = delete;
   Fd(const Fd&) = delete;
   Fd& operator=(const Fd&) = delete;
 
-  [[nodiscard]] bool valid() const { return fd_ >= 0; }
   [[nodiscard]] int get() const { return fd_; }
-  void reset();
 
  private:
-  int fd_ = -1;
+  int fd_;
 };
 
-/// Connected byte stream (TCP or unix-domain). Blocking I/O with whole-buffer
-/// write/read helpers; short reads/writes are looped internally.
+/// Connected byte stream (TCP or unix-domain) with blocking I/O. Closes on
+/// destruction.
 class Stream {
  public:
-  Stream() = default;
   explicit Stream(Fd fd) : fd_(std::move(fd)) {}
 
-  [[nodiscard]] bool valid() const { return fd_.valid(); }
-
-  /// Write the whole buffer. Throws std::runtime_error on error/EPIPE.
+  /// Write the whole buffer; short writes are looped. Throws
+  /// std::runtime_error on error, EPIPE, or (on an accepted stream) a send
+  /// that made no progress for kSendTimeout.
   void write_all(ByteView data);
-
-  /// Read exactly `out.size()` bytes into `out`. Returns false on clean EOF
-  /// at a message boundary (zero bytes read); throws on mid-buffer EOF or
-  /// error.
-  bool read_exact(std::span<std::uint8_t> out);
 
   /// Read up to `out.size()` bytes; returns the count, 0 on EOF.
   std::size_t read_some(std::span<std::uint8_t> out);
 
   /// True once the stream is readable (data or EOF) within the timeout.
-  /// Lets read loops wake up periodically to observe shutdown flags.
   bool readable_for(std::chrono::milliseconds timeout);
 
-  /// Half-close the write side (delivers EOF to the peer's reads).
-  void shutdown_write();
-
-  void close() { fd_.reset(); }
   [[nodiscard]] int native_handle() const { return fd_.get(); }
 
  private:
   Fd fd_;
 };
 
-/// Listening TCP socket. Binds to `host:port` (port 0 picks an ephemeral
-/// port, readable via port()).
-class TcpListener {
+/// Listening socket: TCP at `host:port` (port 0 picks an ephemeral port,
+/// readable via port()) or unix-domain at a filesystem path. A unix path is
+/// unlinked before bind (stale socket files from a crashed daemon) and on
+/// destruction. The listening fd is non-blocking, so accept() never waits;
+/// poll native_handle() for readiness.
+class Listener {
  public:
-  TcpListener() = default;
-  static TcpListener bind(const std::string& host, std::uint16_t port);
+  static Listener bind_tcp(const std::string& host, std::uint16_t port);
+  static Listener bind_unix(const std::string& path);
+  ~Listener();
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
 
-  [[nodiscard]] bool valid() const { return fd_.valid(); }
+  /// The bound TCP port; 0 for a unix listener.
   [[nodiscard]] std::uint16_t port() const { return port_; }
+  /// The socket file of a unix listener; empty for TCP.
+  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] int native_handle() const { return fd_.get(); }
 
-  /// Block until a connection arrives.
-  Stream accept();
-  /// Accept with a poll timeout; std::nullopt on timeout. Used by accept
-  /// loops that must wake up to observe shutdown flags.
-  std::optional<Stream> accept_for(std::chrono::milliseconds timeout);
+  /// Accept one pending connection without blocking. std::nullopt when none
+  /// can be taken now: none is pending, the pending one was aborted, or the
+  /// process is out of fds or buffers (EMFILE, ENFILE, ENOBUFS, ENOMEM).
+  /// Throws only on a misuse of the listening fd. The accepted stream is
+  /// blocking (Linux accept does not inherit O_NONBLOCK), its sends time out
+  /// after kSendTimeout, and a TCP stream has TCP_NODELAY set.
+  std::optional<Stream> accept();
 
  private:
+  Listener(Fd fd, std::uint16_t port, std::string path)
+      : fd_(std::move(fd)), port_(port), path_(std::move(path)) {}
+
   Fd fd_;
   std::uint16_t port_ = 0;
-};
-
-/// Listening unix-domain socket at a filesystem path. The path is unlinked
-/// before bind (stale socket files from a crashed daemon) and on destruction.
-class UnixListener {
- public:
-  UnixListener() = default;
-  ~UnixListener();
-  UnixListener(UnixListener&&) noexcept;
-  UnixListener& operator=(UnixListener&&) noexcept;
-  UnixListener(const UnixListener&) = delete;
-  UnixListener& operator=(const UnixListener&) = delete;
-
-  static UnixListener bind(const std::string& path);
-
-  [[nodiscard]] bool valid() const { return fd_.valid(); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
-  Stream accept();
-  std::optional<Stream> accept_for(std::chrono::milliseconds timeout);
-
- private:
-  Fd fd_;
   std::string path_;
 };
 

@@ -1,11 +1,13 @@
 #include "service/daemon.h"
 
+#include <poll.h>
+
 #include <algorithm>
 #include <array>
-#include <chrono>
-#include <condition_variable>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -20,8 +22,6 @@
 namespace fairsfe::service {
 
 namespace {
-
-constexpr std::chrono::milliseconds kPollInterval(200);
 
 ByteView line_bytes(const std::string& s) {
   return ByteView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
@@ -51,61 +51,45 @@ std::string one_line(std::string json) {
 
 }  // namespace
 
-/// Per-connection state, shared between the reader thread and in-flight
-/// estimate jobs on the worker pool (shared_ptr keeps it alive until both
-/// sides are done with it).
+/// Per-connection state, shared between the serving loop and in-flight
+/// estimate jobs on the worker pool (shared_ptr keeps it, and so the open
+/// fd, alive until both sides are done with it).
 struct Daemon::Conn {
   explicit Conn(net::Stream s) : stream(std::move(s)) {}
 
   net::Stream stream;
-  std::mutex write_mu;  ///< serializes response lines
-  bool dead = false;    ///< a write failed (peer gone); drop further events
+  std::string linebuf;  ///< bytes after the last newline; the loop's alone
 
-  std::mutex mu;  ///< guards pending; cv signals drain
-  std::condition_variable cv;
-  int pending = 0;  ///< estimate jobs submitted but not yet answered
-
-  /// Set as the reader's last act: its thread is done with the connection.
-  std::atomic<bool> closed{false};
-
-  /// Emit one response event line. Thread-safe; swallows write errors (a
-  /// vanished client must not take a worker down mid-estimate).
+  /// Emit one response event line. Thread-safe; a failed write (peer gone
+  /// or stalled past net::kSendTimeout) marks the connection dead and drops
+  /// every later event, so a vanished client never takes a worker down.
   void write_event(std::string line) {
     line.push_back('\n');
-    std::lock_guard<std::mutex> lock(write_mu);
-    if (dead) return;
+    std::lock_guard<std::mutex> lock(write_mu_);
+    if (dead_) return;
     try {
       stream.write_all(line_bytes(line));
     } catch (const std::exception&) {
-      dead = true;
+      dead_ = true;
     }
   }
+
+  [[nodiscard]] bool alive() {
+    std::lock_guard<std::mutex> lock(write_mu_);
+    return !dead_;
+  }
+
+ private:
+  std::mutex write_mu_;  ///< serializes response lines; guards dead_
+  bool dead_ = false;
 };
 
 Daemon::Daemon(DaemonConfig cfg)
-    : cfg_(std::move(cfg)), pool_(util::ThreadPool::resolve(cfg_.workers)) {
-  if (!cfg_.unix_path.empty()) {
-    unix_listener_ = net::UnixListener::bind(cfg_.unix_path);
-  } else {
-    tcp_listener_ = net::TcpListener::bind(cfg_.tcp_host, cfg_.tcp_port);
-  }
-}
-
-Daemon::~Daemon() {
-  stop();
-  for (Reader& r : readers_) {
-    if (r.thread.joinable()) r.thread.join();
-  }
-}
-
-std::size_t Daemon::reader_threads() const {
-  std::lock_guard<std::mutex> lock(readers_mu_);
-  return readers_.size();
-}
-
-std::uint16_t Daemon::tcp_port() const {
-  return tcp_listener_ ? tcp_listener_->port() : 0;
-}
+    : cfg_(std::move(cfg)),
+      listener_(cfg_.unix_path.empty()
+                    ? net::Listener::bind_tcp(cfg_.tcp_host, cfg_.tcp_port)
+                    : net::Listener::bind_unix(cfg_.unix_path)),
+      pool_(util::ThreadPool::resolve(cfg_.workers)) {}
 
 bool Daemon::stopping() const {
   return stop_.load(std::memory_order_relaxed) || stop_requested();
@@ -121,92 +105,81 @@ void Daemon::log(const char* fmt, ...) const {
 }
 
 void Daemon::serve() {
-  if (unix_listener_) {
-    log("fairbenchd: listening on unix:%s (%zu workers)\n",
-        unix_listener_->path().c_str(), pool_.size());
+  if (cfg_.unix_path.empty()) {
+    log("fairbenchd: listening on %s:%u (%zu workers)\n", cfg_.tcp_host.c_str(),
+        static_cast<unsigned>(listener_.port()), pool_.size());
   } else {
-    log("fairbenchd: listening on %s:%u (%zu workers)\n",
-        cfg_.tcp_host.c_str(), static_cast<unsigned>(tcp_listener_->port()),
-        pool_.size());
+    log("fairbenchd: listening on unix:%s (%zu workers)\n",
+        listener_.path().c_str(), pool_.size());
   }
+  using Clock = std::chrono::steady_clock;
+  // A readable listener that yields no connection is out of fds: polling it
+  // again at once would spin, so it sits out until a connection closes or
+  // kPollInterval passes.
+  Clock::time_point accept_paused_until{};
+  std::vector<pollfd> fds;
   while (!stopping()) {
-    std::optional<net::Stream> s =
-        unix_listener_ ? unix_listener_->accept_for(kPollInterval)
-                       : tcp_listener_->accept_for(kPollInterval);
-    // Every pass, accept or timeout, joins the readers of closed connections,
-    // so a long-lived daemon holds one thread per open connection.
-    std::lock_guard<std::mutex> lock(readers_mu_);
-    std::erase_if(readers_, [](Reader& r) {
-      if (!r.conn->closed.load(std::memory_order_acquire)) return false;
-      r.thread.join();
-      return true;
-    });
-    if (!s) continue;
-    auto conn = std::make_shared<Conn>(std::move(*s));
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    readers_.push_back(Reader{conn, std::thread([this, conn] { handle_connection(conn); })});
+    const bool listening = Clock::now() >= accept_paused_until;
+    fds.clear();
+    if (listening) fds.push_back({listener_.native_handle(), POLLIN, 0});
+    for (const auto& conn : conns_) fds.push_back({conn->stream.native_handle(), POLLIN, 0});
+    if (::poll(fds.data(), fds.size(), static_cast<int>(kPollInterval.count())) < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error(std::string("poll: ") + std::strerror(errno));
+    }
+    // A connection that is done is reset in place and erased after the pass,
+    // so a status answered mid-pass already leaves it out of its count.
+    const pollfd* conn_fds = fds.data() + (listening ? 1 : 0);
+    for (std::size_t i = 0; i < conns_.size(); ++i) {
+      std::shared_ptr<Conn>& conn = conns_[i];
+      if (!(conn_fds[i].revents != 0 ? read_lines(conn) : conn->alive())) conn.reset();
+    }
+    if (std::erase(conns_, nullptr) > 0) accept_paused_until = {};
+    if (listening && fds.front().revents != 0) {
+      if (std::optional<net::Stream> s = listener_.accept()) {
+        conns_.push_back(std::make_shared<Conn>(std::move(*s)));
+      } else {
+        accept_paused_until = Clock::now() + kPollInterval;
+      }
+    }
   }
-  // Graceful drain: stop accepting, let in-flight estimates finish and be
-  // answered, then close every connection. Order matters — readers wait on
-  // their own pending count, so wait_idle() first is not required, but it
-  // bounds the join below by "all work done".
+  // Graceful drain: in-flight estimates finish and are answered; dropping
+  // the loop's references then closes every connection.
   pool_.wait_idle();
-  {
-    std::lock_guard<std::mutex> lock(readers_mu_);
-    for (Reader& r : readers_) r.thread.join();
-    readers_.clear();
-  }
+  conns_.clear();
   log("fairbenchd: drained, served %llu request(s)\n",
       static_cast<unsigned long long>(served()));
 }
 
-void Daemon::handle_connection(std::shared_ptr<Conn> conn) {
-  std::string linebuf;
+/// Read what the client sent and answer its complete lines. False once the
+/// connection is done: EOF, a read error, an overlong line or a failed write.
+bool Daemon::read_lines(const std::shared_ptr<Conn>& conn) {
   std::array<std::uint8_t, 4096> chunk;
-  for (;;) {
-    if (stopping()) break;
-    bool readable = false;
-    try {
-      readable = conn->stream.readable_for(kPollInterval);
-    } catch (const std::exception&) {
-      break;
-    }
-    if (!readable) continue;
-    std::size_t n = 0;
-    try {
-      n = conn->stream.read_some(chunk);
-    } catch (const std::exception&) {
-      break;
-    }
-    if (n == 0) break;  // client EOF
-    linebuf.append(reinterpret_cast<const char*>(chunk.data()), n);
-    std::size_t nl;
-    while ((nl = linebuf.find('\n')) != std::string::npos && nl <= kMaxRequestLine) {
-      std::string line = linebuf.substr(0, nl);
-      linebuf.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      dispatch(line, conn);
-    }
-    if (linebuf.size() > kMaxRequestLine) {
-      conn->write_event(error_event(
-          "", "request line longer than " + std::to_string(kMaxRequestLine) +
-                  " bytes; closing the connection"));
-      break;
-    }
+  std::size_t n = 0;
+  try {
+    n = conn->stream.read_some(chunk);
+  } catch (const std::exception&) {
+    return false;
   }
-  // Never close under a client's feet: answers for requests already accepted
-  // are flushed before the FIN.
-  {
-    std::unique_lock<std::mutex> lock(conn->mu);
-    conn->cv.wait(lock, [&conn] { return conn->pending == 0; });
+  if (n == 0) return false;  // client EOF
+  std::string& buf = conn->linebuf;
+  buf.append(reinterpret_cast<const char*>(chunk.data()), n);
+  std::size_t nl;
+  while (conn->alive() && (nl = buf.find('\n')) != std::string::npos &&
+         nl <= kMaxRequestLine) {
+    std::string line = buf.substr(0, nl);
+    buf.erase(0, nl + 1);
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    dispatch(line, conn);
   }
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    conn->stream.close();
+  if (buf.size() > kMaxRequestLine) {
+    conn->write_event(error_event(
+        "", "request line longer than " + std::to_string(kMaxRequestLine) +
+                " bytes; closing the connection"));
+    return false;
   }
-  connections_.fetch_sub(1, std::memory_order_relaxed);
-  conn->closed.store(true, std::memory_order_release);
+  return conn->alive();
 }
 
 void Daemon::dispatch(const std::string& line,
@@ -239,7 +212,7 @@ void Daemon::dispatch(const std::string& line,
         std::to_string(active_.load(std::memory_order_relaxed)) +
         ",\"served\":" + std::to_string(served()) +
         ",\"workers\":" + std::to_string(pool_.size()) + ",\"connections\":" +
-        std::to_string(connections_.load(std::memory_order_relaxed)) + "}");
+        std::to_string(conns_.size() - std::ranges::count(conns_, nullptr)) + "}");
   } else if (verb == "shutdown") {
     conn->write_event("{\"event\":\"bye\",\"served\":" +
                       std::to_string(served()) + "}");
@@ -286,10 +259,6 @@ void Daemon::handle_estimate(const JsonValue& req,
     }
   }
 
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    ++conn->pending;
-  }
   active_.fetch_add(1, std::memory_order_relaxed);
   log("fairbenchd: estimate %s (id=%s)\n", spec->id.c_str(), id.c_str());
   pool_.submit([this, conn, id, spec, args] {
@@ -316,11 +285,6 @@ void Daemon::handle_estimate(const JsonValue& req,
       conn->write_event(
           error_event(id, std::string("estimate failed: ") + e.what()));
     }
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      --conn->pending;
-    }
-    conn->cv.notify_all();
   });
 }
 

@@ -42,28 +42,40 @@
 // insignificant, and Reporter::json_object never emits raw newlines inside
 // strings). tests/test_service.cpp pins daemon == one-shot bit-identity.
 //
-// Concurrency model: one reader thread per open connection parses lines and
-// answers list/status/shutdown inline; estimate requests are submitted to the
-// shared worker pool, so concurrent requests from one or many connections
-// shard across it. Responses for a connection are serialized by a
+// Concurrency model: one loop in serve() polls the listener and every open
+// connection, frames request lines and answers list/status/shutdown inline;
+// estimate requests are submitted to the shared worker pool, so concurrent
+// requests from one or many connections shard across it. The daemon's
+// threads are the serving thread plus the pool's workers, however many
+// connections are open. Responses for a connection are serialized by a
 // per-connection write mutex (progress events from a worker may interleave
 // between — never inside — other events' lines). Determinism is unaffected:
 // each estimate derives every bit from its request (scenario, seed, runs),
 // never from arrival order or timing.
 //
+// A connection leaves the poll set at EOF, at an overlong line or when a
+// write to it fails; in-flight estimates keep it alive until they have
+// answered, and the last one's release closes it. A client that stops
+// reading fills its socket buffer: a write then fails after
+// net::kSendTimeout without progress, so the loop (or a worker) can wait up
+// to that bound once per stalled client (twice, if a TCP send timed out
+// after a partial write) before the connection is dropped.
+// When the process runs out of fds, accepting pauses until a connection
+// closes or kPollInterval passes; open connections are served meanwhile.
+//
 // Shutdown: stop() (or the "shutdown" verb, or SIGINT/SIGTERM via
-// service::install_stop_handlers + serve()'s polling) stops accepting,
-// drains in-flight estimates, answers them, closes connections, and returns
-// from serve() — clients never see a half-written line.
+// service::install_stop_handlers) is seen by the loop within kPollInterval
+// (or one kSendTimeout, if it is waiting on a stalled client). It stops
+// accepting and reading, waits for in-flight estimates to be answered,
+// closes the connections and returns from serve() — clients never see a
+// half-written line.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/socket.h"
@@ -77,6 +89,10 @@ class JsonValue;
 /// few hundred. A longer line is answered with one "error" event and its
 /// connection is closed, so no client can grow the line buffer without bound.
 inline constexpr std::size_t kMaxRequestLine = 64 * 1024;
+
+/// Longest the serving loop sleeps in poll() before it looks at the stop
+/// flags again.
+inline constexpr std::chrono::milliseconds kPollInterval(200);
 
 struct DaemonConfig {
   /// Non-empty: listen on this unix-domain socket path (preferred for local
@@ -97,12 +113,11 @@ class Daemon {
   /// Binds the listener (throws std::runtime_error on bind failure) and
   /// starts the worker pool. serve() must be called to accept connections.
   explicit Daemon(DaemonConfig cfg);
-  ~Daemon();
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Accept loop; returns after stop()/shutdown-verb/stop_requested() once
-  /// every in-flight request is answered and every connection drained.
+  /// The serving loop; returns after stop()/shutdown-verb/stop_requested()
+  /// once every in-flight request is answered and every connection closed.
   void serve();
 
   /// Request a graceful stop (thread-safe; also callable from a test driver
@@ -110,41 +125,30 @@ class Daemon {
   void stop() { stop_.store(true, std::memory_order_relaxed); }
 
   /// The bound TCP port (0 when listening on a unix socket).
-  [[nodiscard]] std::uint16_t tcp_port() const;
+  [[nodiscard]] std::uint16_t tcp_port() const { return listener_.port(); }
 
   [[nodiscard]] std::uint64_t served() const {
     return served_.load(std::memory_order_relaxed);
   }
 
-  /// Connection reader threads not yet joined: serve() joins each one soon
-  /// after its connection closes.
-  [[nodiscard]] std::size_t reader_threads() const;
-
  private:
   struct Conn;
-  struct Reader {  ///< joins at once after conn->closed is set
-    std::shared_ptr<Conn> conn;
-    std::thread thread;
-  };
 
   void log(const char* fmt, ...) const;
   [[nodiscard]] bool stopping() const;
-  void handle_connection(std::shared_ptr<Conn> conn);
+  bool read_lines(const std::shared_ptr<Conn>& conn);
   void dispatch(const std::string& line, const std::shared_ptr<Conn>& conn);
   void handle_estimate(const JsonValue& req, const std::shared_ptr<Conn>& conn);
 
   DaemonConfig cfg_;
-  std::optional<net::UnixListener> unix_listener_;
-  std::optional<net::TcpListener> tcp_listener_;
-  util::ThreadPool pool_;
+  net::Listener listener_;
   std::atomic<bool> stop_{false};  ///< this daemon's own flag: a shutdown
                                    ///< verb must not poison other Daemon
                                    ///< instances via the global signal flag
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> active_{0};
-  mutable std::mutex readers_mu_;  ///< guards readers_ (reader_threads())
-  std::vector<Reader> readers_;
-  std::atomic<std::uint64_t> connections_{0};
+  std::vector<std::shared_ptr<Conn>> conns_;  ///< the poll set; serve()'s alone
+  util::ThreadPool pool_;  ///< last: destroyed (its jobs drained) first
 };
 
 }  // namespace fairsfe::service

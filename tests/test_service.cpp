@@ -1,8 +1,8 @@
 // fairbenchd daemon tests: a daemon answer is bit-identical to a one-shot
 // fairbench run of the same (scenario, seed, runs) — across daemon worker
 // counts — and the NDJSON control surface (list/status/shutdown, error
-// handling, over-long lines, concurrent requests) behaves as documented in
-// service/daemon.h.
+// handling, over-long lines, concurrent requests, clients that stop reading,
+// seeded framing fuzz) behaves as documented in service/daemon.h.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,6 +11,10 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <future>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "crypto/rng.h"
 #include "experiments/registry.h"
 #include "experiments/report.h"
 #include "net/socket.h"
@@ -111,7 +116,12 @@ class DaemonFixture {
     cfg.quiet = true;
     path_ = path;
     daemon_ = std::make_unique<Daemon>(cfg);
-    server_ = std::thread([this] { daemon_->serve(); });
+    std::promise<void> returned;
+    returned_ = returned.get_future();
+    server_ = std::thread([this, returned = std::move(returned)]() mutable {
+      daemon_->serve();
+      returned.set_value();
+    });
   }
 
   ~DaemonFixture() {
@@ -122,9 +132,16 @@ class DaemonFixture {
   Client client() { return Client(net::unix_connect(path_)); }
   Daemon& daemon() { return *daemon_; }
 
+  /// stop() the daemon; true when serve() then returns within `bound`.
+  bool stop_within(std::chrono::milliseconds bound) {
+    daemon_->stop();
+    return returned_.wait_for(bound) == std::future_status::ready;
+  }
+
  private:
   std::string path_;
   std::unique_ptr<Daemon> daemon_;
+  std::future<void> returned_;  ///< ready once serve() has returned
   std::thread server_;
 };
 
@@ -417,25 +434,227 @@ TEST(Service, ShutdownVerbDrainsWithoutPoisoningTheGlobalFlag) {
             std::string::npos);
 }
 
-TEST(Service, ClosedConnectionThreadsAreReaped) {
-  // A daemon that keeps one thread handle per connection it ever accepted
-  // grows without bound; closed connections' readers must be joined while
-  // it serves.
+/// OS threads of this process: the entries of /proc/self/task.
+std::size_t os_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(tasks, std::filesystem::directory_iterator()));
+}
+
+TEST(Service, ConnectionsAddNoThreadsAndLeaveTheStatusCount) {
+  // The serving loop reads every connection itself: no connection, open or
+  // past, adds an OS thread, and a closed one is out of the status count.
   DaemonFixture fx(1);
-  std::size_t most = 0;
+  const std::size_t threads = os_threads();
   for (int i = 0; i < 64; ++i) {
     Client c = fx.client();
     c.send("{\"verb\":\"status\"}");
     c.read_until_event("status");
-    most = std::max(most, fx.daemon().reader_threads());
   }
-  EXPECT_LE(most, 8u) << "reader threads pile up across closed connections";
-  const auto deadline = std::chrono::steady_clock::now() + kReadTimeout;
-  while (fx.daemon().reader_threads() > 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    std::vector<Client> burst;
+    for (int i = 0; i < 8; ++i) {
+      burst.push_back(fx.client());
+      burst.back().send("{\"verb\":\"status\"}");
+    }
+    for (Client& c : burst) c.read_until_event("status");
+    EXPECT_EQ(os_threads(), threads) << "a thread per open connection";
   }
-  EXPECT_EQ(fx.daemon().reader_threads(), 0u);
+  Client c = fx.client();
+  c.send("{\"verb\":\"status\"}");
+  const std::string line = c.read_until_event("status");
+  EXPECT_NE(line.find("\"connections\":1"), std::string::npos) << line;
+  EXPECT_EQ(os_threads(), threads) << "a thread per past connection";
 }
+
+TEST(Service, ClientThatStopsReadingStallsNeitherOthersNorTheDrain) {
+  // A client that pipelines requests and never reads fills its socket
+  // buffer. The daemon's write to it then fails after net::kSendTimeout and
+  // the connection is dropped: another client is still answered, and
+  // serve() returns within one send timeout plus one poll interval of
+  // stop().
+  DaemonFixture fx(1);
+  Client flooder = fx.client();
+  Client other = fx.client();
+  std::string flood;
+  for (int i = 0; i < 2000; ++i) flood += "{\"verb\":\"list\"}\n";
+  flooder.send_raw(flood);  // over 1 MB of answers: far past any socket buffer
+  other.send("{\"verb\":\"status\"}");
+  other.read_until_event("status");
+  EXPECT_TRUE(fx.stop_within(net::kSendTimeout + kPollInterval))
+      << "serve() still waits on the client that stopped reading";
+}
+
+/// One seeded fuzz line: its bytes (newline included) and the terminal event
+/// it must get back, as "event/id" ("" when the line must get none).
+struct FuzzLine {
+  std::string bytes;
+  std::string answer;
+};
+
+/// A line the daemon must answer with `event` carrying `id` (events with no
+/// "id" key read as "").
+FuzzLine framed(std::string request, const std::string& event, const std::string& id) {
+  return {request + "\n", event + "/" + id};
+}
+
+/// One random line of the framing fuzz. Valid requests (sometimes ending in
+/// \r\n, or padded to just under kMaxRequestLine) interleave with byte
+/// garbage, NUL bytes, non-object JSON, wrongly typed fields and blank lines.
+FuzzLine fuzz_line(Rng& rng, std::size_t k) {
+  const std::string id = "f" + std::to_string(k);
+  const std::string estimate =
+      std::string("{\"verb\":\"estimate\",\"scenario\":\"") + kScenario + "\"";
+  switch (rng.below(12)) {
+    case 0:
+      return framed("{\"verb\":\"list\"}", "scenarios", "");
+    case 1:
+      return framed("{\"verb\":\"status\",\"id\":\"" + id + "\"}\r", "status", "");
+    case 2:
+      if (rng.below(3) == 0) {
+        return framed(estimate + ",\"runs\":4,\"seed\":" + std::to_string(k) +
+                          ",\"id\":\"" + id + "\"}",
+                      "result", id);
+      }
+      return framed("{\"verb\":\"status\"}", "status", "");
+    case 3: {
+      static const char* const kWrongTypes[] = {
+          ",\"runs\":\"8\"", ",\"seed\":true", ",\"lanes\":null",
+          ",\"target_ci\":{}", ",\"threads\":[1]", ",\"runs\":-3"};
+      return framed(estimate + kWrongTypes[rng.below(6)] + ",\"id\":\"" + id + "\"}",
+                    "error", id);
+    }
+    case 4: {
+      static const char* const kWrongVerbs[] = {
+          "{\"verb\":[\"list\"]", "{\"verb\":7", "{\"verb\":\"estimate\",\"scenario\":5",
+          "{\"verb\":\"LIST\""};
+      return framed(std::string(kWrongVerbs[rng.below(4)]) + ",\"id\":\"" + id + "\"}",
+                    "error", id);
+    }
+    case 5: {
+      static const char* const kNonObjects[] = {
+          "[1,2]", "\"list\"", "42", "null", "true", "[{\"verb\":\"list\"}]", "{", "}"};
+      return framed(kNonObjects[rng.below(8)], "error", "");
+    }
+    case 6: {  // byte garbage; the leading '#' is no JSON value's first byte
+      std::string garbage = "#";
+      for (const std::uint8_t b : rng.bytes(1 + rng.below(300))) {
+        garbage.push_back(b == '\n' ? ' ' : static_cast<char>(b));
+      }
+      return framed(garbage, "error", "");
+    }
+    case 7: {  // a NUL before, inside or after an otherwise valid request
+      std::string line = "{\"verb\":\"list\"}";
+      line.insert(rng.below(line.size() + 1), 1, '\0');
+      return framed(line, "error", "");
+    }
+    case 8: {  // unknown keys are ignored, up to just under the line cap
+      std::string line = "{\"verb\":\"status\",\"pad\":\"\"}";
+      const std::size_t length = kMaxRequestLine - rng.below(64) - (rng.bit() ? 1 : 0);
+      line.insert(line.size() - 2, length - line.size(), 'x');
+      return framed(line, "status", "");
+    }
+    case 9:
+      return {rng.bit() ? "\n" : "\r\n", ""};
+    default:
+      return framed("{\"verb\":\"list\",\"id\":" + std::to_string(k) + "}", "scenarios", "");
+  }
+}
+
+/// "event/id" of a terminal response event; "" for progress events.
+std::string answer_of(const std::string& line) {
+  const std::optional<JsonValue> event = json_parse(line);
+  EXPECT_TRUE(event && event->is_object()) << line;
+  if (!event || !event->is_object()) return "bad/";
+  const std::string kind = event->get_string("event");
+  return kind == "progress" ? "" : kind + "/" + event->get_string("id");
+}
+
+class FramingFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FramingFuzz, EveryFramedRequestGetsExactlyOneAnswer) {
+  // Six connections send ~100 seeded lines between them, each line split
+  // into up to three writes and the writes of all connections interleaved.
+  // A seventh, clean connection is answered throughout; every well-framed
+  // request gets exactly one terminal event with its id; and serve() drains
+  // and returns after stop().
+  constexpr std::size_t kConnections = 6;
+  constexpr std::size_t kLines = 100;
+  Rng rng(GetParam());
+  DaemonFixture fx(2);
+  Client clean = fx.client();
+  std::vector<Client> clients;
+  std::vector<std::vector<std::string>> pieces(kConnections);
+  std::vector<std::map<std::string, int>> expected(kConnections);
+  std::vector<int> answers(kConnections, 0);
+  for (std::size_t i = 0; i < kConnections; ++i) clients.push_back(fx.client());
+  for (std::size_t k = 0; k < kLines; ++k) {
+    const std::size_t c = rng.below(kConnections);
+    const FuzzLine line = fuzz_line(rng, k);
+    if (!line.answer.empty()) {
+      ++expected[c][line.answer];
+      ++answers[c];
+    }
+    std::size_t from = 0;
+    for (std::size_t cuts = rng.below(3); cuts > 0; --cuts) {
+      const std::size_t to = from + rng.below(line.bytes.size() - from);
+      pieces[c].push_back(line.bytes.substr(from, to - from));
+      from = to;
+    }
+    pieces[c].push_back(line.bytes.substr(from));
+  }
+  std::vector<std::size_t> next(kConnections, 0);
+  for (std::size_t sent = 0;; ++sent) {
+    std::vector<std::size_t> open;
+    for (std::size_t c = 0; c < kConnections; ++c) {
+      if (next[c] < pieces[c].size()) open.push_back(c);
+    }
+    if (open.empty()) break;
+    const std::size_t c = open[rng.below(open.size())];
+    clients[c].send_raw(pieces[c][next[c]++]);
+    if (sent % 16 == 0) {
+      clean.send("{\"verb\":\"status\"}");
+      clean.read_until_event("status");
+    }
+  }
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    std::map<std::string, int> got;
+    for (int n = 0; n < answers[c];) {
+      const std::string answer = answer_of(clients[c].read_line());
+      if (answer.empty()) continue;
+      ++got[answer];
+      ++n;
+    }
+    EXPECT_EQ(got, expected[c]) << "connection " << c;
+    // Inline answers keep request order, so a surplus answer to any line
+    // would arrive before this one.
+    clients[c].send("{\"verb\":\"status\"}");
+    EXPECT_EQ(answer_of(clients[c].read_line()), "status/") << "connection " << c;
+  }
+  clean.send("{\"verb\":\"list\"}");
+  EXPECT_NE(clean.read_until_event("scenarios").find("\"count\":22"), std::string::npos);
+  // An estimate accepted before stop() is answered before its connection
+  // closes: the status behind it proves the loop dispatched it.
+  clients[0].send(estimate_request("last", 4, 1));
+  clients[0].send("{\"verb\":\"status\"}");
+  std::map<std::string, int> last;
+  while (last.count("status/") == 0) {
+    const std::string answer = answer_of(clients[0].read_line());
+    if (!answer.empty()) ++last[answer];
+  }
+  EXPECT_TRUE(fx.stop_within(std::chrono::seconds(60)));
+  while (!clients[0].closed_by_daemon()) {
+    const std::string answer = answer_of(clients[0].read_line());
+    if (!answer.empty()) ++last[answer];
+  }
+  EXPECT_EQ(last, (std::map<std::string, int>{{"result/last", 1}, {"status/", 1}}));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServiceFuzz, FramingFuzz, ::testing::Values(1u, 2u, 3u),
+    [](const ::testing::TestParamInfo<std::uint64_t>& seed) {
+      return "seed_" + std::to_string(seed.param);
+    });
 
 /// One bad value of one run-request field, in each surface's syntax.
 struct BadField {
