@@ -11,15 +11,21 @@
 #
 # 2. TSan gate for the parallel Monte-Carlo estimation engine: build the tsan
 # preset and run the tier1 ctest label — the scheduling-independence suites
-# (estimator, thread pool, RNG forking, hot-path goldens, fault injection)
-# plus the scenario-registry, exp18 golden and fairbenchd daemon suites
+# (estimator, thread pool, RNG forking, hot-path goldens, fault injection),
+# the Bytes.* container tests (stage 3 reruns them under ASan, which checks
+# inserts whose source lies in the buffer being grown) plus the scenario-registry, exp18 golden and fairbenchd daemon suites
 # (Service*, the ServiceFuzz framing fuzz and the
 # daemon.fd_exhaustion_keeps_serving hostile-client script, which runs the
-# instrumented fairbenchd) and the fairbench/fairbenchd argument checks —
-# under ThreadSanitizer, so data races in the
+# instrumented fairbenchd) and the fairbench/fairbenchd argument checks
+# (cli.fairbench_quiet_prints_nothing among them: `--quiet` writes nothing
+# to stdout) — under ThreadSanitizer, so data races in the
 # estimator/thread-pool/plan-cache/fault/daemon layer fail the build rather
 # than silently perturbing estimates. The preset builds with
 # warnings as errors. The tier labels are assigned in tests/CMakeLists.txt.
+# The label also holds fairsfe_alloc_tests, a separate binary with its own
+# operator new: the AllocCeiling.* steady-state allocation ceilings and the
+# BytesPool.* unit tests. They skip in both sanitizer stages, which compile
+# the Bytes pool out (DESIGN.md §4); stage 4 runs them on the Release build.
 #
 # 3. ASan+UBSan gate: build the asan-ubsan preset (warnings as errors) and
 #    run the same tier1 label under AddressSanitizer and
@@ -33,7 +39,8 @@
 #    CMAKE_COMPILE_WARNING_AS_ERROR=ON, so a broken Release build or any new
 #    compiler warning fails CI. `fairbench --list` must then enumerate the
 #    registered scenario table (a linker dropping scenario TUs would
-#    silently shrink it).
+#    silently shrink it), and the AllocCeiling.*/BytesPool.* tests run
+#    there with the pool compiled in.
 #
 # 5. Daemon smoke (gating): start the Release fairbenchd on a unix socket,
 #    drive a small request mix through scripts/loadtest.py, and assert the
@@ -58,7 +65,7 @@ scripts/lint.sh
 echo "lint + analyze gate passed"
 
 cmake --preset tsan
-cmake --build --preset tsan -j "$(nproc)" --target fairsfe_tests \
+cmake --build --preset tsan -j "$(nproc)" --target fairsfe_tests --target fairsfe_alloc_tests \
       --target fairbench --target fairbenchd
 if [[ $# -ge 1 ]]; then
   ctest --test-dir build-tsan -R "$1" --output-on-failure -j "$(nproc)"
@@ -70,7 +77,7 @@ fi
 
 # --- gating ASan+UBSan stage ---------------------------------------------------
 cmake --preset asan-ubsan
-cmake --build --preset asan-ubsan -j "$(nproc)" --target fairsfe_tests \
+cmake --build --preset asan-ubsan -j "$(nproc)" --target fairsfe_tests --target fairsfe_alloc_tests \
       --target fairbench --target fairbenchd
 ctest --test-dir build-asan-ubsan -L tier1 --output-on-failure -j "$(nproc)"
 echo "asan-ubsan gate passed (-L tier1)"
@@ -84,6 +91,7 @@ echo "fairbench --list: ${SCENARIOS}"
 case "${SCENARIOS}" in
   0\ scenarios*) echo "registry is empty — scenario TUs dropped?"; exit 1 ;;
 esac
+ctest --test-dir build-perf -R '^(AllocCeiling|BytesPool)\.' --output-on-failure
 echo "release build gate passed"
 
 # --- gating daemon smoke -------------------------------------------------------

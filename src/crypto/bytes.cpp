@@ -2,6 +2,44 @@
 
 namespace fairsfe {
 
+void Bytes::append_grown(const std::uint8_t* src, size_type n) {
+  // src may lie in the old block: copy it before releasing that.
+  size_type capacity = 0;
+  std::uint8_t* fresh = allocate(grown(size_ + n), capacity);
+  if (size_ != 0) std::memcpy(fresh, data_, size_);
+  std::memcpy(fresh + size_, src, n);
+  release(data_, capacity_);
+  data_ = fresh;
+  size_ += n;
+  capacity_ = capacity;
+}
+
+Bytes::iterator Bytes::insert_bytes(const_iterator pos, const std::uint8_t* src, size_type n) {
+  // Built aside, so a source inside this buffer stays valid throughout.
+  const auto at = static_cast<size_type>(pos - data_);
+  Bytes out;
+  out.reserve(grown(size_ + n));
+  out.append(data_, at);
+  out.append(src, n);
+  out.append(data_ + at, size_ - at);
+  swap(out);
+  return data_ + at;
+}
+
+void Bytes::assign_bytes(const std::uint8_t* src, size_type n) {
+  if (n > capacity_) {
+    size_type capacity = 0;
+    std::uint8_t* fresh = allocate(n, capacity);
+    std::memcpy(fresh, src, n);
+    release(data_, capacity_);
+    data_ = fresh;
+    capacity_ = capacity;
+  } else if (n != 0) {
+    std::memmove(data_, src, n);  // the source may lie in this buffer
+  }
+  size_ = n;
+}
+
 std::string to_hex(ByteView data) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;
@@ -103,37 +141,10 @@ Writer& Writer::str(std::string_view s) {
   return *this;
 }
 
-std::optional<std::uint8_t> Reader::u8() {
-  if (remaining() < 1) return std::nullopt;
-  return data_[pos_++];
-}
-
-std::optional<std::uint32_t> Reader::u32() {
-  if (remaining() < 4) return std::nullopt;
-  const std::uint32_t v = read_le32(data_.data() + pos_);
-  pos_ += 4;
-  return v;
-}
-
-std::optional<std::uint64_t> Reader::u64() {
-  if (remaining() < 8) return std::nullopt;
-  const std::uint64_t v = read_le64(data_.data() + pos_);
-  pos_ += 8;
-  return v;
-}
-
 std::optional<Bytes> Reader::blob() {
   const auto len = u32();
   if (!len) return std::nullopt;
   return raw(*len);
-}
-
-std::optional<ByteView> Reader::blob_view() {
-  const auto len = u32();
-  if (!len || remaining() < *len) return std::nullopt;
-  const ByteView out = data_.subspan(pos_, *len);
-  pos_ += *len;
-  return out;
 }
 
 std::optional<Bytes> Reader::raw(std::size_t n) {

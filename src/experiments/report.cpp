@@ -157,6 +157,14 @@ void Reporter::begin(const experiments::ScenarioSpec& spec) {
   title(spec.title, spec.claim);
 }
 
+void Reporter::note(const char* fmt, ...) {
+  if (args_.quiet) return;
+  va_list ap;
+  va_start(ap, fmt);
+  std::vprintf(fmt, ap);
+  va_end(ap);
+}
+
 void Reporter::gamma(const rpd::PayoffVector& g) {
   gamma_ = g.to_string();
   if (!args_.quiet) std::printf("gamma = %s, runs/point = %zu\n\n", gamma_.c_str(), runs_);

@@ -179,6 +179,10 @@ class Reporter {
   /// so the table provably describes the registered configuration.
   void begin(const experiments::ScenarioSpec& spec);
 
+  /// Free-form scenario prose around the table (printf format); silent
+  /// under --quiet like every other line the reporter prints.
+  void note(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+
   void gamma(const rpd::PayoffVector& g);
   void row_header();
   void row(const std::string& name, const rpd::UtilityEstimate& est,

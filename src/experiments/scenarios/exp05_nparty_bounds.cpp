@@ -24,7 +24,7 @@ void run(ScenarioContext& ctx) {
   std::uint64_t seed = ctx.spec.base_seed;
 
   for (const std::size_t n : {3u, 4u, 5u, 6u, 8u}) {
-    std::printf("--- n = %zu ---\n", n);
+    rep.note("--- n = %zu ---\n", n);
     rep.row_header();
     for (std::size_t t = 1; t < n; ++t) {
       const auto est = rpd::estimate_utility(optn_lock_abort(n, t), gamma, rep.opts(seed++));
@@ -44,11 +44,11 @@ void run(ScenarioContext& ctx) {
     rep.row("mixed A_ibar (Lemma 13)", mixed, buf);
     rep.check(mixed.utility >= gamma.nparty_opt_bound(n) - mixed.margin() - 0.03,
               "n=" + std::to_string(n) + " mixed A_ibar achieves the optimum");
-    std::printf("\n");
+    rep.note("\n");
   }
 
-  std::printf("Shape: utility grows linearly in t with slope (g10-g11)/n and the\n"
-              "optimum approaches g10 as n grows — exactly the paper's series.\n");
+  rep.note("Shape: utility grows linearly in t with slope (g10-g11)/n and the\n"
+           "optimum approaches g10 as n grows — exactly the paper's series.\n");
 }
 
 }  // namespace

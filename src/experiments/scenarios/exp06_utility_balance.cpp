@@ -29,15 +29,15 @@ void run(ScenarioContext& ctx) {
         gamma, rep.opts(seed));
     seed += 100;
 
-    std::printf("--- n = %zu ---\n", n);
-    std::printf("%-6s %-20s %10s   %s\n", "t", "best strategy", "phi(t)", "paper phi(t)");
+    rep.note("--- n = %zu ---\n", n);
+    rep.note("%-6s %-20s %10s   %s\n", "t", "best strategy", "phi(t)", "paper phi(t)");
     for (std::size_t t = 1; t < n; ++t) {
-      std::printf("%-6zu %-20s %10.4f   %.4f\n", t,
-                  profile.best_per_t[t - 1].name.c_str(), profile.phi(t),
-                  gamma.nparty_bound(t, n));
+      rep.note("%-6zu %-20s %10.4f   %.4f\n", t,
+               profile.best_per_t[t - 1].name.c_str(), profile.phi(t),
+               gamma.nparty_bound(t, n));
     }
-    std::printf("sum = %.4f   bound (n-1)(g10+g11)/2 = %.4f   margin = %.4f\n\n",
-                profile.sum(), gamma.balance_bound(n), profile.sum_margin());
+    rep.note("sum = %.4f   bound (n-1)(g10+g11)/2 = %.4f   margin = %.4f\n\n",
+             profile.sum(), gamma.balance_bound(n), profile.sum_margin());
     rep.check(rpd::is_utility_balanced(profile, gamma),
               "n=" + std::to_string(n) + ": OptNSFE is utility-balanced");
     rep.check(profile.sum() >= gamma.balance_bound(n) - profile.sum_margin() - 0.1,

@@ -45,7 +45,7 @@ void run(ScenarioContext& ctx) {
   const std::size_t bits = 16;
   rep.gamma(gamma);
 
-  std::printf("secret = %zu bits per party; lock-abort adversary corrupts p2.\n\n", bits);
+  rep.note("secret = %zu bits per party; lock-abort adversary corrupts p2.\n\n", bits);
   rep.row_header();
   std::uint64_t seed = ctx.spec.base_seed;
 
@@ -81,11 +81,11 @@ void run(ScenarioContext& ctx) {
   rep.check(std::abs(opt2.utility - gamma.two_party_opt_bound()) < opt2.margin() + 0.02,
             "Opt2SFE is budget-independent at the optimum");
 
-  std::printf("\nReading: by the utility metric, gradual release is either fully unfair\n"
-              "(g10) or fully fair (g11) depending on assumptions *outside* the\n"
-              "protocol; the optimally fair protocol gives a guarantee that holds\n"
-              "unconditionally — the paper's motivation for a protocol-intrinsic,\n"
-              "comparative measure.\n");
+  rep.note("\nReading: by the utility metric, gradual release is either fully unfair\n"
+           "(g10) or fully fair (g11) depending on assumptions *outside* the\n"
+           "protocol; the optimally fair protocol gives a guarantee that holds\n"
+           "unconditionally — the paper's motivation for a protocol-intrinsic,\n"
+           "comparative measure.\n");
 }
 
 }  // namespace

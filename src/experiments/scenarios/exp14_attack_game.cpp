@@ -60,9 +60,9 @@ void run(ScenarioContext& ctx) {
       {"Opt2SFE", [](sim::PartyId c) { return opt2_lock_abort(c); }},
   };
 
-  std::printf("payoff matrix: max over {corrupt p1, corrupt p2} lock-abort attackers\n\n");
-  std::printf("%-28s %14s %14s %12s\n", "design", "vs corrupt p1", "vs corrupt p2",
-              "sup_A");
+  rep.note("payoff matrix: max over {corrupt p1, corrupt p2} lock-abort attackers\n\n");
+  rep.note("%-28s %14s %14s %12s\n", "design", "vs corrupt p1", "vs corrupt p2",
+           "sup_A");
   std::uint64_t seed = ctx.spec.base_seed;
   double best_value = 1e9;
   std::string best_name;
@@ -71,16 +71,16 @@ void run(ScenarioContext& ctx) {
     const auto a1 = rpd::estimate_utility(d.attack_for(0), gamma, rep.opts(seed++));
     const auto a2 = rpd::estimate_utility(d.attack_for(1), gamma, rep.opts(seed++));
     const double sup = std::max(a1.utility, a2.utility);
-    std::printf("%-28s %14.4f %14.4f %12.4f\n", d.name.c_str(), a1.utility, a2.utility,
-                sup);
+    rep.note("%-28s %14.4f %14.4f %12.4f\n", d.name.c_str(), a1.utility, a2.utility,
+             sup);
     if (sup < best_value) {
       best_value = sup;
       best_name = d.name;
     }
     if (d.name == "Opt2SFE") opt2_value = sup;
   }
-  std::printf("\nminimax design: %s (game value %.4f; theory %.4f)\n\n", best_name.c_str(),
-              best_value, gamma.two_party_opt_bound());
+  rep.note("\nminimax design: %s (game value %.4f; theory %.4f)\n\n", best_name.c_str(),
+           best_value, gamma.two_party_opt_bound());
 
   // Opt2SFE must sit at the game value. (Pi2 ties it on this function — the
   // coin-tossed contract exchange is itself optimally fair for swaps, so the
@@ -90,9 +90,9 @@ void run(ScenarioContext& ctx) {
             "Opt2SFE attains the minimax value of the attack game");
   rep.check(std::abs(opt2_value - gamma.two_party_opt_bound()) < 0.03,
             "the game value equals (g10+g11)/2 — Theorems 3+4 as a saddle point");
-  std::printf("Interpretation: the designer cannot push the best attacker below\n"
-              "(g10+g11)/2 (Theorem 4), and Opt2SFE attains it (Theorem 3): the pair\n"
-              "(Opt2SFE, Agen) is an equilibrium of the RPD meta-game.\n");
+  rep.note("Interpretation: the designer cannot push the best attacker below\n"
+           "(g10+g11)/2 (Theorem 4), and Opt2SFE attains it (Theorem 3): the pair\n"
+           "(Opt2SFE, Agen) is an equilibrium of the RPD meta-game.\n");
 }
 
 }  // namespace

@@ -22,9 +22,9 @@ void run(ScenarioContext& ctx) {
   bench::Reporter& rep = ctx.rep;
   std::uint64_t seed = ctx.spec.base_seed;
 
-  std::printf("--- sweep g11 with g10 = 1, g00 = g11/2 ---\n\n");
-  std::printf("%-8s %16s %16s %16s %12s\n", "g11", "u(Pi1)", "u(Pi2)", "u(Opt2SFE)",
-              "(g10+g11)/2");
+  rep.note("--- sweep g11 with g10 = 1, g00 = g11/2 ---\n\n");
+  rep.note("%-8s %16s %16s %16s %12s\n", "g11", "u(Pi1)", "u(Pi2)", "u(Opt2SFE)",
+           "(g10+g11)/2");
   for (const double g11 : {0.0, 0.2, 0.4, 0.6, 0.8}) {
     const rpd::PayoffVector g = rpd::payoff::sensitivity(g11);
     const auto pi1 = rpd::estimate_utility(
@@ -32,8 +32,8 @@ void run(ScenarioContext& ctx) {
     const auto pi2 = rpd::estimate_utility(
         contract_attack(fair::ContractVariant::kPi2, 1), g, rep.opts(seed++));
     const auto opt = rpd::estimate_utility(opt2_lock_abort(1), g, rep.opts(seed++));
-    std::printf("%-8.2f %16.4f %16.4f %16.4f %12.4f\n", g11, pi1.utility, pi2.utility,
-                opt.utility, g.two_party_opt_bound());
+    rep.note("%-8.2f %16.4f %16.4f %16.4f %12.4f\n", g11, pi1.utility, pi2.utility,
+             opt.utility, g.two_party_opt_bound());
     rep.check(std::abs(opt.utility - g.two_party_opt_bound()) < opt.margin() + 0.02,
               "Opt2SFE tracks the closed form at g11 = " + std::to_string(g11));
     // The Pi1-Pi2 gap is (g10 - g11)/2, which narrows as g11 grows; require
@@ -44,7 +44,7 @@ void run(ScenarioContext& ctx) {
               "Pi2 matches the optimum at g11 = " + std::to_string(g11));
   }
 
-  std::printf("\n--- g01-shift invariance (the paper's wlog normalization) ---\n\n");
+  rep.note("\n--- g01-shift invariance (the paper's wlog normalization) ---\n\n");
   // Raw vector with g01 = 0.25 and its normalized form; utilities must shift
   // by exactly the mix of event frequencies, preserving order and gaps.
   const rpd::PayoffVector raw = rpd::payoff::shifted_standard();
@@ -52,25 +52,25 @@ void run(ScenarioContext& ctx) {
   rep.check(norm.in_gamma_fair(), "normalized vector lands in Gamma_fair");
   const auto u_raw = rpd::estimate_utility(opt2_lock_abort(0), raw, rep.opts(9100));
   const auto u_norm = rpd::estimate_utility(opt2_lock_abort(0), norm, rep.opts(9100));
-  std::printf("raw gamma  %s : u = %.4f\nnormalized %s : u = %.4f (shift %.4f)\n",
-              raw.to_string().c_str(), u_raw.utility, norm.to_string().c_str(),
-              u_norm.utility, u_raw.utility - u_norm.utility);
+  rep.note("raw gamma  %s : u = %.4f\nnormalized %s : u = %.4f (shift %.4f)\n",
+           raw.to_string().c_str(), u_raw.utility, norm.to_string().c_str(),
+           u_norm.utility, u_raw.utility - u_norm.utility);
   // Same seeds => same event draws; the difference must be exactly g01 = 0.25.
   rep.check(std::abs((u_raw.utility - u_norm.utility) - 0.25) < 1e-9,
             "utility shifts by exactly g01 under normalization");
 
-  std::printf("\n--- multi-party: ordering of OptNSFE vs Pi-1/2-GMW flips with t ---\n\n");
+  rep.note("\n--- multi-party: ordering of OptNSFE vs Pi-1/2-GMW flips with t ---\n\n");
   const std::size_t n = 4;
   const rpd::PayoffVector g = rpd::PayoffVector::standard();
   for (std::size_t t = 1; t < n; ++t) {
     const auto opt = rpd::estimate_utility(optn_lock_abort(n, t), g, rep.opts(seed++));
     const auto gmw = rpd::estimate_utility(half_gmw_coalition(n, t), g, rep.opts(seed++));
-    std::printf("t=%zu: OptNSFE %.4f vs Pi-1/2-GMW %.4f -> %s is fairer here\n", t,
-                opt.utility, gmw.utility, opt.utility < gmw.utility ? "OptNSFE" : "GMW");
+    rep.note("t=%zu: OptNSFE %.4f vs Pi-1/2-GMW %.4f -> %s is fairer here\n", t,
+             opt.utility, gmw.utility, opt.utility < gmw.utility ? "OptNSFE" : "GMW");
   }
-  std::printf("\nReading: per-t the two protocols are incomparable (GMW wins below\n"
-              "n/2, loses at and above) — exactly why Definition 5 aggregates over t\n"
-              "and why corruption costs (Theorem 6) are needed to rank them.\n");
+  rep.note("\nReading: per-t the two protocols are incomparable (GMW wins below\n"
+           "n/2, loses at and above) — exactly why Definition 5 aggregates over t\n"
+           "and why corruption costs (Theorem 6) are needed to rank them.\n");
 }
 
 }  // namespace

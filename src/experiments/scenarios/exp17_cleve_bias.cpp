@@ -54,9 +54,9 @@ void run(ScenarioContext& ctx) {
   bench::Reporter& rep = ctx.rep;
   const std::size_t runs = rep.runs();
 
-  std::printf("runs/point = %zu, adversary corrupts p1, target = 1\n\n", runs);
-  std::printf("%-8s %14s %14s %18s\n", "flips r", "eager bias", "tally bias",
-              "1/(4*sqrt(r)) ref");
+  rep.note("runs/point = %zu, adversary corrupts p1, target = 1\n\n", runs);
+  rep.note("%-8s %14s %14s %18s\n", "flips r", "eager bias", "tally bias",
+           "1/(4*sqrt(r)) ref");
   std::uint64_t seed = ctx.spec.base_seed;
   double prev_tally = 1.0;
   double bias1 = 0.0;
@@ -66,8 +66,8 @@ void run(ScenarioContext& ctx) {
     seed += runs;
     const double tally = target_rate(r, false, runs, seed) - 0.5;
     seed += runs;
-    std::printf("%-8zu %14.4f %14.4f %18.4f\n", r, eager, tally,
-                0.25 / std::sqrt(static_cast<double>(r)));
+    rep.note("%-8zu %14.4f %14.4f %18.4f\n", r, eager, tally,
+             0.25 / std::sqrt(static_cast<double>(r)));
     if (r == 1) bias1 = tally;
     bias_last = tally;
     rep.check(tally <= prev_tally + 0.02,
@@ -75,15 +75,15 @@ void run(ScenarioContext& ctx) {
     prev_tally = tally;
   }
 
-  std::printf("\n");
+  rep.note("\n");
   rep.check(std::abs(bias1 - 0.25) < 0.03, "single-flip bias is the classic 1/4");
   rep.check(bias_last > 0.01,
             "bias never vanishes (Cleve's impossibility, Omega(1/r))");
 
-  std::printf("\nContext: this is the impossibility that motivates the whole paper —\n"
-              "since no protocol can eliminate the attacker's advantage, the right\n"
-              "question is the comparative one: WHICH protocol minimizes it. The\n"
-              "utility-based answer for general SFE is (g10+g11)/2 (E02/E03).\n");
+  rep.note("\nContext: this is the impossibility that motivates the whole paper —\n"
+           "since no protocol can eliminate the attacker's advantage, the right\n"
+           "question is the comparative one: WHICH protocol minimizes it. The\n"
+           "utility-based answer for general SFE is (g10+g11)/2 (E02/E03).\n");
 }
 
 }  // namespace

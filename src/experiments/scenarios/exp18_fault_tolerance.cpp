@@ -60,8 +60,8 @@ void run(ScenarioContext& ctx) {
   const auto sweep = [&](const std::string& prefix, const rpd::PayoffVector& gamma,
                          std::uint64_t seed) {
     const double bound = gamma.two_party_opt_bound();
-    std::printf("--- %s sweep: lock-abort(p1) on Opt2SFE, bound (g10+g11)/2 = %.3f ---\n",
-                prefix.c_str(), bound);
+    rep.note("--- %s sweep: lock-abort(p1) on Opt2SFE, bound (g10+g11)/2 = %.3f ---\n",
+             prefix.c_str(), bound);
     rep.gamma(gamma);
     rep.row_header();
     std::vector<rpd::UtilityEstimate> curve;
@@ -73,8 +73,8 @@ void run(ScenarioContext& ctx) {
       rep.row(prefix + ":" + pct(p), est, paper);
       curve.push_back(est);
     }
-    std::printf("  fault stats @ p=0.30: %s\n",
-                curve.back().fault_stats.to_string().c_str());
+    rep.note("  fault stats @ p=0.30: %s\n",
+             curve.back().fault_stats.to_string().c_str());
     rep.check(std::abs(curve.front().utility - bound) <= curve.front().margin() + 0.02,
               prefix + ": p=0 reproduces the reliable-network optimum " +
                   std::to_string(bound));
@@ -94,7 +94,7 @@ void run(ScenarioContext& ctx) {
     }
   }
   rep.check(true, "std: every drop rate respects the Theorem 3 bound 0.75");
-  std::printf("\n");
+  rep.note("\n");
 
   // Gamma_fair \ Gamma+fair: a spiteful g00 > g11 (the adversary prefers
   // nobody-learns over everybody-learns). Drops now donate utility: the
@@ -113,14 +113,14 @@ void run(ScenarioContext& ctx) {
   const double rise = spite_curve.back().utility - spite_curve.front().utility;
   rep.check(rise > 0.008 && rise < 0.025,
             "spite: p=0.30 donates ~p(g00-g11)/2 = 0.015 utility above the optimum");
-  std::printf("\n");
+  rep.note("\n");
 
   // Contract protocols under the same drop sweep (standard gamma). Pi1's
   // best attack corrupts the *second* opener (E01's sup = g10 = 1). Under a
   // Gamma+fair vector, drops can only pull either protocol's utility down
   // toward g00 — a stalled honest party never sends the opening the
   // adversary is waiting to lock — never above the reliable-network sup.
-  std::printf("--- contract protocols, standard gamma ---\n");
+  rep.note("--- contract protocols, standard gamma ---\n");
   rep.row_header();
   for (const double p : {0.0, 0.15, 0.30}) {
     const auto est = point(rep, contract_attack_strict(fair::ContractVariant::kPi1, 1),
@@ -148,14 +148,14 @@ void run(ScenarioContext& ctx) {
                 "pi2: " + pct(p) + " never exceeds the reliable-network sup");
     }
   }
-  std::printf("\n");
+  rep.note("\n");
 
   // Crash schedules against Opt2SFE (standard gamma, no message faults).
   // A permanent crash of the honest party denies *both* sides the output
   // (E00): the adversary taps the wire but the closing opening is never
   // sent. A one-round outage before reconstruction is absorbed entirely —
   // the missed round only stalls the activation-driven parties.
-  std::printf("--- crash schedules: honest party p2, Opt2SFE, standard gamma ---\n");
+  rep.note("--- crash schedules: honest party p2, Opt2SFE, standard gamma ---\n");
   rep.row_header();
   {
     rpd::EstimatorOptions o = rep.opts(1820);
@@ -163,7 +163,7 @@ void run(ScenarioContext& ctx) {
     const auto est = rpd::estimate_utility(opt2_lock_abort_strict(0), standard, o);
     total_cap_hits += est.round_cap_hits;
     rep.row("crash:p2@r2,no-restart", est, "= g00 = 0.250");
-    std::printf("  fault stats: %s\n", est.fault_stats.to_string().c_str());
+    rep.note("  fault stats: %s\n", est.fault_stats.to_string().c_str());
     rep.check(est.fault_stats.crashes == est.runs && est.fault_stats.restarts == 0,
               "crash: exactly one crash per run, no restarts");
     rep.check(std::abs(est.utility - standard.g00) <= est.margin() + 0.02,
@@ -175,7 +175,7 @@ void run(ScenarioContext& ctx) {
     const auto est = rpd::estimate_utility(opt2_lock_abort_strict(0), standard, o);
     total_cap_hits += est.round_cap_hits;
     rep.row("crash:p2@r1,restart@r2", est, "= 0.750 (absorbed)");
-    std::printf("  fault stats: %s\n", est.fault_stats.to_string().c_str());
+    rep.note("  fault stats: %s\n", est.fault_stats.to_string().c_str());
     rep.check(est.fault_stats.crashes == est.runs && est.fault_stats.restarts == est.runs,
               "crash-restart: one crash and one restart per run");
     rep.check(std::abs(est.utility - 0.75) <= est.margin() + 0.02,

@@ -126,7 +126,7 @@ void run(ScenarioContext& ctx) {
               "max-4party-8: offline_ideal bit-identical to inline");
   }
 
-  std::printf(
+  rep.note(
       "\nNote: the offline batch is a pure function of (seed, budget) — the\n"
       "dealer derives it from Rng forks, the OT-driven provider replays the\n"
       "real OtHub rounds — so the online phase (one broadcast per AND layer,\n"

@@ -25,11 +25,11 @@ void run(ScenarioContext& ctx) {
   rep.gamma(gamma);
 
   std::uint64_t seed = ctx.spec.base_seed;
-  std::printf("--- round-sampling exchange (AND, |Y| = 2), uniform i* in [1, p] ---\n");
+  rep.note("--- round-sampling exchange (AND, |Y| = 2), uniform i* in [1, p] ---\n");
   for (const std::size_t p : {2u, 3u, 4u, 6u, 8u}) {
     const fair::Partial1pParams params = fair::make_partial_1p_and_params(p);
     const double bound = ctx.spec.bound(gamma, 1.0 / static_cast<double>(p));
-    std::printf("p = %zu  (exactly %zu exchange iterations)\n", p, params.rounds());
+    rep.note("p = %zu  (exactly %zu exchange iterations)\n", p, params.rounds());
     rep.row_header();
     double best = 0.0;
     for (const auto& attack : partial_1p_attack_family(params)) {
@@ -47,19 +47,19 @@ void run(ScenarioContext& ctx) {
                   "p=" + std::to_string(p) + " " + attack.name + " saturates g10/p");
       }
     }
-    std::printf("best attack: %.4f vs bound %.4f\n\n", best, bound);
+    rep.note("best attack: %.4f vs bound %.4f\n\n", best, bound);
 
     // Measured crossover vs GK at the same p: equal 1/p cap, but the
     // round-sampling schedule is p iterations against GK's geometric cap.
     const fair::GkParams gk = fair::make_gk_and_params(p);
-    std::printf("round budget: round-sampling %zu vs GK cap %zu (%.1fx shorter)\n\n",
-                params.rounds(), gk.cap(),
-                static_cast<double>(gk.cap()) / static_cast<double>(params.rounds()));
+    rep.note("round budget: round-sampling %zu vs GK cap %zu (%.1fx shorter)\n\n",
+             params.rounds(), gk.cap(),
+             static_cast<double>(gk.cap()) / static_cast<double>(params.rounds()));
   }
 
-  std::printf("Crossover: at p = 2 the 1/p cap equals Theorem 3's general-function\n"
-              "optimum (g10+g11)/2 = 0.5 — round-sampling only beats the general\n"
-              "bound for p > 2, exactly like GK, but at a fraction of the rounds.\n");
+  rep.note("Crossover: at p = 2 the 1/p cap equals Theorem 3's general-function\n"
+           "optimum (g10+g11)/2 = 0.5 — round-sampling only beats the general\n"
+           "bound for p > 2, exactly like GK, but at a fraction of the rounds.\n");
 }
 
 }  // namespace

@@ -31,14 +31,14 @@ void run(ScenarioContext& ctx) {
   std::uint64_t seed = ctx.spec.base_seed;
   const auto family = penalty_attack_family();
 
-  std::printf("--- deposit sweep: u(withhold) = g10 - d vs u(honest) = g11 ---\n");
+  rep.note("--- deposit sweep: u(withhold) = g10 - d vs u(honest) = g11 ---\n");
   std::string best_at_zero, best_at_full;
   for (const double d : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
     rpd::CollateralTerms terms;
     terms.deposit = d;
     const rpd::CollateralModel model(gamma, terms);
     const double bound = ctx.spec.bound(gamma, d);
-    std::printf("deposit d = %.1f  (model %s)\n", d, model.name().c_str());
+    rep.note("deposit d = %.1f  (model %s)\n", d, model.name().c_str());
     rep.row_header();
     const auto assess = rpd::assess_protocol(family, model, rep.opts(seed++));
     for (const auto& a : assess.attacks) {
@@ -50,8 +50,8 @@ void run(ScenarioContext& ctx) {
               "d=" + std::to_string(d).substr(0, 3) + " best <= max(g10-d, g11)");
     if (d == 0.0) best_at_zero = assess.best_attack_name();
     if (d == 1.0) best_at_full = assess.best_attack_name();
-    std::printf("best strategy: %s (%.4f)\n\n", assess.best_attack_name().c_str(),
-                assess.best_utility());
+    rep.note("best strategy: %s (%.4f)\n\n", assess.best_attack_name().c_str(),
+             assess.best_utility());
   }
   rep.check(best_at_zero == "withhold-claim",
             "d=0: learn-then-withhold is the rational strategy");
@@ -59,7 +59,7 @@ void run(ScenarioContext& ctx) {
             "d=1: honesty is the rational strategy (flip past d* = g10 - g11)");
 
   // --- protocol zoo: one at_least_as_fair ordering over every family -------
-  std::printf("--- protocol zoo under standard gamma (fairest first) ---\n");
+  rep.note("--- protocol zoo under standard gamma (fairest first) ---\n");
   std::vector<std::pair<std::string, rpd::ProtocolAssessment>> zoo;
   const rpd::VectorModel vector_model(gamma);
   const std::vector<std::pair<std::string, std::vector<rpd::NamedAttack>>> families = {
@@ -95,7 +95,7 @@ void run(ScenarioContext& ctx) {
   }
   rep.check(chain >= 6, "at_least_as_fair orders >= 6 protocol families (chain = " +
                             std::to_string(chain) + ")");
-  std::printf("ordered chain length: %zu of %zu families\n", chain, zoo.size());
+  rep.note("ordered chain length: %zu of %zu families\n", chain, zoo.size());
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 // Tests for the F_{2^61-1} field, one-time MAC, commitments, RNG, and bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <vector>
+
 #include "crypto/bytes.h"
 #include "crypto/commitment.h"
 #include "crypto/field.h"
@@ -46,6 +50,37 @@ TEST(Bytes, XorAndCtEqual) {
   EXPECT_TRUE(ct_equal(a, a));
   EXPECT_FALSE(ct_equal(a, b));
   EXPECT_FALSE(ct_equal(a, Bytes{1, 2}));
+}
+
+TEST(Bytes, InsertAndAssignFromOwnStorage) {
+  // Bytes is its own container (crypto/bytes.h); these are the
+  // std::vector<std::uint8_t> results it must reproduce, including sources
+  // that lie inside the buffer being grown (ASan builds check the reads).
+  std::vector<std::uint8_t> want = {1, 2, 3};
+  Bytes b = {1, 2, 3};
+  const auto same = [&] { return std::equal(b.begin(), b.end(), want.begin(), want.end()); };
+  for (int k = 0; k < 12; ++k) {  // appends that reallocate, past 4 KiB
+    want.insert(want.end(), want.begin(), want.end());
+    b.insert(b.end(), b.begin(), b.end());
+    ASSERT_TRUE(same()) << "append " << k;
+  }
+  want.insert(want.begin() + 5, want.begin() + 1, want.begin() + 9);
+  b.insert(b.begin() + 5, b.begin() + 1, b.begin() + 9);
+  EXPECT_TRUE(same());
+  const std::list<int> listed = {7, 8, 9};
+  want.insert(want.begin(), listed.begin(), listed.end());
+  b.insert(b.begin(), listed.begin(), listed.end());
+  EXPECT_TRUE(same());
+  want.assign(want.begin() + 2, want.begin() + 6000);
+  b.assign(b.begin() + 2, b.begin() + 6000);
+  EXPECT_TRUE(same());
+  want.resize(9000, 0x5a);
+  b.resize(9000, 0x5a);
+  EXPECT_TRUE(same());
+  want.resize(10);
+  b.resize(10);
+  EXPECT_TRUE(same());
+  EXPECT_EQ(Bytes(listed.begin(), listed.end()), (Bytes{7, 8, 9}));
 }
 
 TEST(Field, BasicArithmetic) {

@@ -2,12 +2,15 @@
 // Lamport signatures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "auth_share_util.h"
 #include "crypto/auth_share.h"
 #include "crypto/lamport.h"
 #include "crypto/rng.h"
 #include "crypto/secret_sharing.h"
 #include "crypto/shamir.h"
+#include "crypto/sha256.h"
 
 namespace fairsfe {
 namespace {
@@ -283,6 +286,40 @@ TEST(Lamport, RejectsFlipInAnyVerifyGroup) {
       EXPECT_FALSE(lamport_verify(kp.verification_key, msg, bad))
           << "chunk " << chunk << " byte " << byte;
     }
+  }
+}
+
+TEST(Lamport, RejectsOneByteForgeryInChunk) {
+  // Verification folds every digest/vk comparison into one accumulator and
+  // decides once at the end; a difference in a single compared byte, in any
+  // 8-byte word of a chunk, at either edge of a 16-chunk group, must still
+  // reject. A byte of the half the message does not select is never read.
+  Rng rng(21);
+  const LamportKeyPair kp = lamport_gen(rng);
+  const Bytes msg = bytes_of("output value y");
+  const Bytes sig = lamport_sign(kp.signing_key, msg);
+  const Bytes digest = sha256(msg);
+  ASSERT_TRUE(lamport_verify(kp.verification_key, msg, sig));
+  for (const std::size_t chunk : {0u, 15u, 16u, 255u}) {
+    const std::size_t bit = (digest[chunk / 8] >> (chunk % 8)) & 1;
+    const std::size_t selected = 2 * chunk + bit;
+    const std::size_t other = 2 * chunk + (1 - bit);
+    for (const std::size_t byte : {0u, 7u, 8u, 31u}) {
+      Bytes vk = kp.verification_key;
+      vk[32 * selected + byte] ^= 0x01;
+      EXPECT_FALSE(lamport_verify(vk, msg, sig)) << "chunk " << chunk << " byte " << byte;
+      vk = kp.verification_key;
+      vk[32 * other + byte] ^= 0x01;
+      EXPECT_TRUE(lamport_verify(vk, msg, sig)) << "chunk " << chunk << " byte " << byte;
+    }
+    Bytes forged = sig;
+    forged[32 * chunk + 13] ^= 0x01;
+    EXPECT_FALSE(lamport_verify(kp.verification_key, msg, forged)) << "chunk " << chunk;
+    // The other preimage of the same chunk: a valid preimage, for the wrong bit.
+    forged = sig;
+    std::copy_n(kp.signing_key.begin() + static_cast<std::ptrdiff_t>(32 * other), 32,
+                forged.begin() + static_cast<std::ptrdiff_t>(32 * chunk));
+    EXPECT_FALSE(lamport_verify(kp.verification_key, msg, forged)) << "chunk " << chunk;
   }
 }
 
