@@ -13,7 +13,7 @@
 # preset and run the tier1 ctest label — the scheduling-independence suites
 # (estimator, thread pool, RNG forking, hot-path goldens, fault injection),
 # the Bytes.* container tests (stage 3 reruns them under ASan, which checks
-# inserts whose source lies in the buffer being grown) plus the scenario-registry, exp18 golden and fairbenchd daemon suites
+# appends whose source lies in the buffer being grown) plus the scenario-registry, exp18 golden and fairbenchd daemon suites
 # (Service*, the ServiceFuzz framing fuzz and the
 # daemon.fd_exhaustion_keeps_serving hostile-client script, which runs the
 # instrumented fairbenchd) and the fairbench/fairbenchd argument checks

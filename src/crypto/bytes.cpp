@@ -14,18 +14,6 @@ void Bytes::append_grown(const std::uint8_t* src, size_type n) {
   capacity_ = capacity;
 }
 
-Bytes::iterator Bytes::insert_bytes(const_iterator pos, const std::uint8_t* src, size_type n) {
-  // Built aside, so a source inside this buffer stays valid throughout.
-  const auto at = static_cast<size_type>(pos - data_);
-  Bytes out;
-  out.reserve(grown(size_ + n));
-  out.append(data_, at);
-  out.append(src, n);
-  out.append(data_ + at, size_ - at);
-  swap(out);
-  return data_ + at;
-}
-
 void Bytes::assign_bytes(const std::uint8_t* src, size_type n) {
   if (n > capacity_) {
     size_type capacity = 0;

@@ -22,17 +22,21 @@
 #include <utility>
 #include <vector>
 
+#include "util/check.h"
+
 // Sanitizer builds pass every Bytes block straight to operator new/delete,
 // so ASan sees a use-after-free on a large buffer instead of a recycled one.
+// The value follows from the sanitizer alone; it is not a build option.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define FAIRSFE_BYTES_POOL 0
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
     __has_feature(memory_sanitizer)
 #define FAIRSFE_BYTES_POOL 0
+#else
+#define FAIRSFE_BYTES_POOL 1
 #endif
-#endif
-#ifndef FAIRSFE_BYTES_POOL
+#else
 #define FAIRSFE_BYTES_POOL 1
 #endif
 
@@ -45,14 +49,12 @@ namespace fairsfe {
 /// the thread holds under kThreadBudget cached bytes. Everything else (a
 /// block freed on another thread or after the thread's cache is gone, a
 /// full cache, any request outside the range) goes to operator new/delete.
-/// Blocks are kAlign-aligned.
 namespace bytes_pool {
 inline constexpr bool kEnabled = FAIRSFE_BYTES_POOL != 0;
 inline constexpr std::size_t kMinBytes = 4096;
 inline constexpr std::size_t kClassBytes = 4096;
 inline constexpr std::size_t kMaxBytes = 256 * 1024;
 inline constexpr std::size_t kThreadBudget = 512 * 1024;
-inline constexpr std::size_t kAlign = 64;
 
 [[nodiscard]] inline constexpr bool pooled(std::size_t n) {
   return kEnabled && n >= kMinBytes && n <= kMaxBytes;
@@ -76,7 +78,7 @@ concept ByteIterator = std::contiguous_iterator<It> && std::is_integral_v<std::i
 
 /// A growable byte string: the std::vector<std::uint8_t> interface the
 /// project uses, over storage that bytes_pool recycles. Bulk operations
-/// (copy, insert, growth, resize) are memcpy/memmove/memset calls.
+/// (copy, append, growth, resize) are memcpy/memmove/memset calls.
 /// (For any allocator but std::allocator, libstdc++'s std::vector builds
 /// from a range, inserts and assigns element by element: about 28 times
 /// slower for a 16 KiB span at -O2.) Iterators
@@ -147,19 +149,18 @@ class Bytes {
   }
   void pop_back() noexcept { --size_; }
 
+  /// Appends only: pos must be end(). The source may lie in this buffer.
   template <std::input_iterator It>
   iterator insert(const_iterator pos, It first, It last) {
+    FAIRSFE_CHECK(pos == end(), "Bytes::insert appends only");
+    const size_type at = size_;
     if constexpr (ByteIterator<It>) {
-      const auto* src = reinterpret_cast<const std::uint8_t*>(std::to_address(first));
-      const auto n = static_cast<size_type>(last - first);
-      if (pos != end()) return insert_bytes(pos, src, n);
-      append(src, n);
-      return end() - n;
+      append(reinterpret_cast<const std::uint8_t*>(std::to_address(first)),
+             static_cast<size_type>(last - first));
     } else {
-      Bytes staged;
-      for (; first != last; ++first) staged.push_back(static_cast<std::uint8_t>(*first));
-      return insert(pos, staged.begin(), staged.end());
+      for (; first != last; ++first) push_back(static_cast<std::uint8_t>(*first));
     }
+    return data_ + at;
   }
 
   template <std::input_iterator It>
@@ -230,8 +231,6 @@ class Bytes {
   }
   /// append() into a new, larger block.
   void append_grown(const std::uint8_t* src, size_type n);
-  /// Insert before pos, which is not end().
-  iterator insert_bytes(const_iterator pos, const std::uint8_t* src, size_type n);
   void assign_bytes(const std::uint8_t* src, size_type n);
 
   std::uint8_t* data_ = nullptr;

@@ -1,13 +1,10 @@
 // The per-thread free lists behind Bytes' large blocks (bytes.h).
 //
 // Each pooled block is one plain operator new allocation of its class size
-// plus kSlack bytes. The bytes handed out start at the first kAlign boundary
-// that leaves room for a header in front of them: the allocation's start,
-// the id of the thread cache that made it and, while the block is parked,
-// the free-list link. (Aligned operator new would do the same in glibc with
-// a split chunk per block, which fragments the heap.) A block only ever
-// returns to the cache that made it, so a cache holds nothing a different
-// thread could still be using, and a cache needs no lock.
+// plus a header in front of the bytes handed out: the id of the thread cache
+// that made it and, while the block is parked, the free-list link. A block
+// only ever returns to the cache that made it, so a cache holds nothing a
+// different thread could still be using, and a cache needs no lock.
 #include "crypto/bytes.h"
 
 #if FAIRSFE_BYTES_POOL
@@ -21,15 +18,11 @@ namespace {
 
 constexpr std::size_t kClasses = kMaxBytes / kClassBytes;
 
+/// Aligned as operator new aligns, so the bytes behind it are too.
 struct alignas(__STDCPP_DEFAULT_NEW_ALIGNMENT__) BlockHeader {
-  void* raw = nullptr;      ///< what operator new returned
   std::uint64_t owner = 0;  ///< id of the allocating cache; 0 if none
   BlockHeader* next = nullptr;
 };
-/// operator new's alignment divides the header's size, so the first kAlign
-/// boundary past a header lies at most kAlign minus that alignment further.
-constexpr std::size_t kSlack = sizeof(BlockHeader) + kAlign - alignof(BlockHeader);
-static_assert(kAlign % alignof(BlockHeader) == 0);
 
 /// Trivially destructible, so it stays readable while other thread-local
 /// destructors free Bytes; CacheReaper empties it at thread exit.
@@ -50,7 +43,7 @@ BlockHeader* header_of(void* p) { return static_cast<BlockHeader*>(p) - 1; }
 void* bytes_of(BlockHeader* h) { return h + 1; }
 
 void release(BlockHeader* h, std::size_t c) noexcept {
-  ::operator delete(h->raw, class_size(c) + kSlack);
+  ::operator delete(h, class_size(c) + sizeof(BlockHeader));
 }
 
 struct CacheReaper {
@@ -93,11 +86,8 @@ void* allocate(std::size_t n) {
     cache.bytes -= class_size(c);
     return bytes_of(h);
   }
-  void* raw = ::operator new(class_size(c) + kSlack);
-  const auto start = reinterpret_cast<std::uintptr_t>(raw) + sizeof(BlockHeader);
-  void* p = reinterpret_cast<void*>((start + kAlign - 1) / kAlign * kAlign);
-  new (header_of(p)) BlockHeader{raw, cache_id(), nullptr};
-  return p;
+  void* raw = ::operator new(class_size(c) + sizeof(BlockHeader));
+  return bytes_of(new (raw) BlockHeader{cache_id(), nullptr});
 }
 
 void deallocate(void* p, std::size_t n) noexcept {
